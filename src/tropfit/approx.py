@@ -5,26 +5,39 @@ by stacking the monomial values of the sample abscissas into a design
 matrix and solving the resulting one-sided equation; the rational model
 numerator/denominator pair leads to a two-sided equation whose right
 matrix couples the denominator design with the sample ordinates.
+
+Fits and evaluation run on float arrays in max-plus; max-times samples
+and models pass through the logarithm on the way in and the
+exponential on the way out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
-from .linalg import (
+import numpy as np
+
+# perfbench/tracer.py wraps distance, mat_mul, one/two_sided_solve here.
+from .linalg import (  # noqa: F401
     TropicalMatrix,
     TropicalVector,
     distance,
     mat_mul,
 )
 from .semifield import ZERO, Rational, Scalar, Semifield, TropicalError
-from .solvers import (
+from .solvers import (  # noqa: F401
     DEFAULT_MAX_ITER,
     NonRegularInput,
     Termination,
+    alternate,
+    from_max_plus,
+    one_sided,
     one_sided_solve,
+    scaled_tolerance,
+    to_max_plus,
+    tropical_vector,
     two_sided_solve,
 )
 
@@ -37,8 +50,13 @@ class ZeroArgument(TropicalError):
     """Models cannot be evaluated at the semifield zero."""
 
 
+class ErrorCheckFailed(TropicalError, ArithmeticError):
+    """The pointwise error of a fitted model disagrees with the solver's."""
+
+
 #: Slack allowed between the solver error of a rational fit and the
-#: pointwise error of the recovered model; larger gaps mean a bug.
+#: pointwise error of the recovered model, in max-plus units; larger
+#: gaps mean a bug. scaled_tolerance raises it for large magnitudes.
 RATIONAL_ERROR_CHECK_TOL = 1e-9
 
 
@@ -70,6 +88,11 @@ class DegreeVector:
 
     def __getitem__(self, index: int) -> Fraction:
         return self.degrees[index]
+
+    @property
+    def exponents(self) -> np.ndarray:
+        """The degrees as a float array."""
+        return np.array([float(d) for d in self.degrees])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DegreeVector):
@@ -116,6 +139,16 @@ class SampleSet:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @property
+    def xs(self) -> np.ndarray:
+        """Max-plus readings of the abscissas (logarithms in max-times)."""
+        return to_max_plus([x for x, _ in self.points], self.semifield)
+
+    @property
+    def ys(self) -> np.ndarray:
+        """Max-plus readings of the ordinates (logarithms in max-times)."""
+        return to_max_plus([y for _, y in self.points], self.semifield)
 
     @property
     def inputs(self) -> tuple[Scalar, ...]:
@@ -176,7 +209,11 @@ class FitReport:
 
 def build_poly_matrix(samples: SampleSet,
                       degrees: DegreeVector) -> TropicalMatrix:
-    """Design matrix with entry (i, j) = x_i to the power degrees[j]."""
+    """Design matrix with entry (i, j) = x_i to the power degrees[j].
+
+    The tuple form of the design, computed in the samples' semifield;
+    the fits build theirs on arrays in max-plus.
+    """
     sf = samples.semifield
     rows = []
     for x in samples.inputs:
@@ -186,6 +223,17 @@ def build_poly_matrix(samples: SampleSet,
     return TropicalMatrix(tuple(rows), sf)
 
 
+def _finite(matrix: np.ndarray) -> np.ndarray:
+    if not np.isfinite(matrix).all():
+        raise ValueError("a design matrix entry overflows the float range")
+    return matrix
+
+
+def _design(x: np.ndarray, degrees: DegreeVector) -> np.ndarray:
+    """Max-plus design matrix: entry (i, j) = degrees[j] * x_i."""
+    return _finite(x[:, None] * degrees.exponents)
+
+
 def fit_polynomial(samples: SampleSet, degrees: DegreeVector) -> FitReport:
     """Best polynomial fit for a fixed degree vector.
 
@@ -193,76 +241,103 @@ def fit_polynomial(samples: SampleSet, degrees: DegreeVector) -> FitReport:
     the best approximate sense, so the reported error is the smallest
     achievable pointwise distance for this degree class.
     """
-    design = build_poly_matrix(samples, degrees)
-    solution = one_sided_solve(design, samples.outputs)
-    model = PolynomialModel(degrees, solution.x_star)
-    termination = (Termination.EXACT_SOLUTION if solution.exact
+    sf = samples.semifield
+    theta, delta, exact = one_sided(_design(samples.xs, degrees), samples.ys)
+    model = PolynomialModel(degrees, tropical_vector(theta, sf))
+    termination = (Termination.EXACT_SOLUTION if exact
                    else Termination.ONE_SHOT)
-    return FitReport(delta_star=solution.delta, error=solution.error,
+    return FitReport(delta_star=float(from_max_plus(delta, sf)),
+                     error=float(from_max_plus(0.5 * delta, sf)),
                      model=model, iterations=1, termination=termination)
 
 
 def fit_rational(samples: SampleSet,
                  num_degrees: DegreeVector,
                  den_degrees: DegreeVector,
-                 max_iter: int = DEFAULT_MAX_ITER,
-                 x0: Optional[TropicalVector] = None) -> FitReport:
+                 max_iter: int = DEFAULT_MAX_ITER) -> FitReport:
     """Best rational fit for fixed numerator and denominator degrees.
 
     With design matrices X (numerator) and Z (denominator) and the
     diagonal matrix Y of sample ordinates, the fitting conditions read
     X theta = Y Z sigma, a two-sided equation solved by alternating
-    projections. Coefficient pairs are only determined up to a common
-    scalar factor, which does not change the fitted function.
+    projections. In max-plus, Y Z is Z with y_i added to row i.
+    Coefficient pairs are only determined up to a common scalar factor,
+    which does not change the fitted function.
 
     The pointwise error of the recovered model provably equals the
     solver's error; this is re-checked on every fit and a mismatch
-    raises ArithmeticError.
+    raises ErrorCheckFailed.
     """
     sf = samples.semifield
-    num_design = build_poly_matrix(samples, num_degrees)
-    den_design = build_poly_matrix(samples, den_degrees)
-    scaled_den = mat_mul(
-        TropicalMatrix.diagonal(samples.outputs.elements, sf), den_design)
-    solution = two_sided_solve(num_design, scaled_den, x0=x0,
-                               max_iter=max_iter)
+    x, y = samples.xs, samples.ys
+    num_design = _design(x, num_degrees)
+    den_design = _design(x, den_degrees)
+    deltas, theta, sigma, termination = alternate(
+        num_design, _finite(y[:, None] + den_design),
+        np.zeros(len(num_degrees)), max_iter)
+    delta = min(deltas)
+    _check_rational_error(np.max(theta + num_design, axis=1),
+                          np.max(sigma + den_design, axis=1), y, 0.5 * delta)
     model = RationalModel(
-        PolynomialModel(num_degrees, solution.x_star),
-        PolynomialModel(den_degrees, solution.y_star))
-    error = sf.sqrt(solution.delta_star)
-    _check_rational_error(model, samples, error)
-    return FitReport(delta_star=solution.delta_star, error=error, model=model,
-                     iterations=solution.iterations,
-                     termination=solution.termination)
+        PolynomialModel(num_degrees, tropical_vector(theta, sf)),
+        PolynomialModel(den_degrees, tropical_vector(sigma, sf)))
+    return FitReport(delta_star=float(from_max_plus(delta, sf)),
+                     error=float(from_max_plus(0.5 * delta, sf)),
+                     model=model, iterations=len(deltas),
+                     termination=termination)
 
 
-def _check_rational_error(model: RationalModel, samples: SampleSet,
-                          error: float) -> None:
-    predicted = TropicalVector(
-        tuple(eval_rational(model, x) for x in samples.inputs),
-        samples.semifield)
-    d = distance(predicted, samples.outputs)
-    if d.is_infinite or abs(d.value - error) > RATIONAL_ERROR_CHECK_TOL:
-        raise ArithmeticError(
+def _check_rational_error(numerator: np.ndarray, denominator: np.ndarray,
+                          y: np.ndarray, error: float) -> None:
+    """Compare max_i |numerator_i - denominator_i - y_i| with error.
+
+    All values are max-plus readings; the tolerance grows with their
+    magnitude.
+    """
+    worst = float(np.max(np.abs(numerator - denominator - y)))
+    tol = scaled_tolerance(RATIONAL_ERROR_CHECK_TOL, numerator, denominator, y)
+    if not abs(worst - error) <= tol:
+        raise ErrorCheckFailed(
             "pointwise model error disagrees with the solver error "
-            f"({d.value!r} vs {error!r})")
+            f"({worst!r} vs {error!r} in max-plus units)")
 
 
-def eval_polynomial(model: PolynomialModel, x: Scalar) -> Scalar:
+def _poly_values(model: PolynomialModel, x: np.ndarray) -> np.ndarray:
+    coefficients = to_max_plus(model.coefficients.elements, model.semifield)
+    return np.max(coefficients + _design(x, model.degrees), axis=1)
+
+
+def evaluate(model: Union[PolynomialModel, RationalModel],
+             points) -> np.ndarray:
+    """Values of a polynomial or rational model at many points at once.
+
+    Points and values are conventional reals of the model's semifield.
+    A point at the semifield zero raises ZeroArgument, any other value
+    outside the semifield ValueError.
+    """
+    sf = model.semifield
+    x = to_max_plus(points, sf)
+    if np.isneginf(x).any():
+        raise ZeroArgument("models are evaluated at nonzero points")
+    if not np.isfinite(x).all():
+        raise ValueError(f"evaluation points must be {sf.name} scalars")
+    if isinstance(model, RationalModel):
+        values = (_poly_values(model.numerator, x)
+                  - _poly_values(model.denominator, x))
+    else:
+        values = _poly_values(model, x)
+    return from_max_plus(values, sf)
+
+
+def eval_polynomial(model: PolynomialModel, x: Scalar) -> float:
     """Value of the polynomial at a nonzero point."""
     if x is ZERO:
         raise ZeroArgument("polynomials are evaluated at nonzero points")
-    sf = model.semifield
-    acc: Scalar = ZERO
-    for coeff, degree in zip(model.coefficients, model.degrees):
-        acc = sf.add(acc, sf.mul(coeff, sf.pow(x, degree)))
-    return acc
+    return float(evaluate(model, [x])[0])
 
 
-def eval_rational(model: RationalModel, x: Scalar) -> Scalar:
+def eval_rational(model: RationalModel, x: Scalar) -> float:
     """Value of the rational function at a nonzero point."""
     if x is ZERO:
         raise ZeroArgument("rational functions are evaluated at nonzero points")
-    sf = model.semifield
-    return sf.mul(eval_polynomial(model.numerator, x),
-                  sf.inv(eval_polynomial(model.denominator, x)))
+    return float(evaluate(model, [x])[0])

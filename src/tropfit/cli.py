@@ -1,8 +1,8 @@
 """Command line interface: fit models, evaluate them, regenerate datasets.
 
 Exit codes are part of the contract: 0 on success, 2 on malformed
-input (CSV, flags, degrees, model files), 3 when a solver rejects
-non-regular data.
+input (CSV, flags, degrees, model files) and on a failed post-fit
+check, 3 when a solver rejects non-regular data.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .approx import (
+# perfbench/tracer.py wraps eval_polynomial and eval_rational here.
+from .approx import (  # noqa: F401
     DegreeVector,
     FitReport,
     PolynomialModel,
@@ -25,6 +26,7 @@ from .approx import (
     SampleSet,
     eval_polynomial,
     eval_rational,
+    evaluate,
     fit_polynomial,
     fit_rational,
 )
@@ -463,22 +465,19 @@ def cmd_eval(args) -> int:
         doc = parse_model(handle.read())
     model = model_from_document(doc)
     semifield = by_name(doc.semifield)
-    evaluate = (eval_rational if isinstance(model, RationalModel)
-                else eval_polynomial)
     if (args.grid is None) == (args.input is None):
         raise ValueError("give exactly one of --grid or --input")
-    lines = []
+    # Values go out as Python floats: repr of a numpy float is not a number.
     if args.input is not None:
         samples = parse_samples(args.input, semifield)
-        for x, y in samples.points:
-            value = semifield.to_real(evaluate(model, x))
-            xr, yr = semifield.to_real(x), semifield.to_real(y)
-            lines.append(f"{xr!r}\t{value!r}\t{yr!r}\t{value - yr!r}")
+        xs, ys = zip(*samples.points)
+        values = evaluate(model, xs).tolist()
+        lines = [f"{x!r}\t{value!r}\t{y!r}\t{value - y!r}"
+                 for x, y, value in zip(xs, ys, values)]
     else:
-        for xr in parse_grid(args.grid):
-            x = semifield.from_real(xr)
-            value = semifield.to_real(evaluate(model, x))
-            lines.append(f"{xr!r}\t{value!r}")
+        xs = parse_grid(args.grid)
+        values = evaluate(model, xs).tolist()
+        lines = [f"{x!r}\t{value!r}" for x, value in zip(xs, values)]
     _write_output("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -529,8 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                      help="two-sided solver iteration cap")
     fit.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="parallel fit evaluations during searches; "
-                          "never changes the result")
+                     help="accepted for compatibility; searches fit their "
+                          "draws on one thread and the result never "
+                          "depends on it")
 
     ev = sub.add_parser("eval", help="tabulate a fitted model as TSV")
     ev.add_argument("--model", required=True, help="model JSON path")

@@ -1,8 +1,11 @@
 """Dense vectors and matrices over an idempotent semifield.
 
 All values are immutable and every operation returns a fresh value, so
-concurrent reads are always safe. Storage is nested tuples; the systems
-this package targets are small enough that nothing fancier pays off.
+concurrent reads are always safe. Storage is nested tuples and every
+product works one scalar at a time through the semifield's methods.
+This is the public tuple form of the algebra and the reference that
+the tests compare the max-plus float-array core in solvers against;
+fitting and evaluation run on that core, not on these products.
 """
 
 from __future__ import annotations

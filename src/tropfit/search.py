@@ -5,14 +5,12 @@ range using numpy's seedable PCG64 generator, each draw is fitted, and
 the class with the smallest squared error wins. Draws are generated
 up front from a single stream in step order, so run i of a longer
 search sees exactly the draws of a shorter one (prefix stability), and
-evaluation may proceed in parallel without changing the winner: ties
-are broken by draw index.
+ties are broken by draw index.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -103,7 +101,9 @@ def random_search(samples: SampleSet, config: SearchConfig,
     """Fit every drawn degree class and keep the best.
 
     Deterministic for a fixed config: the winner depends only on the
-    seed and the samples, never on threads or completion order.
+    seed and the samples. Draws are fitted one after another on the
+    calling thread; threads is accepted for compatibility and has no
+    effect.
     """
     rng = np.random.default_rng(config.rng_seed)
     draws: list[tuple[DegreeVector, Optional[DegreeVector]]] = []
@@ -126,11 +126,7 @@ def random_search(samples: SampleSet, config: SearchConfig,
         except TropicalError:
             return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run, draws))
-    else:
-        reports = [run(d) for d in draws]
+    reports = [run(d) for d in draws]
 
     trace: list[tuple[int, float]] = []
     best: Optional[tuple[float, int]] = None

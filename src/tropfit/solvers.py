@@ -6,35 +6,49 @@ equation a x = b y is solved numerically by alternating projections:
 the image of the current iterate under one matrix is projected onto
 the column span of the other, and the achieved squared distances form
 a non-increasing sequence whose minimum is reported.
+
+All arithmetic runs in max-plus on float arrays. This module owns that
+number format: max-times values are mapped in through the logarithm
+and out through the exponential (to_max_plus / from_max_plus), which
+turns max-times products into max-plus sums.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .linalg import (
+import numpy as np
+
+# perfbench/tracer.py wraps conjugate, dot, mat_vec_mul, scale, vec_mat_mul.
+from .linalg import (  # noqa: F401
     DimensionMismatch,
     SemifieldMismatch,
     TropicalMatrix,
     TropicalVector,
     conjugate,
     dot,
-    full,
     mat_vec_mul,
     scale,
     vec_mat_mul,
 )
-from .semifield import TropicalError
+from .semifield import MaxTimes, Semifield, TropicalError
 
 #: Squared error at or below which a system counts as solved exactly.
-#: Measured as deviation from the unit in conventional units (so an
-#: absolute bound in max-plus and a relative one in max-times).
+#: Measured in max-plus units, so an absolute bound in max-plus and a
+#: relative one in max-times.
 DELTA_UNIT_TOL = 1e-9
 
-#: Elementwise absolute tolerance for recognizing a repeated iterate.
+#: Elementwise tolerance, in max-plus units, for recognizing a repeated
+#: iterate; scaled_tolerance raises it for large-magnitude data.
 ITERATE_MATCH_TOL = 1e-9
+
+#: Units in the last place of the largest magnitude involved that a
+#: scale-aware tolerance allows. Below magnitudes of about 5e5 the
+#: absolute tolerances above are the larger bound.
+TOL_ULPS = 16
 
 DEFAULT_MAX_ITER = 1000
 
@@ -86,17 +100,126 @@ class TwoSidedSolution:
     deltas: tuple[float, ...]
 
 
+# ---------------------------------------------------------------------------
+# Number format
+
+
+def to_max_plus(values, semifield: Semifield) -> np.ndarray:
+    """Max-plus reading of conventional semifield values, as floats.
+
+    Identity for max-plus and the natural logarithm for max-times, where
+    0 maps to -inf (the max-plus zero) and negative values to nan.
+    """
+    array = np.asarray(values, dtype=float)
+    if isinstance(semifield, MaxTimes):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(array)
+    return array
+
+
+def from_max_plus(values, semifield: Semifield) -> np.ndarray:
+    """Inverse of to_max_plus: identity for max-plus, exp for max-times."""
+    array = np.asarray(values, dtype=float)
+    return np.exp(array) if isinstance(semifield, MaxTimes) else array
+
+
+def tropical_vector(values: np.ndarray,
+                    semifield: Semifield) -> TropicalVector:
+    """Vector of the semifield values whose max-plus readings are given."""
+    return TropicalVector(from_max_plus(values, semifield).tolist(), semifield)
+
+
+def scaled_tolerance(base: float, *arrays: np.ndarray) -> float:
+    """base, or TOL_ULPS ulps of the largest magnitude in arrays if larger.
+
+    Rounding in data of large magnitude moves results by a few ulps of
+    that magnitude, which can exceed a fixed absolute tolerance.
+    """
+    largest = max(float(np.max(np.abs(a))) for a in arrays)
+    return max(base, TOL_ULPS * math.ulp(largest))
+
+
+# ---------------------------------------------------------------------------
+# Max-plus array core
+
+
+def residuate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Greatest r with a r <= b, and the squared distance of a r to b.
+
+    r_j = min_i (b_i - a_ij) and delta = max_i (b_i - max_j (a_ij + r_j)),
+    all in max-plus. Scaling r by the square root delta / 2 balances the
+    one-sided slack into the metric-best solution.
+    """
+    r = np.min(b[:, None] - a, axis=0)
+    delta = float(np.max(b - np.max(a + r, axis=1)))
+    return r, delta
+
+
+def one_sided(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Array form of one_sided_solve: (x_star, delta, exact) in max-plus."""
+    r, delta = residuate(a, b)
+    exact = abs(delta) <= DELTA_UNIT_TOL
+    # For a consistent system the greatest exact solution is returned
+    # unscaled; sqrt(delta) is the unit there anyway.
+    return (r if exact else r + 0.5 * delta), delta, exact
+
+
+def alternate(a: np.ndarray, b: np.ndarray, x0: np.ndarray,
+              max_iter: int) -> tuple[list[float], np.ndarray, np.ndarray,
+                                      Termination]:
+    """Alternating projections for a x = b y on max-plus float arrays.
+
+    Returns the delta of every half step, the pair (x, y) that first
+    reached the smallest delta, and the reason for stopping. The rules
+    are those of two_sided_solve.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    match_tol = scaled_tolerance(ITERATE_MATCH_TOL, a, b)
+    spans = (a, b)
+    current = [x0, None]
+    # Earlier iterates of each side, in arrays that double when full.
+    seen = [np.empty((32, a.shape[1])), np.empty((32, b.shape[1]))]
+    seen[0][0] = x0
+    count = [1, 0]
+    deltas: list[float] = []
+    best = None
+    side = 0
+    while True:
+        other = 1 - side
+        image = np.max(spans[side] + current[side], axis=1)
+        reached, delta = residuate(spans[other], image)
+        current[other] = reached + 0.5 * delta
+        deltas.append(delta)
+        if best is None or delta < best[0]:
+            best = (delta, current[0], current[1])
+        if abs(delta) <= DELTA_UNIT_TOL:
+            termination = Termination.EXACT_SOLUTION
+            break
+        history = seen[other][:count[other]]
+        if np.any(np.all(np.abs(history - current[other]) <= match_tol,
+                         axis=1)):
+            termination = Termination.CYCLE_DETECTED
+            break
+        if count[other] == len(seen[other]):
+            seen[other] = np.concatenate([seen[other],
+                                          np.empty_like(seen[other])])
+        seen[other][count[other]] = current[other]
+        count[other] += 1
+        if len(deltas) >= max_iter:
+            termination = Termination.ITERATION_CAP
+            break
+        side = other
+    return deltas, best[1], best[2], termination
+
+
+# ---------------------------------------------------------------------------
+# Tuple API
+
+
 def _require_regular(value, label: str) -> None:
     if not value.is_regular:
         raise NonRegularInput(f"{label} must be regular (no zero entries)")
-
-
-def _matches_previous(vec: TropicalVector, history: list[TropicalVector]) -> bool:
-    for old in history:
-        if all(abs(p - q) <= ITERATE_MATCH_TOL
-               for p, q in zip(vec.elements, old.elements)):
-            return True
-    return False
 
 
 def one_sided_solve(a: TropicalMatrix, b: TropicalVector) -> OneSidedSolution:
@@ -121,15 +244,11 @@ def one_sided_solve(a: TropicalMatrix, b: TropicalVector) -> OneSidedSolution:
     _require_regular(a, "the coefficient matrix")
     _require_regular(b, "the right-hand side")
 
-    residuated = conjugate(vec_mat_mul(conjugate(b), a))
-    projection = mat_vec_mul(a, residuated)
-    delta = dot(conjugate(projection), b)
-    error = sf.sqrt(delta)
-    exact = sf.is_one(delta, DELTA_UNIT_TOL)
-    # For a consistent system the greatest exact solution is returned
-    # unscaled; sqrt(delta) is the unit there anyway.
-    x_star = residuated if exact else scale(error, residuated)
-    return OneSidedSolution(delta=delta, error=error, x_star=x_star, exact=exact)
+    x_star, delta, exact = one_sided(to_max_plus(a.entries, sf),
+                                     to_max_plus(b.elements, sf))
+    return OneSidedSolution(delta=float(from_max_plus(delta, sf)),
+                            error=float(from_max_plus(0.5 * delta, sf)),
+                            x_star=tropical_vector(x_star, sf), exact=exact)
 
 
 def two_sided_solve(a: TropicalMatrix,
@@ -161,10 +280,8 @@ def two_sided_solve(a: TropicalMatrix,
             f"matrices have {a.rows} and {b.rows} rows")
     _require_regular(a, "the left matrix")
     _require_regular(b, "the right matrix")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     if x0 is None:
-        x0 = full(a.cols, sf.one, sf)
+        start = np.zeros(a.cols)
     else:
         if x0.semifield is not sf:
             raise SemifieldMismatch("x0 belongs to a different semifield")
@@ -172,59 +289,16 @@ def two_sided_solve(a: TropicalMatrix,
             raise DimensionMismatch(
                 f"x0 has {len(x0)} elements, left matrix has {a.cols} columns")
         _require_regular(x0, "x0")
+        start = to_max_plus(x0.elements, sf)
 
-    def half_step(image: TropicalVector, target: TropicalMatrix):
-        # One-sided projection of the image onto the span of target.
-        reached = conjugate(vec_mat_mul(conjugate(image), target))
-        projection = mat_vec_mul(target, reached)
-        delta = dot(conjugate(projection), image)
-        return delta, scale(sf.sqrt(delta), reached)
-
-    seen_x = [x0]
-    seen_y: list[TropicalVector] = []
-    deltas: list[float] = []
-    best_delta: Optional[float] = None
-    best_x = best_y = None
-    termination = Termination.ITERATION_CAP
-    x_current = x0
-
-    while True:
-        delta, y_next = half_step(mat_vec_mul(a, x_current), b)
-        deltas.append(delta)
-        if best_delta is None or delta < best_delta:
-            best_delta, best_x, best_y = delta, x_current, y_next
-        if sf.is_one(delta, DELTA_UNIT_TOL):
-            termination = Termination.EXACT_SOLUTION
-            break
-        if _matches_previous(y_next, seen_y):
-            termination = Termination.CYCLE_DETECTED
-            break
-        seen_y.append(y_next)
-        if len(deltas) >= max_iter:
-            termination = Termination.ITERATION_CAP
-            break
-
-        delta, x_next = half_step(mat_vec_mul(b, y_next), a)
-        deltas.append(delta)
-        if delta < best_delta:
-            best_delta, best_x, best_y = delta, x_next, y_next
-        if sf.is_one(delta, DELTA_UNIT_TOL):
-            termination = Termination.EXACT_SOLUTION
-            break
-        if _matches_previous(x_next, seen_x):
-            termination = Termination.CYCLE_DETECTED
-            break
-        seen_x.append(x_next)
-        x_current = x_next
-        if len(deltas) >= max_iter:
-            termination = Termination.ITERATION_CAP
-            break
-
+    deltas, x_star, y_star, termination = alternate(
+        to_max_plus(a.entries, sf), to_max_plus(b.entries, sf), start,
+        max_iter)
     return TwoSidedSolution(
-        delta_star=best_delta,
-        x_star=best_x,
-        y_star=best_y,
+        delta_star=float(from_max_plus(min(deltas), sf)),
+        x_star=tropical_vector(x_star, sf),
+        y_star=tropical_vector(y_star, sf),
         iterations=len(deltas),
         termination=termination,
-        deltas=tuple(deltas),
+        deltas=tuple(from_max_plus(deltas, sf).tolist()),
     )

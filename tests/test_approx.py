@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropfit import (
     MAX_PLUS,
@@ -22,7 +25,9 @@ from tropfit import (
     fit_polynomial,
     fit_rational,
 )
+from tropfit.approx import evaluate
 from tropfit.datasets import convex_samples, nonconvex_samples
+from oracles import eval_reference, rational_system, two_sided_reference
 
 # Reference values for the bundled demo fits (printed to four decimals
 # in the docs); independently re-derivable from the closed-form solve.
@@ -307,3 +312,98 @@ def test_fit_rational_works_in_max_times():
     assert report.delta_star == pytest.approx(1.0, abs=1e-9)
     for x, y in ss.points:
         assert eval_rational(report.model, x) == pytest.approx(y, rel=1e-9)
+
+
+# --- array core against the per-scalar reference ----------------------------
+
+def test_fit_rational_matches_per_scalar_reference():
+    samples = nonconvex_samples()
+    for num, den in ((NONCONVEX_NUM_DEGREES, NONCONVEX_DEN_DEGREES),
+                     ([-3, -2, 0, 1, 2, 4], [-5, -3, -2, 0])):
+        num, den = DegreeVector(num), DegreeVector(den)
+        report = fit_rational(samples, num, den)
+        deltas, theta, sigma, termination = two_sided_reference(
+            *rational_system(samples, num, den))
+        assert report.delta_star == min(deltas)
+        assert report.model.numerator.coefficients == theta
+        assert report.model.denominator.coefficients == sigma
+        assert report.iterations == len(deltas)
+        assert report.termination is termination
+
+
+def test_evaluate_matches_per_scalar_reference():
+    rng = random.Random(29)
+    xs = [rng.uniform(0.05, 3.0) for _ in range(50)]
+    for sf in (MAX_PLUS, MAX_TIMES):
+        def poly(degrees):
+            return PolynomialModel(
+                DegreeVector(degrees),
+                TropicalVector([sf.from_real(rng.uniform(0.5, 3.0))
+                                for _ in degrees], sf))
+        for model in (poly([-2, Fraction(1, 3), 2]),
+                      RationalModel(poly([-1, 0, 2]), poly([-3, 1]))):
+            got = evaluate(model, xs).tolist()
+            want = [eval_reference(model, x) for x in xs]
+            if sf is MAX_PLUS:
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_evaluate_rejects_points_outside_the_semifield():
+    model = reference_n5_model()
+    mt_model = PolynomialModel(DegreeVector([1]),
+                               TropicalVector((2.0,), MAX_TIMES))
+    assert evaluate(mt_model, [0.5, 2.0]).tolist() == pytest.approx(
+        [1.0, 4.0], rel=1e-15)
+    with pytest.raises(ZeroArgument):
+        evaluate(mt_model, [1.0, 0.0])
+    with pytest.raises(ValueError):
+        evaluate(mt_model, [-1.0])
+    with pytest.raises(ValueError):
+        evaluate(model, [math.nan])
+
+
+# --- scale of the data ------------------------------------------------------
+
+def test_fit_rational_at_large_magnitude():
+    # Shifting y by c in max-plus leaves the error of a rational fit
+    # unchanged. Near 2e7 the pointwise error and the solver error
+    # differ by about 1.5e-9, under one ulp of the ordinates, which an
+    # absolute 1e-9 self-check mistook for a bug.
+    base = nonconvex_samples()
+    num, den = (DegreeVector(NONCONVEX_NUM_DEGREES),
+                DegreeVector(NONCONVEX_DEN_DEGREES))
+    plain = fit_rational(base, num, den)
+    for c in (2e7, 1e9):
+        shifted = SampleSet(tuple((x, y + c) for x, y in base.points),
+                            MAX_PLUS)
+        report = fit_rational(shifted, num, den)
+        assert report.error == pytest.approx(plain.error, abs=1e-6)
+        worst = max(abs(eval_rational(report.model, x) - y)
+                    for x, y in shifted.points)
+        assert worst == pytest.approx(report.error, abs=64 * math.ulp(c))
+
+
+# --- max-times through the logarithm ----------------------------------------
+
+_positive = st.floats(min_value=0.05, max_value=20.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_positive, _positive), min_size=3, max_size=12,
+                unique_by=lambda p: p[0]))
+def test_max_times_fit_is_exp_of_max_plus_fit_of_logs(pairs):
+    mt = SampleSet.from_reals(pairs, MAX_TIMES)
+    mp = SampleSet.from_reals(np.log(pairs).tolist(), MAX_PLUS)
+    degrees = DegreeVector([-1, 0, 2])
+    poly_mt, poly_mp = fit_polynomial(mt, degrees), fit_polynomial(mp, degrees)
+    assert poly_mt.delta_star == pytest.approx(math.exp(poly_mp.delta_star),
+                                               rel=1e-12)
+    num, den = DegreeVector([-1, 1]), DegreeVector([0, 2])
+    rat_mt = fit_rational(mt, num, den, max_iter=200)
+    rat_mp = fit_rational(mp, num, den, max_iter=200)
+    assert rat_mt.delta_star == pytest.approx(math.exp(rat_mp.delta_star),
+                                              rel=1e-12)
+    assert rat_mt.iterations == rat_mp.iterations
+    assert rat_mt.termination is rat_mp.termination

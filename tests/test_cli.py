@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import tropfit.approx
+import tropfit.solvers
 from tropfit.cli import (
     EmptyFile,
     MalformedModel,
@@ -15,7 +17,7 @@ from tropfit.cli import (
     parse_samples,
     serialize_model,
 )
-from tropfit.datasets import convex_curve, dataset_csv, nonconvex_curve
+from tropfit.datasets import GRID, convex_curve, dataset_csv, nonconvex_curve
 from tropfit.semifield import MAX_TIMES
 
 
@@ -241,6 +243,36 @@ def test_fit_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.fixture
+def g_shifted_csv(tmp_path):
+    # The g demo 2e7 higher: the solver and pointwise errors of its 4/2
+    # fit differ by about 1.5e-9, under one ulp of the ordinates.
+    path = tmp_path / "g_shifted.csv"
+    rows = [f"{x!r},{nonconvex_curve(x) + 2e7!r}" for x in GRID]
+    path.write_text("x,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+G_RATIONAL_FIT = ["fit", "--kind", "rational", "--num-degrees", "-3,-2,1,2",
+                  "--den-degrees", "-5,-2"]
+
+
+def test_fit_large_magnitude_passes_the_self_check(g_shifted_csv, capsys):
+    assert main(G_RATIONAL_FIT + ["--input", g_shifted_csv]) == 0
+    doc = parse_model(capsys.readouterr().out)
+    assert doc.error == pytest.approx(0.0698, abs=1e-4)
+
+
+def test_fit_failed_self_check_exits_2(g_shifted_csv, capsys, monkeypatch):
+    # With every tolerance at zero the rounding above fails the check.
+    monkeypatch.setattr(tropfit.approx, "RATIONAL_ERROR_CHECK_TOL", 0.0)
+    monkeypatch.setattr(tropfit.solvers, "TOL_ULPS", 0)
+    assert main(G_RATIONAL_FIT + ["--input", g_shifted_csv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: pointwise model error disagrees")
+
+
 def test_eval_grid(tmp_path, capsys):
     model = ModelDocument(
         semifield="max-plus", kind="polynomial",
@@ -282,6 +314,21 @@ def test_eval_self_quotient_is_unit(tmp_path, capsys):
     assert main(["eval", "--model", str(path), "--grid", "0:2:0.5"]) == 0
     rows = capsys.readouterr().out.strip().split("\n")
     assert all(float(r.split("\t")[1]) == 0.0 for r in rows)
+
+
+def test_eval_max_times_grid_at_zero_exits_2(tmp_path, capsys):
+    model = ModelDocument(
+        semifield="max-times", kind="polynomial",
+        numerator=PolynomialDoc((Fraction(-1), Fraction(2)), (1.0, 0.5)),
+        denominator=None, delta_star=1.0, error=1.0, provenance={})
+    path = tmp_path / "mt.json"
+    path.write_text(serialize_model(model), encoding="utf-8")
+    assert main(["eval", "--model", str(path), "--grid", "0:2:1"]) == 2
+    assert "nonzero points" in capsys.readouterr().err
+    assert main(["eval", "--model", str(path), "--grid", "1:2:1"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")
+    assert [float(r.split("\t")[1]) for r in rows] == pytest.approx(
+        [1.0, 2.0], rel=1e-15)
 
 
 def test_eval_with_samples_reproduces_fit_error(g_csv, tmp_path, capsys):

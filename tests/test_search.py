@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import tropfit.approx
 import tropfit.search
+import tropfit.solvers
 from tropfit import (
+    MAX_PLUS,
     DegreeVector,
     RangeTooNarrow,
+    SampleSet,
     SearchConfig,
     fit_polynomial,
     fit_rational,
@@ -142,3 +146,19 @@ def test_search_skips_failing_classes(monkeypatch):
     assert report.error_trace[0][1] == math.inf
     assert all(math.isfinite(d) for _, d in report.error_trace[1:])
     assert math.isfinite(report.best.delta_star)
+
+
+def test_search_records_a_failed_self_check_as_inf(monkeypatch):
+    # With every tolerance at zero, rounding in the g demo shifted up by
+    # 2e7 fails the post-fit check of some draws; the search goes on.
+    monkeypatch.setattr(tropfit.approx, "RATIONAL_ERROR_CHECK_TOL", 0.0)
+    monkeypatch.setattr(tropfit.solvers, "TOL_ULPS", 0)
+    samples = SampleSet(tuple((x, y + 2e7)
+                              for x, y in nonconvex_samples().points),
+                        MAX_PLUS)
+    report = random_search(samples, SearchConfig(
+        n_terms_numerator=4, degree_min=-10, degree_max=10, n_samples=12,
+        rng_seed=11, n_terms_denominator=2, max_iter_two_sided=200))
+    errors = [delta for _, delta in report.error_trace]
+    assert math.inf in errors
+    assert report.best.delta_star == min(errors) < math.inf

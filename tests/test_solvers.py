@@ -20,7 +20,12 @@ from tropfit import (
     two_sided_solve,
     vec_mat_mul,
 )
-from oracles import grid_min_one_sided, grid_min_two_sided
+from oracles import (
+    grid_min_one_sided,
+    grid_min_two_sided,
+    one_sided_reference,
+    two_sided_reference,
+)
 
 
 def random_matrix(rng, m, n, lo=-5.0, hi=5.0, sf=MAX_PLUS):
@@ -213,3 +218,60 @@ def test_two_sided_rejects_bad_input():
         two_sided_solve(a, a, x0=TropicalVector((1, ZERO), MAX_PLUS))
     with pytest.raises(ValueError):
         two_sided_solve(a, a, max_iter=0)
+
+
+# --- array core against the per-scalar reference ----------------------------
+
+def reference_cases(sf, count, seed):
+    """Random systems of several shapes, with and without a start vector."""
+    rng = random.Random(seed)
+    lo, hi = (-5.0, 5.0) if sf is MAX_PLUS else (0.2, 5.0)
+    for k in range(count):
+        m = rng.randrange(2, 9)
+        a = random_matrix(rng, m, rng.randrange(1, 5), lo, hi, sf)
+        b = random_matrix(rng, m, rng.randrange(1, 5), lo, hi, sf)
+        x0 = random_vector(rng, a.cols, lo, hi, sf) if k % 2 else None
+        yield a, b, x0
+
+
+def test_one_sided_matches_per_scalar_reference():
+    rng = random.Random(14)
+    for sf, lo, hi in ((MAX_PLUS, -5.0, 5.0), (MAX_TIMES, 0.2, 5.0)):
+        for _ in range(40):
+            m = rng.randrange(1, 9)
+            a = random_matrix(rng, m, rng.randrange(1, 5), lo, hi, sf)
+            b = random_vector(rng, m, lo, hi, sf)
+            sol = one_sided_solve(a, b)
+            delta, x_star = one_sided_reference(a, b)
+            if sf is MAX_PLUS:
+                assert sol.delta == delta
+                assert sol.x_star == x_star
+            else:
+                assert sol.delta == pytest.approx(delta, rel=1e-12)
+                for got, want in zip(sol.x_star, x_star):
+                    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_two_sided_matches_per_scalar_reference_in_max_plus():
+    for a, b, x0 in reference_cases(MAX_PLUS, 40, 12):
+        for max_iter in (7, 1000):
+            sol = two_sided_solve(a, b, x0=x0, max_iter=max_iter)
+            deltas, x_star, y_star, termination = two_sided_reference(
+                a, b, x0=x0, max_iter=max_iter)
+            assert sol.deltas == tuple(deltas)
+            assert sol.delta_star == min(deltas)
+            assert sol.x_star == x_star
+            assert sol.y_star == y_star
+            assert sol.iterations == len(deltas)
+            assert type(sol.iterations) is int
+            assert type(sol.delta_star) is float
+            assert sol.termination is termination
+
+
+def test_two_sided_matches_per_scalar_reference_in_max_times():
+    for a, b, x0 in reference_cases(MAX_TIMES, 40, 13):
+        sol = two_sided_solve(a, b, x0=x0)
+        deltas, _, _, termination = two_sided_reference(a, b, x0=x0)
+        assert sol.delta_star == pytest.approx(min(deltas), rel=1e-12)
+        assert sol.iterations == len(deltas)
+        assert sol.termination is termination
