@@ -333,6 +333,8 @@ def parse_grid(spec: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError("--grid parts must be numbers") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError("--grid start, stop and step must be finite")
     if step <= 0:
         raise ValueError("--grid step must be positive")
     if stop < start:
@@ -528,9 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                      help="two-sided solver iteration cap")
     fit.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="accepted for compatibility; searches fit their "
-                          "draws on one thread and the result never "
-                          "depends on it")
+                     help="accepted for compatibility and has no effect: "
+                          "searches score polynomial draws in array blocks "
+                          "and fit rational draws one at a time, on one "
+                          "thread")
 
     ev = sub.add_parser("eval", help="tabulate a fitted model as TSV")
     ev.add_argument("--model", required=True, help="model JSON path")

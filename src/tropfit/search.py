@@ -22,6 +22,7 @@ from .approx import (
     SampleSet,
     fit_polynomial,
     fit_rational,
+    score_polynomials,
 )
 from .semifield import TropicalError
 from .solvers import DEFAULT_MAX_ITER
@@ -84,16 +85,31 @@ class SearchReport:
     error_trace: tuple[tuple[int, float], ...]
 
 
-def sample_degree_vector(low: int, high: int, count: int,
-                         rng: np.random.Generator) -> DegreeVector:
-    """Draw count distinct integers uniformly from [low, high], sorted."""
+def sample_degree_rows(low: int, high: int, count: int, n: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """n draws of sample_degree_vector, as the rows of an int array.
+
+    Each row takes one rng.choice call, in row order, so the stream is
+    the same as that of n sample_degree_vector calls.
+    """
     width = high - low + 1
     if width < count:
         raise RangeTooNarrow(
             f"range [{low}, {high}] holds {width} integers, "
             f"fewer than the {count} required")
-    picked = rng.choice(width, size=count, replace=False)
-    return DegreeVector(int(low + v) for v in picked)
+    choice = rng.choice
+    rows = np.array([choice(width, size=count, replace=False)
+                     for _ in range(n)])
+    rows.sort(axis=1)
+    rows += low
+    return rows
+
+
+def sample_degree_vector(low: int, high: int, count: int,
+                         rng: np.random.Generator) -> DegreeVector:
+    """Draw count distinct integers uniformly from [low, high], sorted."""
+    row = sample_degree_rows(low, high, count, 1, rng)[0]
+    return DegreeVector(row.tolist())
 
 
 def random_search(samples: SampleSet, config: SearchConfig,
@@ -101,50 +117,51 @@ def random_search(samples: SampleSet, config: SearchConfig,
     """Fit every drawn degree class and keep the best.
 
     Deterministic for a fixed config: the winner depends only on the
-    seed and the samples. Draws are fitted one after another on the
+    seed and the samples. Polynomial draws are scored in array blocks
+    (score_polynomials) and only the winner is fitted into a FitReport;
+    rational draws are fitted one at a time. Everything runs on the
     calling thread; threads is accepted for compatibility and has no
     effect.
     """
     rng = np.random.default_rng(config.rng_seed)
-    draws: list[tuple[DegreeVector, Optional[DegreeVector]]] = []
-    for _ in range(config.n_samples):
-        num = sample_degree_vector(config.degree_min, config.degree_max,
-                                   config.n_terms_numerator, rng)
-        den = None
-        if config.is_rational:
-            den = sample_degree_vector(config.degree_min, config.degree_max,
-                                       config.n_terms_denominator, rng)
-        draws.append((num, den))
-
-    def run(draw) -> Optional[FitReport]:
-        num, den = draw
-        try:
-            if den is None:
-                return fit_polynomial(samples, num)
-            return fit_rational(samples, num, den,
-                                max_iter=config.max_iter_two_sided)
-        except TropicalError:
-            return None
-
-    reports = [run(d) for d in draws]
+    if not config.is_rational:
+        rows = sample_degree_rows(config.degree_min, config.degree_max,
+                                  config.n_terms_numerator, config.n_samples,
+                                  rng)
+        trace = score_polynomials(samples, rows)
+        # argmin takes the first smallest delta_star, as the strict < of
+        # a draw-by-draw search does.
+        winner = DegreeVector(rows[np.argmin(trace)].tolist())
+        return SearchReport(
+            best=fit_polynomial(samples, winner),
+            best_degrees=winner,
+            best_denominator_degrees=None,
+            samples_evaluated=config.n_samples,
+            error_trace=tuple(enumerate(trace.tolist())),
+        )
+    draws = [(sample_degree_vector(config.degree_min, config.degree_max,
+                                   config.n_terms_numerator, rng),
+              sample_degree_vector(config.degree_min, config.degree_max,
+                                   config.n_terms_denominator, rng))
+             for _ in range(config.n_samples)]
 
     trace: list[tuple[int, float]] = []
-    best: Optional[tuple[float, int]] = None
-    best_report: Optional[FitReport] = None
+    best: Optional[FitReport] = None
     best_draw = None
-    for index, (draw, report) in enumerate(zip(draws, reports)):
-        if report is None:
+    for index, (num, den) in enumerate(draws):
+        try:
+            report = fit_rational(samples, num, den,
+                                  max_iter=config.max_iter_two_sided)
+        except TropicalError:
             trace.append((index, math.inf))
             continue
         trace.append((index, report.delta_star))
-        if best is None or report.delta_star < best[0]:
-            best = (report.delta_star, index)
-            best_report = report
-            best_draw = draw
-    if best_report is None:
+        if best is None or report.delta_star < best.delta_star:
+            best, best_draw = report, (num, den)
+    if best is None:
         raise TropicalError("every sampled degree class failed to fit")
     return SearchReport(
-        best=best_report,
+        best=best,
         best_degrees=best_draw[0],
         best_denominator_degrees=best_draw[1],
         samples_evaluated=len(draws),

@@ -143,16 +143,21 @@ def scaled_tolerance(base: float, *arrays: np.ndarray) -> float:
 # Max-plus array core
 
 
-def residuate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+def residuate(a: np.ndarray,
+              b: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Greatest r with a r <= b, and the squared distance of a r to b.
 
     r_j = min_i (b_i - a_ij) and delta = max_i (b_i - max_j (a_ij + r_j)),
     all in max-plus. Scaling r by the square root delta / 2 balances the
     one-sided slack into the metric-best solution.
+
+    Leading axes of a are a batch of independent systems, each solved
+    against b: a of shape (..., m, n) gives r of shape (..., n) and an
+    array of deltas of shape (...). A single system gives a float delta.
     """
-    r = np.min(b[:, None] - a, axis=0)
-    delta = float(np.max(b - np.max(a + r, axis=1)))
-    return r, delta
+    r = np.min(b[..., :, None] - a, axis=-2)
+    delta = np.max(b - np.max(a + r[..., None, :], axis=-1), axis=-1)
+    return r, (float(delta) if a.ndim == 2 else delta)
 
 
 def one_sided(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:

@@ -407,3 +407,53 @@ def test_max_times_fit_is_exp_of_max_plus_fit_of_logs(pairs):
                                               rel=1e-12)
     assert rat_mt.iterations == rat_mp.iterations
     assert rat_mt.termination is rat_mp.termination
+
+
+# --- metamorphic properties in max-plus -------------------------------------
+
+_abscissas = st.floats(min_value=-3.0, max_value=3.0)
+_ordinates = st.floats(min_value=-10.0, max_value=10.0)
+_pairs = st.lists(st.tuples(_abscissas, _ordinates), min_size=2, max_size=15,
+                  unique_by=lambda p: p[0])
+_degree_vectors = st.lists(st.integers(-6, 6), min_size=1, max_size=4,
+                           unique=True).map(DegreeVector)
+
+
+def _max_plus(pairs):
+    return SampleSet(tuple(pairs), MAX_PLUS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pairs, _degree_vectors, st.floats(min_value=-1e8, max_value=1e8))
+def test_shifting_y_keeps_the_error_and_shifts_the_coefficients(
+        pairs, degrees, c):
+    base = fit_polynomial(_max_plus(pairs), degrees)
+    shifted = fit_polynomial(_max_plus((x, y + c) for x, y in pairs), degrees)
+    # Rounding of y + c moves results by a few ulps of c; 1e-9 also
+    # covers a fit on the edge of counting as exact.
+    tol = max(1e-9, 64 * math.ulp(c))
+    assert shifted.delta_star == pytest.approx(base.delta_star, abs=tol)
+    for moved, kept in zip(shifted.model.coefficients,
+                           base.model.coefficients):
+        assert moved - c == pytest.approx(kept, abs=tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pairs.flatmap(lambda p: st.tuples(st.just(p), st.permutations(p))),
+       _degree_vectors)
+def test_permuting_the_samples_keeps_the_polynomial_fit(pairs, degrees):
+    original, permuted = pairs
+    assert (fit_polynomial(_max_plus(permuted), degrees)
+            == fit_polynomial(_max_plus(original), degrees))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pairs, _degree_vectors, _degree_vectors)
+def test_reported_error_is_the_largest_residual(pairs, num, den):
+    samples = _max_plus(pairs)
+    x = [p[0] for p in pairs]
+    y = np.array([p[1] for p in pairs])
+    for report in (fit_polynomial(samples, num),
+                   fit_rational(samples, num, den, max_iter=100)):
+        worst = float(np.max(np.abs(evaluate(report.model, x) - y)))
+        assert worst == pytest.approx(report.error, rel=1e-9, abs=1e-12)

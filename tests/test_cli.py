@@ -108,6 +108,31 @@ def test_parse_grid_inclusive():
         parse_grid("0:2:-1")
 
 
+NON_FINITE_GRIDS = ["-inf:0:1", "0:inf:1", "0:1:inf", "nan:1:0.5",
+                    "0:nan:1", "0:1:nan"]
+
+
+@pytest.mark.parametrize("spec", NON_FINITE_GRIDS)
+def test_parse_grid_rejects_non_finite_parts(spec):
+    with pytest.raises(ValueError, match="must be finite"):
+        parse_grid(spec)
+
+
+@pytest.mark.parametrize("spec", NON_FINITE_GRIDS)
+def test_eval_non_finite_grid_exits_2(spec, tmp_path, capsys):
+    model = ModelDocument(
+        semifield="max-plus", kind="polynomial",
+        numerator=PolynomialDoc((Fraction(0),), (0.0,)),
+        denominator=None, delta_star=0.0, error=0.0, provenance={})
+    path = tmp_path / "unit.json"
+    path.write_text(serialize_model(model), encoding="utf-8")
+    assert main(["eval", "--model", str(path), f"--grid={spec}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --grid start, stop and step must be finite\n")
+
+
 # --- model documents ---------------------------------------------------------
 
 def sample_document():

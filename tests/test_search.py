@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tropfit.approx
 import tropfit.search
 import tropfit.solvers
 from tropfit import (
     MAX_PLUS,
+    MAX_TIMES,
     DegreeVector,
     RangeTooNarrow,
     SampleSet,
@@ -101,14 +103,16 @@ def test_search_prefix_stability_and_dominance():
 def test_search_injected_draw_reproduces_direct_fit(monkeypatch):
     samples = convex_samples()
     forced = DegreeVector([-14, -1, 1, 2, 3])
-    monkeypatch.setattr(tropfit.search, "sample_degree_vector",
-                        lambda *args, **kwargs: forced)
+    monkeypatch.setattr(
+        tropfit.search, "sample_degree_rows",
+        lambda low, high, count, n, rng: np.array([[-14, -1, 1, 2, 3]] * n))
     report = random_search(samples, SearchConfig(
         n_terms_numerator=5, degree_min=-15, degree_max=5,
         n_samples=1, rng_seed=0))
     direct = fit_polynomial(samples, forced)
     assert report.best == direct
     assert report.best_degrees == forced
+    assert report.error_trace == ((0, direct.delta_star),)
     assert report.best.delta_star == pytest.approx(0.1360, abs=1e-3)
 
 
@@ -129,20 +133,21 @@ def test_rational_search_smoke():
 
 
 def test_search_skips_failing_classes(monkeypatch):
-    samples = convex_samples()
+    samples = nonconvex_samples()
     calls = {"n": 0}
-    real_fit = tropfit.search.fit_polynomial
+    real_fit = tropfit.search.fit_rational
 
-    def flaky(ss, degrees):
+    def flaky(*args, **kwargs):
         calls["n"] += 1
         if calls["n"] == 1:
             raise RangeTooNarrow("synthetic failure")
-        return real_fit(ss, degrees)
+        return real_fit(*args, **kwargs)
 
-    monkeypatch.setattr(tropfit.search, "fit_polynomial", flaky)
+    monkeypatch.setattr(tropfit.search, "fit_rational", flaky)
     report = random_search(samples, SearchConfig(
-        n_terms_numerator=3, degree_min=-15, degree_max=5,
-        n_samples=4, rng_seed=3))
+        n_terms_numerator=3, degree_min=-6, degree_max=6, n_samples=4,
+        rng_seed=3, n_terms_denominator=2, max_iter_two_sided=100))
+    assert calls["n"] == 4
     assert report.error_trace[0][1] == math.inf
     assert all(math.isfinite(d) for _, d in report.error_trace[1:])
     assert math.isfinite(report.best.delta_star)
@@ -162,3 +167,98 @@ def test_search_records_a_failed_self_check_as_inf(monkeypatch):
     errors = [delta for _, delta in report.error_trace]
     assert math.inf in errors
     assert report.best.delta_star == min(errors) < math.inf
+
+
+# --- batched polynomial scoring against draw-by-draw fits -------------------
+
+def _draw_by_draw(samples, config):
+    """Trace and winner of a polynomial search fitted one draw at a time."""
+    rng = np.random.default_rng(config.rng_seed)
+    draws = [sample_degree_vector(config.degree_min, config.degree_max,
+                                  config.n_terms_numerator, rng)
+             for _ in range(config.n_samples)]
+    trace = [fit_polynomial(samples, dv).delta_star for dv in draws]
+    winner = trace.index(min(trace))
+    return trace, draws[winner]
+
+
+def _max_times(samples):
+    return SampleSet(tuple((math.exp(x), math.exp(y))
+                           for x, y in samples.points), MAX_TIMES)
+
+
+BLOCK = tropfit.approx.SCORE_BLOCK
+
+
+@pytest.mark.parametrize("n_samples", [1, BLOCK - 1, BLOCK, BLOCK + 1, 500])
+@pytest.mark.parametrize("semifield", ["max-plus", "max-times"])
+def test_batched_search_matches_draw_by_draw_fits(n_samples, semifield):
+    samples = convex_samples()
+    if semifield == "max-times":
+        samples = _max_times(samples)
+    for seed in (0, 17):
+        config = SearchConfig(n_terms_numerator=5, degree_min=-15,
+                              degree_max=5, n_samples=n_samples,
+                              rng_seed=seed)
+        report = random_search(samples, config)
+        trace, winner = _draw_by_draw(samples, config)
+        assert [delta for _, delta in report.error_trace] == trace
+        assert [index for index, _ in report.error_trace] == list(
+            range(n_samples))
+        assert report.samples_evaluated == n_samples
+        assert report.best_degrees == winner
+        assert report.best == fit_polynomial(samples, winner)
+        assert report.best_denominator_degrees is None
+
+
+def test_batched_search_tie_goes_to_the_first_draw():
+    # Five of five degrees: every draw is the class [0, 4], in a
+    # different order from the generator, and ties everywhere.
+    samples = nonconvex_samples()
+    config = SearchConfig(n_terms_numerator=5, degree_min=0, degree_max=4,
+                          n_samples=2 * BLOCK + 3, rng_seed=4)
+    report = random_search(samples, config)
+    trace, winner = _draw_by_draw(samples, config)
+    assert [delta for _, delta in report.error_trace] == trace
+    assert len(set(trace)) == 1
+    assert report.best_degrees == winner == DegreeVector([0, 1, 2, 3, 4])
+    assert report.best == fit_polynomial(samples, winner)
+
+
+def test_batched_search_overflow_raises_value_error():
+    # 1e308 times any degree of magnitude 2 or more overflows the floats.
+    samples = SampleSet(((1e308, 0.0), (2.0, 1.0)), MAX_PLUS)
+    config = SearchConfig(n_terms_numerator=3, degree_min=-4, degree_max=4,
+                          n_samples=BLOCK + 1, rng_seed=0)
+    with pytest.raises(ValueError, match="overflows the float range"):
+        random_search(samples, config)
+    with pytest.raises(ValueError, match="overflows the float range"):
+        _draw_by_draw(samples, config)
+
+
+def test_batched_search_unrepresentable_coefficients_raise_value_error():
+    # In max-times, draws whose coefficients underflow to 0 cannot be
+    # built as models; the search ends with the error of the first one.
+    samples = SampleSet(((1e-300, 1.0), (1e-200, 2.0), (0.5, 3.0)),
+                        MAX_TIMES)
+    config = SearchConfig(n_terms_numerator=3, degree_min=-4, degree_max=4,
+                          n_samples=BLOCK + 1, rng_seed=0)
+    with pytest.raises(ValueError) as batched:
+        random_search(samples, config)
+    with pytest.raises(ValueError) as direct:
+        _draw_by_draw(samples, config)
+    assert str(batched.value) == str(direct.value)
+    assert "is not a max-times scalar" in str(batched.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-10.0, 10.0)),
+                min_size=2, max_size=15, unique_by=lambda p: p[0])
+       .flatmap(lambda p: st.tuples(st.just(p), st.permutations(p))),
+       st.integers(0, 2**32 - 1))
+def test_permuting_the_samples_keeps_the_search(pairs, seed):
+    original, permuted = pairs
+    config = SearchConfig(n_terms_numerator=3, degree_min=-6, degree_max=6,
+                          n_samples=BLOCK + 5, rng_seed=seed)
+    assert (random_search(SampleSet(tuple(permuted), MAX_PLUS), config)
+            == random_search(SampleSet(tuple(original), MAX_PLUS), config))
