@@ -232,8 +232,13 @@ def _finite(matrix: np.ndarray) -> np.ndarray:
 
 
 def _design(x: np.ndarray, degrees: DegreeVector) -> np.ndarray:
-    """Max-plus design matrix: entry (i, j) = degrees[j] * x_i."""
-    return _finite(x[:, None] * degrees.exponents)
+    """Transposed max-plus design matrix: entry (j, i) = degrees[j] * x_i.
+
+    Terms by samples, the layout of the solvers' array core. An entry
+    that overflows is reported by _finite, so numpy's warning is muted.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(degrees.exponents[:, None] * x)
 
 
 def fit_polynomial(samples: SampleSet, degrees: DegreeVector) -> FitReport:
@@ -254,7 +259,7 @@ def fit_polynomial(samples: SampleSet, degrees: DegreeVector) -> FitReport:
 
 
 #: Degree rows that score_polynomials residuates together. A block of b
-#: rows over m samples and n terms holds a few b x m x n float arrays at
+#: rows over n terms and m samples holds a few b x n x m float arrays at
 #: once; 64 rows amortise the per-call numpy overhead while each array
 #: stays small (53,760 bytes for the 21 samples and 5 terms of the
 #: bundled f data).
@@ -276,7 +281,7 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> np.ndarray:
     for start in range(0, len(rows), SCORE_BLOCK):
         block = rows[start:start + SCORE_BLOCK]
         with np.errstate(all="ignore"):
-            design = x[:, None] * block[:, None, :]
+            design = block[:, :, None] * x
             r, delta = residuate(design, y)
             # The coefficients of one_sided, mapped out and back in: a
             # value outside the semifield comes back non-finite.
@@ -302,7 +307,8 @@ def fit_rational(samples: SampleSet,
     With design matrices X (numerator) and Z (denominator) and the
     diagonal matrix Y of sample ordinates, the fitting conditions read
     X theta = Y Z sigma, a two-sided equation solved by alternating
-    projections. In max-plus, Y Z is Z with y_i added to row i.
+    projections. In max-plus, Y Z is Z with y_i added to row i (to
+    column i of the transposed designs the solvers take).
     Coefficient pairs are only determined up to a common scalar factor,
     which does not change the fitted function.
 
@@ -314,12 +320,15 @@ def fit_rational(samples: SampleSet,
     x, y = samples.xs, samples.ys
     num_design = _design(x, num_degrees)
     den_design = _design(x, den_degrees)
+    with np.errstate(over="ignore"):
+        right = _finite(y + den_design)
     deltas, theta, sigma, termination = alternate(
-        num_design, _finite(y[:, None] + den_design),
-        np.zeros(len(num_degrees)), max_iter)
+        num_design, right, np.zeros(len(num_degrees)), max_iter)
     delta = min(deltas)
-    _check_rational_error(np.max(theta + num_design, axis=1),
-                          np.max(sigma + den_design, axis=1), y, 0.5 * delta)
+    _check_rational_error(
+        np.maximum.reduce(theta[:, None] + num_design, axis=0),
+        np.maximum.reduce(sigma[:, None] + den_design, axis=0),
+        y, 0.5 * delta)
     model = RationalModel(
         PolynomialModel(num_degrees, tropical_vector(theta, sf)),
         PolynomialModel(den_degrees, tropical_vector(sigma, sf)))
@@ -346,7 +355,8 @@ def _check_rational_error(numerator: np.ndarray, denominator: np.ndarray,
 
 def _poly_values(model: PolynomialModel, x: np.ndarray) -> np.ndarray:
     coefficients = to_max_plus(model.coefficients.elements, model.semifield)
-    return np.max(coefficients + _design(x, model.degrees), axis=1)
+    return np.maximum.reduce(coefficients[:, None] + _design(x, model.degrees),
+                             axis=0)
 
 
 def evaluate(model: Union[PolynomialModel, RationalModel],

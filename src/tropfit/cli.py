@@ -8,6 +8,7 @@ check, 3 when a solver rejects non-regular data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -493,7 +494,13 @@ def cmd_datasets(args) -> int:
 # Entry point
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The tropfit argument parser, built once per process.
+
+    Parsing leaves no state on the parser, so main reuses it for every
+    call instead of paying for a new one each time.
+    """
     parser = argparse.ArgumentParser(
         prog="tropfit",
         description="Fit tropical (max-plus) polynomial and rational "

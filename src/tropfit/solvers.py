@@ -11,6 +11,15 @@ All arithmetic runs in max-plus on float arrays. This module owns that
 number format: max-times values are mapped in through the logarithm
 and out through the exponential (to_max_plus / from_max_plus), which
 turns max-times products into max-plus sums.
+
+The array core (residuate, one_sided, alternate) takes every matrix
+transposed, as (..., n_terms, n_samples) C-contiguous arrays. Designs
+have many samples and few terms, so with terms on the leading axis a
+reduction over terms is an elementwise max of a few contiguous sample
+rows, and a reduction over samples runs along one contiguous row,
+instead of either one reducing many short inner rows of 4 to 6 terms.
+The tuple API (one_sided_solve, two_sided_solve) keeps the usual
+samples x terms orientation and transposes once at its boundary.
 """
 
 from __future__ import annotations
@@ -143,56 +152,70 @@ def scaled_tolerance(base: float, *arrays: np.ndarray) -> float:
 # Max-plus array core
 
 
-def residuate(a: np.ndarray,
+def residuate(at: np.ndarray,
               b: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Greatest r with a r <= b, and the squared distance of a r to b.
 
-    r_j = min_i (b_i - a_ij) and delta = max_i (b_i - max_j (a_ij + r_j)),
-    all in max-plus. Scaling r by the square root delta / 2 balances the
-    one-sided slack into the metric-best solution.
+    at is the transposed matrix a, terms by samples:
+    r_j = min_i (b_i - at_ji) and delta = max_i (b_i - max_j (at_ji + r_j)),
+    all in max-plus. The min runs along the contiguous sample row of each
+    term, the inner max is an elementwise max of the term rows. Scaling r
+    by the square root delta / 2 balances the one-sided slack into the
+    metric-best solution.
 
-    Leading axes of a are a batch of independent systems, each solved
-    against b: a of shape (..., m, n) gives r of shape (..., n) and an
+    Leading axes of at are a batch of independent systems, each solved
+    against b: at of shape (..., n, m) gives r of shape (..., n) and an
     array of deltas of shape (...). A single system gives a float delta.
     """
-    r = np.min(b[..., :, None] - a, axis=-2)
-    delta = np.max(b - np.max(a + r[..., None, :], axis=-1), axis=-1)
-    return r, (float(delta) if a.ndim == 2 else delta)
+    r = np.minimum.reduce(b[..., None, :] - at, axis=-1)
+    image = np.maximum.reduce(at + r[..., None], axis=-2)
+    delta = np.maximum.reduce(b - image, axis=-1)
+    return r, (float(delta) if at.ndim == 2 else delta)
 
 
-def one_sided(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Array form of one_sided_solve: (x_star, delta, exact) in max-plus."""
-    r, delta = residuate(a, b)
+def one_sided(at: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Array form of one_sided_solve: (x_star, delta, exact) in max-plus.
+
+    at is the transposed matrix a (terms by samples), as for residuate.
+    """
+    r, delta = residuate(at, b)
     exact = abs(delta) <= DELTA_UNIT_TOL
     # For a consistent system the greatest exact solution is returned
     # unscaled; sqrt(delta) is the unit there anyway.
     return (r if exact else r + 0.5 * delta), delta, exact
 
 
-def alternate(a: np.ndarray, b: np.ndarray, x0: np.ndarray,
+def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
               max_iter: int) -> tuple[list[float], np.ndarray, np.ndarray,
                                       Termination]:
     """Alternating projections for a x = b y on max-plus float arrays.
 
-    Returns the delta of every half step, the pair (x, y) that first
-    reached the smallest delta, and the reason for stopping. The rules
-    are those of two_sided_solve.
+    at and bt are a and b transposed, terms by samples, so the image of
+    an iterate is an elementwise max of its term rows and the projection
+    back (residuate) reduces along contiguous sample rows. Returns the
+    delta of every half step, the pair (x, y) that first reached the
+    smallest delta, and the reason for stopping. The rules are those of
+    two_sided_solve.
+
+    Earlier iterates of each side are kept as the columns of an
+    (n, capacity) array that doubles when full, so the repeat test is an
+    elementwise max over the n rows of the stored columns.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    match_tol = scaled_tolerance(ITERATE_MATCH_TOL, a, b)
-    spans = (a, b)
+    match_tol = scaled_tolerance(ITERATE_MATCH_TOL, at, bt)
+    spans = (at, bt)
     current = [x0, None]
-    # Earlier iterates of each side, in arrays that double when full.
-    seen = [np.empty((32, a.shape[1])), np.empty((32, b.shape[1]))]
-    seen[0][0] = x0
+    seen = [np.empty((len(at), 32)), np.empty((len(bt), 32))]
+    seen[0][:, 0] = x0
     count = [1, 0]
     deltas: list[float] = []
     best = None
     side = 0
     while True:
         other = 1 - side
-        image = np.max(spans[side] + current[side], axis=1)
+        image = np.maximum.reduce(spans[side] + current[side][:, None],
+                                  axis=0)
         reached, delta = residuate(spans[other], image)
         current[other] = reached + 0.5 * delta
         deltas.append(delta)
@@ -201,15 +224,16 @@ def alternate(a: np.ndarray, b: np.ndarray, x0: np.ndarray,
         if abs(delta) <= DELTA_UNIT_TOL:
             termination = Termination.EXACT_SOLUTION
             break
-        history = seen[other][:count[other]]
-        if np.any(np.all(np.abs(history - current[other]) <= match_tol,
-                         axis=1)):
+        history = seen[other][:, :count[other]]
+        gaps = np.maximum.reduce(np.abs(history - current[other][:, None]),
+                                 axis=0)
+        if (gaps <= match_tol).any():
             termination = Termination.CYCLE_DETECTED
             break
-        if count[other] == len(seen[other]):
-            seen[other] = np.concatenate([seen[other],
-                                          np.empty_like(seen[other])])
-        seen[other][count[other]] = current[other]
+        if count[other] == seen[other].shape[1]:
+            seen[other] = np.concatenate(
+                [seen[other], np.empty_like(seen[other])], axis=1)
+        seen[other][:, count[other]] = current[other]
         count[other] += 1
         if len(deltas) >= max_iter:
             termination = Termination.ITERATION_CAP
@@ -220,6 +244,12 @@ def alternate(a: np.ndarray, b: np.ndarray, x0: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # Tuple API
+
+
+def _transposed(matrix: TropicalMatrix) -> np.ndarray:
+    """Max-plus reading of a tuple matrix, terms by samples, contiguous."""
+    return np.ascontiguousarray(
+        to_max_plus(matrix.entries, matrix.semifield).T)
 
 
 def _require_regular(value, label: str) -> None:
@@ -249,7 +279,7 @@ def one_sided_solve(a: TropicalMatrix, b: TropicalVector) -> OneSidedSolution:
     _require_regular(a, "the coefficient matrix")
     _require_regular(b, "the right-hand side")
 
-    x_star, delta, exact = one_sided(to_max_plus(a.entries, sf),
+    x_star, delta, exact = one_sided(_transposed(a),
                                      to_max_plus(b.elements, sf))
     return OneSidedSolution(delta=float(from_max_plus(delta, sf)),
                             error=float(from_max_plus(0.5 * delta, sf)),
@@ -297,8 +327,7 @@ def two_sided_solve(a: TropicalMatrix,
         start = to_max_plus(x0.elements, sf)
 
     deltas, x_star, y_star, termination = alternate(
-        to_max_plus(a.entries, sf), to_max_plus(b.entries, sf), start,
-        max_iter)
+        _transposed(a), _transposed(b), start, max_iter)
     return TwoSidedSolution(
         delta_star=float(from_max_plus(min(deltas), sf)),
         x_star=tropical_vector(x_star, sf),

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import tropfit
 import tropfit.approx
 import tropfit.solvers
 from tropfit.cli import (
@@ -423,3 +427,75 @@ def test_fit_max_times_command(tmp_path, capsys):
     assert doc.semifield == "max-times"
     assert doc.delta_star >= 1.0 - 1e-12
     assert doc.error == pytest.approx(doc.delta_star ** 0.5, rel=1e-12)
+
+
+# --- fresh processes ---------------------------------------------------------
+
+SRC_DIR = os.path.dirname(os.path.dirname(tropfit.__file__))
+
+
+def run_fresh(argv, cwd):
+    """tropfit.cli.main(argv) in a new interpreter, warnings shown."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=SRC_DIR if not path else SRC_DIR + os.pathsep + path)
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from tropfit.cli import main; sys.exit(main())",
+         *argv],
+        cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def test_repeated_main_calls_match_fresh_processes(f_csv, g_csv, tmp_path,
+                                                  capsys):
+    # main builds its parser once per process; calls that alternate
+    # between subcommands, flags and a parse error must not see each
+    # other's arguments.
+    def commands(out):
+        model = os.path.join(out, "model.json")
+        grid = ["eval", "--model", model, "--grid", "0:2:0.1",
+                "--output", os.path.join(out, "grid.tsv")]
+        table = ["eval", "--model", model, "--input", g_csv,
+                 "--output", os.path.join(out, "table.tsv")]
+        bad = ["fit", "--kind", "spline", "--input", f_csv]
+        return [
+            ["fit", "--degrees", "-14,-1,1,2,3", "--input", f_csv,
+             "--output", model], grid, table, bad,
+            G_RATIONAL_FIT + ["--input", g_csv, "--output", model],
+            grid, table, bad,
+        ]
+
+    def outputs(out):
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    codes = []
+    for argv_here, argv_fresh in zip(commands(str(here)),
+                                     commands(str(fresh))):
+        try:
+            code = main(argv_here)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == run_fresh(argv_fresh, tmp_path).returncode
+        assert outputs(here) == outputs(fresh)
+        codes.append(code)
+    assert codes == [0, 0, 0, 2] * 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("row, flags", [
+    ("1e308,1", ["--degrees", "0,2"]),
+    # y_i + z_i1 of the rational right side overflows, not the designs.
+    ("1e308,1e308", ["--kind", "rational", "--num-degrees", "0",
+                     "--den-degrees", "1"]),
+])
+def test_design_overflow_prints_only_the_error_line(row, flags, tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(row + "\n", encoding="utf-8")
+    done = run_fresh(["fit", "--input", str(path), *flags], tmp_path)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == \
+        "error: a design matrix entry overflows the float range\n"

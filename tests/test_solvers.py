@@ -20,6 +20,8 @@ from tropfit import (
     two_sided_solve,
     vec_mat_mul,
 )
+from tropfit.datasets import nonconvex_curve
+from tropfit.solvers import residuate
 from oracles import (
     grid_min_one_sided,
     grid_min_two_sided,
@@ -275,3 +277,53 @@ def test_two_sided_matches_per_scalar_reference_in_max_times():
         assert sol.delta_star == pytest.approx(min(deltas), rel=1e-12)
         assert sol.iterations == len(deltas)
         assert sol.termination is termination
+
+
+def tall_rational_system(seed):
+    """X and Y Z of the 6/4 class on 200 noisy samples of the g curve."""
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.05, 2.0, 200))
+    y = (np.array([nonconvex_curve(v) for v in x.tolist()])
+         + rng.normal(0.0, 0.02, 200))
+    num = np.array([-3.0, -2.0, 0.0, 1.0, 2.0, 4.0])
+    den = np.array([-5.0, -3.0, -2.0, 0.0])
+    return (TropicalMatrix((x[:, None] * num).tolist(), MAX_PLUS),
+            TropicalMatrix((y[:, None] + x[:, None] * den).tolist(),
+                           MAX_PLUS))
+
+
+def test_two_sided_matches_per_scalar_reference_on_tall_systems():
+    # 200 x 6 against 200 x 4: long runs whose iterate histories outgrow
+    # the solver's initial capacity of 32 per side, ending at the cap or
+    # in a cycle.
+    terminations = set()
+    longest = 0
+    for seed in range(6):
+        a, b = tall_rational_system(seed)
+        sol = two_sided_solve(a, b, max_iter=150)
+        deltas, x_star, y_star, termination = two_sided_reference(
+            a, b, max_iter=150)
+        assert sol.deltas == tuple(deltas)
+        assert sol.x_star == x_star
+        assert sol.y_star == y_star
+        assert sol.iterations == len(deltas)
+        assert sol.termination is termination
+        terminations.add(termination)
+        longest = max(longest, sol.iterations)
+    assert terminations == {Termination.ITERATION_CAP,
+                            Termination.CYCLE_DETECTED}
+    assert longest > 2 * 32
+
+
+def test_residuate_of_a_stack_equals_single_calls():
+    rng = np.random.default_rng(15)
+    for n, m in ((1, 1), (3, 7), (5, 21)):
+        stack = rng.uniform(-5.0, 5.0, size=(9, n, m))
+        b = rng.uniform(-5.0, 5.0, size=m)
+        r, deltas = residuate(stack, b)
+        assert r.shape == (9, n) and deltas.shape == (9,)
+        for k in range(9):
+            r_k, delta_k = residuate(stack[k], b)
+            assert type(delta_k) is float
+            assert np.array_equal(r[k], r_k)
+            assert deltas[k] == delta_k
