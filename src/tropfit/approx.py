@@ -365,7 +365,8 @@ def evaluate(model: Union[PolynomialModel, RationalModel],
 
     Points and values are conventional reals of the model's semifield.
     A point at the semifield zero raises ZeroArgument, any other value
-    outside the semifield ValueError.
+    outside the semifield ValueError, and so does a model value that
+    leaves the float range.
     """
     sf = model.semifield
     x = to_max_plus(points, sf)
@@ -373,12 +374,17 @@ def evaluate(model: Union[PolynomialModel, RationalModel],
         raise ZeroArgument("models are evaluated at nonzero points")
     if not np.isfinite(x).all():
         raise ValueError(f"evaluation points must be {sf.name} scalars")
-    if isinstance(model, RationalModel):
-        values = (_poly_values(model.numerator, x)
-                  - _poly_values(model.denominator, x))
-    else:
-        values = _poly_values(model, x)
-    return from_max_plus(values, sf)
+    # A value out of range is reported below, so numpy's warning is muted.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(model, RationalModel):
+            values = (_poly_values(model.numerator, x)
+                      - _poly_values(model.denominator, x))
+        else:
+            values = _poly_values(model, x)
+        values = from_max_plus(values, sf)
+    if not np.isfinite(values).all():
+        raise ValueError("a model value overflows the float range")
+    return values
 
 
 def eval_polynomial(model: PolynomialModel, x: Scalar) -> float:

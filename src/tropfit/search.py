@@ -6,6 +6,19 @@ the class with the smallest squared error wins. Draws are generated
 up front from a single stream in step order, so run i of a longer
 search sees exactly the draws of a shorter one (prefix stability), and
 ties are broken by draw index.
+
+The stream is that of one rng.choice(width, size=count, replace=False)
+call per draw (numerator, then denominator, for rational classes), but
+a search computes all of its draws in one block (_choice_block): it
+reads PCG64's 32-bit words, replays numpy's Floyd sampling and
+Fisher-Yates shuffle with Lemire's bounded integers on whole arrays,
+and leaves the generator where the per-draw calls would. Per-draw
+rng.choice remains where the block would not reproduce it: widths above
+10000 with more than width // 50 values, where numpy switches to a tail
+shuffle; widths above 2**32, where it draws 64-bit bounded integers;
+and bit generators other than PCG64, whose 32-bit words come from a
+different scheme. The block replays numpy 2.x's Generator.choice, and
+the tests compare it with rng.choice itself.
 """
 
 from __future__ import annotations
@@ -85,22 +98,173 @@ class SearchReport:
     error_trace: tuple[tuple[int, float], ...]
 
 
+# Generator.choice(width, size=count, replace=False) draws by Floyd's
+# algorithm unless width exceeds _TAIL_WIDTH and count exceeds
+# width // _TAIL_DIVISOR; it draws 32-bit bounded integers while width
+# is at most _WORD.
+_TAIL_WIDTH = 10000
+_TAIL_DIVISOR = 50
+_WORD = 2**32
+
+
+def _lemire_draws(bitgen: np.random.PCG64, bounds: np.ndarray,
+                  n: int) -> np.ndarray:
+    """n rounds of bounded draws in [0, bound], one per bound, in order.
+
+    Each draw is Lemire's multiply-and-reject on bitgen's 32-bit word
+    stream: a buffered half-word first, then the low and the high half
+    of each 64-bit output. Rounds are computed as arrays up to the first
+    one that rejects a word, which is replayed word by word. The unused
+    half-word, if any, is buffered back, and like numpy the buffer keeps
+    the last high half even when it is spent, so bitgen ends in exactly
+    the state numpy's own draws leave.
+    """
+    k = len(bounds)
+    values = np.empty((n, k), np.int64)
+    if not (n and k):
+        return values
+    span = bounds.astype(np.uint64) + 1
+    # A word is rejected when the low half of word * span falls below this.
+    threshold = (_WORD - span) % span
+    state = bitgen.state
+    words = np.array([state["uinteger"]] if state["has_uint32"] else [],
+                     np.uint64)
+    pos = done = 0
+    window = n
+
+    def refill(count):
+        nonlocal words, pos
+        short = count - (len(words) - pos)
+        if short > 0:
+            raw = bitgen.random_raw(-(-short // 2)).astype("<u8")
+            words = np.concatenate([words[pos:],
+                                    raw.view("<u4").astype(np.uint64)])
+            pos = 0
+
+    while done < n:
+        rounds = min(window, n - done)
+        refill(rounds * k)
+        m = words[pos:pos + rounds * k].reshape(rounds, k) * span
+        rejects = ((m & (_WORD - 1)) < threshold).any(axis=1)
+        clean = int(rejects.argmax()) if rejects.any() else rounds
+        values[done:done + clean] = m[:clean] >> 32
+        pos += clean * k
+        done += clean
+        if clean == rounds:
+            window *= 2
+            continue
+        for j, (size, limit) in enumerate(zip(span.tolist(),
+                                              threshold.tolist())):
+            while True:
+                refill(1)
+                draw = int(words[pos]) * size
+                pos += 1
+                if draw % _WORD >= limit:
+                    break
+            values[done, j] = draw >> 32
+        done += 1
+        # Rejecting rounds come about every clean + 1 rounds.
+        window = 2 * clean + 2
+    state = bitgen.state
+    state["has_uint32"] = len(words) - pos
+    state["uinteger"] = int(words[-1])
+    bitgen.state = state
+    return values
+
+
+def _floyd_sets(draws: np.ndarray, width: int) -> np.ndarray:
+    """Values Floyd's algorithm takes from its draws, one call per row.
+
+    With c columns, step t draws draws[:, t] in [0, j_t], where
+    j_t = width - c + t, and takes that draw, or j_t itself when the draw
+    is already taken. A draw below width - c is already taken when an
+    earlier step drew it. A draw j_s (s < t) is already taken when an
+    earlier step drew it, or when step s found its own draw taken. Each
+    step so depends only on earlier ones, and iterating that rule from
+    the repeats reaches the exact answer in as many passes as the
+    longest chain of such steps.
+    """
+    n, c = draws.shape
+    steps = np.arange(c)
+    # Flat indices of each row's entries into the C-ordered (n, c) arrays.
+    rows = c * np.arange(n)[:, None]
+    order = np.argsort(draws, axis=1, kind="stable") + rows
+    ranked = draws.take(order)
+    repeat = np.zeros(n * c, bool)
+    repeat[order[:, 1:]] = ranked[:, 1:] == ranked[:, :-1]
+    repeat = repeat.reshape(n, c)
+    link = draws - (width - c)
+    chained = (link >= 0) & (link < steps)
+    link = np.where(chained, link, 0) + rows
+    taken = repeat
+    while True:
+        follow = repeat | (chained & taken.take(link))
+        if np.array_equal(follow, taken):
+            return np.where(taken, steps + (width - c), draws)
+        taken = follow
+
+
+def _choice_block(rng: np.random.Generator, width: int,
+                  counts: tuple[int, ...], n: int) -> list[np.ndarray]:
+    """n rounds of [rng.choice(width, size=c, replace=False) for c in counts].
+
+    Returns one (n, c) int64 array per count, each row sorted, holding
+    the values of the matching call, and leaves rng as those calls
+    would. For a PCG64 generator with width at most 2**32 and no tail
+    shuffle, the rounds are computed in one block from the word stream;
+    otherwise they are drawn one call at a time.
+    """
+    if (type(rng.bit_generator) is not np.random.PCG64 or width > _WORD
+            or (width > _TAIL_WIDTH
+                and max(counts, default=0) > width // _TAIL_DIVISOR)):
+        calls = [[rng.choice(width, size=c, replace=False) for c in counts]
+                 for _ in range(n)]
+        blocks = [np.array([call[i] for call in calls],
+                           dtype=np.int64).reshape(n, c)
+                  for i, c in enumerate(counts)]
+    else:
+        # Per call: Floyd draws in [0, j] for j = width - c .. width - 1
+        # (j = 0 takes no word), then the shuffle's draws in [0, i] for
+        # i = c - 1 .. 1, whose values the sorted rows do not need.
+        patterns = [(np.arange(width - c, width), np.arange(c - 1, 0, -1))
+                    for c in counts]
+        values = _lemire_draws(
+            rng.bit_generator,
+            np.concatenate([part for floyd, shuffle in patterns
+                            for part in (floyd[floyd > 0], shuffle)]),
+            n)
+        blocks = []
+        start = 0
+        for c, (floyd, shuffle) in zip(counts, patterns):
+            drawn = np.count_nonzero(floyd)
+            block = np.zeros((n, c), np.int64)
+            block[:, c - drawn:] = values[:, start:start + drawn]
+            start += drawn + len(shuffle)
+            blocks.append(_floyd_sets(block, width))
+    for block in blocks:
+        block.sort(axis=1)
+    return blocks
+
+
 def sample_degree_rows(low: int, high: int, count: int, n: int,
                        rng: np.random.Generator) -> np.ndarray:
     """n draws of sample_degree_vector, as the rows of an int array.
 
-    Each row takes one rng.choice call, in row order, so the stream is
-    the same as that of n sample_degree_vector calls.
+    Row i holds the values of the i-th of n rng.choice(width, size=count,
+    replace=False) calls, sorted and shifted by low, and rng ends where
+    those calls leave it, so the stream is that of n sample_degree_vector
+    calls. The rows come from one block draw (_choice_block), except in
+    the regimes where numpy draws differently (see the module docstring).
+    A negative count or n raises ValueError before anything is drawn.
     """
+    if count < 0 or n < 0:
+        raise ValueError("count and n must not be negative")
     width = high - low + 1
     if width < count:
         raise RangeTooNarrow(
             f"range [{low}, {high}] holds {width} integers, "
             f"fewer than the {count} required")
-    choice = rng.choice
-    rows = np.array([choice(width, size=count, replace=False)
-                     for _ in range(n)])
-    rows.sort(axis=1)
+    rows, = _choice_block(rng, width, (count,), n)
     rows += low
     return rows
 
@@ -117,11 +281,11 @@ def random_search(samples: SampleSet, config: SearchConfig,
     """Fit every drawn degree class and keep the best.
 
     Deterministic for a fixed config: the winner depends only on the
-    seed and the samples. Polynomial draws are scored in array blocks
-    (score_polynomials) and only the winner is fitted into a FitReport;
-    rational draws are fitted one at a time. Everything runs on the
-    calling thread; threads is accepted for compatibility and has no
-    effect.
+    seed and the samples. Every class is drawn up front in one block.
+    Polynomial draws are scored in array blocks (score_polynomials) and
+    only the winner is fitted into a FitReport; rational draws are
+    fitted one at a time. Everything runs on the calling thread; threads
+    is accepted for compatibility and has no effect.
     """
     rng = np.random.default_rng(config.rng_seed)
     if not config.is_rational:
@@ -139,11 +303,13 @@ def random_search(samples: SampleSet, config: SearchConfig,
             samples_evaluated=config.n_samples,
             error_trace=tuple(enumerate(trace.tolist())),
         )
-    draws = [(sample_degree_vector(config.degree_min, config.degree_max,
-                                   config.n_terms_numerator, rng),
-              sample_degree_vector(config.degree_min, config.degree_max,
-                                   config.n_terms_denominator, rng))
-             for _ in range(config.n_samples)]
+    low = config.degree_min
+    nums, dens = _choice_block(
+        rng, config.degree_max - low + 1,
+        (config.n_terms_numerator, config.n_terms_denominator),
+        config.n_samples)
+    draws = [(DegreeVector(num), DegreeVector(den))
+             for num, den in zip((nums + low).tolist(), (dens + low).tolist())]
 
     trace: list[tuple[int, float]] = []
     best: Optional[FitReport] = None

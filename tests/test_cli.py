@@ -499,3 +499,18 @@ def test_design_overflow_prints_only_the_error_line(row, flags, tmp_path):
     assert done.stdout == ""
     assert done.stderr == \
         "error: a design matrix entry overflows the float range\n"
+
+
+def test_eval_overflow_prints_only_the_error_line(tmp_path):
+    # x**40 times the fitted coefficient leaves the float range at 6e8.
+    path = tmp_path / "rows.csv"
+    path.write_text("1,2\n2,3\n3,5\n", encoding="utf-8")
+    model = tmp_path / "model.json"
+    done = run_fresh(["fit", "--semifield", "max-times", "--input", str(path),
+                      "--degrees", "0,40", "--output", str(model)], tmp_path)
+    assert done.returncode == 0
+    done = run_fresh(["eval", "--model", str(model),
+                      "--grid", "1e8:1e9:5e8"], tmp_path)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: a model value overflows the float range\n"

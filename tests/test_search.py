@@ -171,11 +171,17 @@ def test_search_records_a_failed_self_check_as_inf(monkeypatch):
 
 # --- batched polynomial scoring against draw-by-draw fits -------------------
 
+def _choice_draw(rng, low, high, count):
+    """One degree class from numpy's own rng.choice."""
+    values = rng.choice(high - low + 1, size=count, replace=False) + low
+    return DegreeVector(sorted(values.tolist()))
+
+
 def _draw_by_draw(samples, config):
     """Trace and winner of a polynomial search fitted one draw at a time."""
     rng = np.random.default_rng(config.rng_seed)
-    draws = [sample_degree_vector(config.degree_min, config.degree_max,
-                                  config.n_terms_numerator, rng)
+    draws = [_choice_draw(rng, config.degree_min, config.degree_max,
+                          config.n_terms_numerator)
              for _ in range(config.n_samples)]
     trace = [fit_polynomial(samples, dv).delta_star for dv in draws]
     winner = trace.index(min(trace))
@@ -262,3 +268,117 @@ def test_permuting_the_samples_keeps_the_search(pairs, seed):
                           n_samples=BLOCK + 5, rng_seed=seed)
     assert (random_search(SampleSet(tuple(permuted), MAX_PLUS), config)
             == random_search(SampleSet(tuple(original), MAX_PLUS), config))
+
+
+# --- the block draw against numpy's per-draw rng.choice stream --------------
+
+def _choice_rounds(rng, width, counts, n):
+    """n rounds of rng.choice calls, one per count, as sorted int blocks."""
+    calls = [[np.sort(rng.choice(width, size=c, replace=False))
+              for c in counts] for _ in range(n)]
+    return [np.array([call[i] for call in calls],
+                     dtype=np.int64).reshape(n, c)
+            for i, c in enumerate(counts)]
+
+
+def _assert_same_stream(width, counts, n, seed, bit_generator=np.random.PCG64,
+                        buffered=False):
+    block_rng = np.random.Generator(bit_generator(seed))
+    choice_rng = np.random.Generator(bit_generator(seed))
+    if buffered:
+        # A 32-bit draw leaves the high half of a 64-bit output buffered.
+        for rng in (block_rng, choice_rng):
+            rng.integers(0, 7, dtype=np.uint32)
+    blocks = tropfit.search._choice_block(block_rng, width, counts, n)
+    expected = _choice_rounds(choice_rng, width, counts, n)
+    assert len(blocks) == len(expected)
+    for block, reference in zip(blocks, expected):
+        assert block.dtype == np.int64
+        assert block.shape == reference.shape
+        assert (block == reference).all()
+    if bit_generator is np.random.PCG64:
+        assert block_rng.bit_generator.state == choice_rng.bit_generator.state
+    assert _following(block_rng) == _following(choice_rng)
+
+
+def _following(rng):
+    """The next 64-bit, 32-bit and float draws of rng."""
+    return (rng.integers(0, 2**40, size=3).tolist(),
+            rng.integers(0, 9, dtype=np.uint32).tolist(),
+            rng.random(3).tolist())
+
+
+@pytest.mark.parametrize("width, count, n", [
+    (1, 1, 5),
+    (5, 5, 40),                     # width = count: Floyd's first draw is free
+    (21, 1, 200),
+    (21, 5, 500),
+    (21, 21, 30),
+    (300, 150, 20),
+    (10000, 10000, 2),
+    (2**31 + 1, 6, 300),            # from here on, most rounds redraw a word
+    (3_000_000_000, 4, 300),
+    (4_000_000_000, 5, 300),
+    (2**32, 3, 200),                # widest 32-bit bound
+    (2**32 + 1, 3, 20),             # 64-bit bounds: per-draw fallback
+    (10001, 200, 4),                # last Floyd case above width 10000
+    (10001, 201, 4),                # tail shuffle: per-draw fallback
+])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_block_draw_equals_rng_choice(width, count, n, buffered):
+    for seed in (0, 1, 2026):
+        _assert_same_stream(width, (count,), n, seed, buffered=buffered)
+
+
+@pytest.mark.parametrize("width, counts", [
+    (21, (4, 2)), (21, (5, 3)), (8, (1, 8)), (9, (0, 3)),
+    (3_000_000_000, (4, 2)),
+])
+def test_interleaved_block_draw_equals_rng_choice(width, counts):
+    for seed, buffered in ((0, False), (7, True), (123, False)):
+        _assert_same_stream(width, counts, 150, seed, buffered=buffered)
+
+
+def test_block_draw_with_another_bit_generator_equals_rng_choice():
+    for counts in ((5,), (4, 2)):
+        _assert_same_stream(21, counts, 60, 3, bit_generator=np.random.MT19937)
+
+
+def test_sample_degree_rows_pinned_for_one_seed():
+    rng = np.random.default_rng(2026)
+    rows = tropfit.search.sample_degree_rows(-15, 5, 5, 4, rng)
+    assert rows.tolist() == [[-15, -12, -8, -3, -1], [-9, -1, 0, 4, 5],
+                             [-14, -12, -10, 0, 4], [-13, -6, -3, 2, 4]]
+    assert rng.integers(0, 100, size=3).tolist() == [15, 27, 14]
+    rng = np.random.default_rng(2026)
+    rows = tropfit.search.sample_degree_rows(0, 2**31, 3, 2, rng)
+    assert rows.tolist() == [[56731231, 384259586, 1829338324],
+                             [171429433, 795643823, 1003451250]]
+
+
+def test_sample_degree_rows_edge_sizes():
+    sample_degree_rows = tropfit.search.sample_degree_rows
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    assert sample_degree_rows(-15, 5, 5, 0, rng).shape == (0, 5)
+    assert sample_degree_rows(-15, 5, 0, 4, rng).shape == (4, 0)
+    for count, n in ((-1, 3), (3, -1)):
+        with pytest.raises(ValueError):
+            sample_degree_rows(-15, 5, count, n, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_rational_search_draws_follow_rng_choice():
+    samples = nonconvex_samples()
+    config = SearchConfig(n_terms_numerator=4, degree_min=-10, degree_max=10,
+                          n_samples=12, rng_seed=11, n_terms_denominator=2,
+                          max_iter_two_sided=200)
+    rng = np.random.default_rng(config.rng_seed)
+    draws = [(_choice_draw(rng, -10, 10, 4), _choice_draw(rng, -10, 10, 2))
+             for _ in range(config.n_samples)]
+    trace = [fit_rational(samples, num, den, max_iter=200).delta_star
+             for num, den in draws]
+    report = random_search(samples, config)
+    assert [delta for _, delta in report.error_trace] == trace
+    winner = draws[trace.index(min(trace))]
+    assert (report.best_degrees, report.best_denominator_degrees) == winner
