@@ -13,6 +13,7 @@ exponential on the way out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -29,14 +30,12 @@ from .linalg import (  # noqa: F401
 from .semifield import ZERO, Rational, Scalar, Semifield, TropicalError
 from .solvers import (  # noqa: F401
     DEFAULT_MAX_ITER,
-    DELTA_UNIT_TOL,
     NonRegularInput,
     Termination,
     alternate,
     from_max_plus,
     one_sided,
     one_sided_solve,
-    residuate,
     scaled_tolerance,
     to_max_plus,
     tropical_vector,
@@ -68,10 +67,12 @@ class DegreeVector:
     Degrees are stored as exact fractions and sorted ascending on
     construction; duplicates are rejected rather than dropped, so a
     caller mistake cannot silently change the model class. Floats are
-    accepted and convert exactly to their binary fraction.
+    accepted and convert exactly to their binary fraction. exponents
+    holds the degrees as a read-only float array; a degree beyond the
+    float range raises ValueError.
     """
 
-    __slots__ = ("degrees",)
+    __slots__ = ("degrees", "exponents")
 
     def __init__(self, degrees: Iterable[Union[Rational, float, str]]):
         normalized = tuple(sorted(Fraction(d) for d in degrees))
@@ -80,7 +81,12 @@ class DegreeVector:
         for left, right in zip(normalized, normalized[1:]):
             if left == right:
                 raise ValueError(f"duplicate degree {left}")
+        try:
+            exponents = np.array([float(d) for d in normalized])
+        except OverflowError:
+            raise ValueError("a degree overflows the float range") from None
         self.degrees = normalized
+        self.exponents = _read_only(exponents)
 
     def __len__(self) -> int:
         return len(self.degrees)
@@ -90,11 +96,6 @@ class DegreeVector:
 
     def __getitem__(self, index: int) -> Fraction:
         return self.degrees[index]
-
-    @property
-    def exponents(self) -> np.ndarray:
-        """The degrees as a float array."""
-        return np.array([float(d) for d in self.degrees])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DegreeVector):
@@ -108,57 +109,149 @@ class DegreeVector:
         return f"DegreeVector({', '.join(str(d) for d in self.degrees)})"
 
 
-@dataclass(frozen=True)
+class MalformedRow(TropicalError):
+    """A sample row could not be parsed or holds a value its semifield
+    rejects; carries its 1-based line."""
+
+    def __init__(self, line: int, reason: str):
+        super().__init__(f"line {line}: {reason}")
+        self.line = line
+
+
+def _check_pair(x, y, semifield: Semifield) -> None:
+    """Raise the error of a sample pair that is not two nonzero scalars."""
+    if x is ZERO:
+        raise ZeroAbscissa("sample abscissas must be nonzero")
+    if y is ZERO:
+        raise NonRegularInput("sample ordinates must be nonzero")
+    if not (semifield.contains(float(x)) and semifield.contains(float(y))):
+        raise ValueError(
+            f"({x!r}, {y!r}) is not a pair of {semifield.name} scalars")
+
+
+def check_reals(x, y, semifield: Semifield, lines=None) -> np.ndarray:
+    """Raise from_real's error for the first row with a value it rejects.
+
+    x and y hold conventional reals. The rows are located with array
+    checks: from_real rejects non-finite values and values whose
+    max-plus reading is nan (negative in max-times). Only those rows go
+    through from_real, in row order. With lines given, the error is a
+    MalformedRow on the row's line. Returns the indices of the rows that
+    hold a semifield zero, which from_real accepts.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    xs, ys = to_max_plus(x, semifield), to_max_plus(y, semifield)
+    rejected = ~(np.isfinite(x) & np.isfinite(y)) | np.isnan(xs) | np.isnan(ys)
+    for i in np.flatnonzero(rejected).tolist():
+        try:
+            semifield.from_real(float(x[i]))
+            semifield.from_real(float(y[i]))
+        except ValueError as exc:
+            if lines is None:
+                raise
+            raise MalformedRow(lines[i], str(exc)) from None
+    return np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))
+
+
 class SampleSet:
-    """Ordered samples (x_i, y_i) of an unknown function, all nonzero."""
+    """Ordered samples (x_i, y_i) of an unknown function, all nonzero.
 
-    points: tuple[tuple[Scalar, Scalar], ...]
-    semifield: Semifield
+    The samples are stored once, as two read-only float arrays x and y
+    of conventional values; xs and ys are their max-plus readings, and
+    points, inputs and outputs their tuple forms. The set is immutable.
+    """
 
-    def __post_init__(self):
-        if not self.points:
+    __slots__ = ("x", "y", "semifield")
+
+    def __init__(self, points: Iterable[tuple[Scalar, Scalar]],
+                 semifield: Semifield):
+        """Samples from pairs of scalars; the first faulty pair raises."""
+        pairs = tuple(points)
+        if not pairs:
             raise ValueError("at least one sample is required")
-        cleaned = []
-        for x, y in self.points:
-            if x is ZERO:
-                raise ZeroAbscissa("sample abscissas must be nonzero")
-            if y is ZERO:
-                raise NonRegularInput("sample ordinates must be nonzero")
-            xv, yv = float(x), float(y)
-            if not self.semifield.contains(xv) or not self.semifield.contains(yv):
-                raise ValueError(
-                    f"({x!r}, {y!r}) is not a pair of {self.semifield.name} scalars")
-            cleaned.append((xv, yv))
-        object.__setattr__(self, "points", tuple(cleaned))
+        x = np.array([math.nan if a is ZERO else a for a, _ in pairs],
+                     dtype=float)
+        y = np.array([math.nan if b is ZERO else b for _, b in pairs],
+                     dtype=float)
+        # A finite max-plus reading is exactly what contains accepts.
+        irregular = ~(np.isfinite(to_max_plus(x, semifield))
+                      & np.isfinite(to_max_plus(y, semifield)))
+        for i in np.flatnonzero(irregular).tolist():
+            _check_pair(*pairs[i], semifield)
+        self._store(x, y, semifield)
+
+    @classmethod
+    def from_columns(cls, x, y, semifield: Semifield,
+                     lines=None) -> "SampleSet":
+        """Build a sample set from columns of conventional reals.
+
+        The first row holding a value that from_real rejects raises its
+        error, as a MalformedRow on its line when lines is given (see
+        check_reals). Only then does the first row holding a zero raise:
+        ZeroAbscissa for x, NonRegularInput for y.
+        """
+        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape:
+            raise ValueError("x and y must be flat arrays of one length")
+        if not len(x):
+            raise ValueError("at least one sample is required")
+        zeros = check_reals(x, y, semifield, lines)
+        if len(zeros):
+            i = zeros[0]
+            _check_pair(semifield.from_real(float(x[i])),
+                        semifield.from_real(float(y[i])), semifield)
+        samples = cls.__new__(cls)
+        samples._store(x, y, semifield)
+        return samples
 
     @classmethod
     def from_reals(cls, pairs: Iterable[tuple[float, float]],
                    semifield: Semifield) -> "SampleSet":
-        """Build a sample set from conventional reals via the embedding."""
-        converted = tuple((semifield.from_real(x), semifield.from_real(y))
-                          for x, y in pairs)
-        return cls(converted, semifield)
+        """Build a sample set from pairs of conventional reals."""
+        xy = np.array(list(pairs), dtype=float)
+        if len(xy) and xy.shape[1:] != (2,):
+            raise ValueError("samples must be (x, y) pairs")
+        xy = xy.reshape(-1, 2)
+        return cls.from_columns(xy[:, 0], xy[:, 1], semifield)
+
+    def _store(self, x: np.ndarray, y: np.ndarray,
+               semifield: Semifield) -> None:
+        object.__setattr__(self, "x", _read_only(x))
+        object.__setattr__(self, "y", _read_only(y))
+        object.__setattr__(self, "semifield", semifield)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("sample sets are immutable")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.x)
 
     @property
     def xs(self) -> np.ndarray:
         """Max-plus readings of the abscissas (logarithms in max-times)."""
-        return to_max_plus([x for x, _ in self.points], self.semifield)
+        return _read_only(to_max_plus(self.x, self.semifield))
 
     @property
     def ys(self) -> np.ndarray:
         """Max-plus readings of the ordinates (logarithms in max-times)."""
-        return to_max_plus([y for _, y in self.points], self.semifield)
+        return _read_only(to_max_plus(self.y, self.semifield))
 
     @property
-    def inputs(self) -> tuple[Scalar, ...]:
-        return tuple(x for x, _ in self.points)
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.x.tolist(), self.y.tolist()))
+
+    @property
+    def inputs(self) -> tuple[float, ...]:
+        return tuple(self.x.tolist())
 
     @property
     def outputs(self) -> TropicalVector:
-        return TropicalVector(tuple(y for _, y in self.points), self.semifield)
+        return TropicalVector(tuple(self.y.tolist()), self.semifield)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -217,12 +310,8 @@ def build_poly_matrix(samples: SampleSet,
     the fits build theirs on arrays in max-plus.
     """
     sf = samples.semifield
-    rows = []
-    for x in samples.inputs:
-        if x is ZERO:
-            raise ZeroAbscissa("sample abscissas must be nonzero")
-        rows.append(tuple(sf.pow(x, p) for p in degrees))
-    return TropicalMatrix(tuple(rows), sf)
+    return TropicalMatrix(tuple(tuple(sf.pow(x, p) for p in degrees)
+                                for x in samples.inputs), sf)
 
 
 def _finite(matrix: np.ndarray) -> np.ndarray:
@@ -282,11 +371,9 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> np.ndarray:
         block = rows[start:start + SCORE_BLOCK]
         with np.errstate(all="ignore"):
             design = block[:, :, None] * x
-            r, delta = residuate(design, y)
-            # The coefficients of one_sided, mapped out and back in: a
-            # value outside the semifield comes back non-finite.
-            theta = r + np.where(np.abs(delta) <= DELTA_UNIT_TOL, 0.0,
-                                 0.5 * delta)[:, None]
+            theta, delta, _ = one_sided(design, y)
+            # The coefficients mapped out and back in: a value outside
+            # the semifield comes back non-finite.
             fits = (np.isfinite(design).all(axis=(1, 2))
                     & np.isfinite(to_max_plus(from_max_plus(theta, sf),
                                               sf)).all(axis=1))

@@ -22,9 +22,11 @@ from . import __version__
 from .approx import (  # noqa: F401
     DegreeVector,
     FitReport,
+    MalformedRow,
     PolynomialModel,
     RationalModel,
     SampleSet,
+    check_reals,
     eval_polynomial,
     eval_rational,
     evaluate,
@@ -36,14 +38,6 @@ from .linalg import TropicalVector
 from .search import SearchConfig, random_search
 from .semifield import MAX_PLUS, Semifield, TropicalError, by_name
 from .solvers import DEFAULT_MAX_ITER, NonRegularInput
-
-
-class MalformedRow(TropicalError):
-    """A CSV data row could not be parsed; carries its 1-based line."""
-
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
-        self.line = line
 
 
 class EmptyFile(TropicalError):
@@ -58,13 +52,6 @@ class MalformedModel(TropicalError):
 # Samples CSV
 
 
-def _parse_real(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
-    return value
-
-
 def _is_number(text: str) -> bool:
     try:
         float(text)
@@ -73,35 +60,49 @@ def _is_number(text: str) -> bool:
     return True
 
 
+def _malformed(lineno: int, fields: list[str]) -> MalformedRow:
+    """The error of a stripped data line that is not two numbers."""
+    if len(fields) != 2:
+        return MalformedRow(lineno, "expected two comma-separated values")
+    try:
+        float(fields[0]), float(fields[1])
+    except ValueError as exc:
+        return MalformedRow(lineno, str(exc))
+    raise AssertionError(f"line {lineno} parses")
+
+
 def parse_samples(path: str, semifield: Semifield = MAX_PLUS) -> SampleSet:
     """Read a two-column CSV of (x, y) rows.
 
     A single header line is allowed and detected by a non-numeric first
     field on the first line. LF and CRLF both work; blank lines are
-    skipped; anything else unparsable raises MalformedRow with the
-    1-based line number.
+    skipped. The first malformed line in file order raises MalformedRow
+    with its 1-based line number: a wrong field count, a non-number, or
+    a value the semifield rejects. Only when no line is malformed does
+    the first row holding a zero raise (see SampleSet.from_columns).
     """
     with open(path, encoding="utf-8", newline="") as handle:
         text = handle.read()
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if lineno == 1 and fields and not _is_number(fields[0]):
-            continue
-        if len(fields) != 2:
-            raise MalformedRow(lineno, "expected two comma-separated values")
+    x, y, lines = [], [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split(",")
         try:
-            x = semifield.from_real(_parse_real(fields[0]))
-            y = semifield.from_real(_parse_real(fields[1]))
-        except ValueError as exc:
-            raise MalformedRow(lineno, str(exc)) from None
-        pairs.append((x, y))
-    if not pairs:
+            # float() ignores surrounding whitespace, as strip() would.
+            first, second = fields
+            pair = float(first), float(second)
+        except ValueError:
+            fields = [f.strip() for f in fields]
+            if fields == [""] or (lineno == 1 and not _is_number(fields[0])):
+                continue  # a blank line or the header
+            # A value the semifield rejects on an earlier line comes first.
+            check_reals(x, y, semifield, lines)
+            raise _malformed(lineno, fields) from None
+        x.append(pair[0])
+        y.append(pair[1])
+        lines.append(lineno)
+    if not lines:
         raise EmptyFile(f"{path}: no data rows found")
-    return SampleSet(tuple(pairs), semifield)
+    return SampleSet.from_columns(x, y, semifield, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +474,10 @@ def cmd_eval(args) -> int:
     # Values go out as Python floats: repr of a numpy float is not a number.
     if args.input is not None:
         samples = parse_samples(args.input, semifield)
-        xs, ys = zip(*samples.points)
-        values = evaluate(model, xs).tolist()
+        values = evaluate(model, samples.x).tolist()
         lines = [f"{x!r}\t{value!r}\t{y!r}\t{value - y!r}"
-                 for x, y, value in zip(xs, ys, values)]
+                 for x, y, value in zip(samples.x.tolist(),
+                                        samples.y.tolist(), values)]
     else:
         xs = parse_grid(args.grid)
         values = evaluate(model, xs).tolist()

@@ -72,6 +72,11 @@ class SearchConfig:
         if self.max_iter_two_sided < 1:
             raise ValueError("max_iter_two_sided must be at least 1")
         width = self.degree_max - self.degree_min + 1
+        int64 = np.iinfo(np.int64)
+        if not all(int64.min <= v <= int64.max
+                   for v in (self.degree_min, self.degree_max, width)):
+            raise ValueError("the degree bounds and the range width must "
+                             "lie within the int64 range")
         needed = max(self.n_terms_numerator, self.n_terms_denominator or 1)
         if width < needed:
             raise RangeTooNarrow(

@@ -134,8 +134,14 @@ def from_max_plus(values, semifield: Semifield) -> np.ndarray:
 
 def tropical_vector(values: np.ndarray,
                     semifield: Semifield) -> TropicalVector:
-    """Vector of the semifield values whose max-plus readings are given."""
-    return TropicalVector(from_max_plus(values, semifield).tolist(), semifield)
+    """Vector of the semifield values whose max-plus readings are given.
+
+    TropicalVector rejects a value that leaves the float range, so
+    numpy's overflow warning is muted.
+    """
+    with np.errstate(over="ignore"):
+        values = from_max_plus(values, semifield)
+    return TropicalVector(values.tolist(), semifield)
 
 
 def scaled_tolerance(base: float, *arrays: np.ndarray) -> float:
@@ -173,16 +179,21 @@ def residuate(at: np.ndarray,
     return r, (float(delta) if at.ndim == 2 else delta)
 
 
-def one_sided(at: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
+def one_sided(at: np.ndarray, b: np.ndarray) -> tuple[
+        np.ndarray, float | np.ndarray, bool | np.ndarray]:
     """Array form of one_sided_solve: (x_star, delta, exact) in max-plus.
 
-    at is the transposed matrix a (terms by samples), as for residuate.
+    at is the transposed matrix a (terms by samples), as for residuate,
+    and so are leading batch axes: a single system gives a float delta
+    and a bool exact, a batch arrays of them.
     """
     r, delta = residuate(at, b)
-    exact = abs(delta) <= DELTA_UNIT_TOL
+    exact = np.abs(delta) <= DELTA_UNIT_TOL
     # For a consistent system the greatest exact solution is returned
     # unscaled; sqrt(delta) is the unit there anyway.
-    return (r if exact else r + 0.5 * delta), delta, exact
+    half = 0.5 * np.asarray(delta)[..., None]
+    x_star = np.where(np.asarray(exact)[..., None], r, r + half)
+    return x_star, delta, (bool(exact) if at.ndim == 2 else exact)
 
 
 def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,

@@ -80,6 +80,47 @@ def test_sample_set_validation():
     assert len(ss) == 2 and ss.outputs.elements == (2.5, 1.1)
 
 
+def test_sample_set_errors_come_from_the_scalar_checks():
+    with pytest.raises(ValueError) as info:
+        SampleSet(((0.0, 1.0),), MAX_TIMES)
+    assert str(info.value) == "(0.0, 1.0) is not a pair of max-times scalars"
+    with pytest.raises(ValueError) as info:
+        SampleSet.from_reals([(1.0, -1.0)], MAX_TIMES)
+    with pytest.raises(ValueError) as scalar:
+        MAX_TIMES.from_real(-1.0)
+    assert str(info.value) == str(scalar.value)
+    # Pairs of scalars: the first faulty pair wins, a ZERO included.
+    with pytest.raises(ZeroAbscissa):
+        SampleSet(((ZERO, 1.0), (-1.0, 1.0)), MAX_TIMES)
+    with pytest.raises(ValueError, match=r"\(1\.0, -1\.0\)"):
+        SampleSet(((1.0, -1.0), (ZERO, 1.0)), MAX_TIMES)
+    # Conventional reals: a value from_real rejects beats any zero.
+    with pytest.raises(ValueError, match="got -1.0"):
+        SampleSet.from_reals([(0.0, 1.0), (2.0, -1.0)], MAX_TIMES)
+    with pytest.raises(NonRegularInput):
+        SampleSet.from_reals([(1.0, 0.0), (0.0, 1.0)], MAX_TIMES)
+
+
+def test_max_times_samples_keep_the_input_floats():
+    x = [0.1, 1e-300, 2.5, 7.0 / 3.0]
+    y = [0.3, 7.0, 1e300, math.pi]
+    ss = SampleSet.from_reals(zip(x, y), MAX_TIMES)
+    assert ss.points == tuple(zip(x, y))
+    assert ss.inputs == tuple(x) and ss.outputs.elements == tuple(y)
+    assert np.array_equal(ss.xs, np.log(x))
+    assert SampleSet(list(zip(x, y)), MAX_TIMES).points == ss.points
+
+
+@pytest.mark.parametrize("sf", [MAX_PLUS, MAX_TIMES])
+def test_sample_arrays_are_read_only(sf):
+    ss = SampleSet.from_reals([(1.0, 2.0), (3.0, 4.0)], sf)
+    for array in (ss.x, ss.y, ss.xs, ss.ys):
+        with pytest.raises(ValueError):
+            array[0] = 5.0
+    with pytest.raises(AttributeError):
+        ss.x = np.ones(2)
+
+
 # --- design matrix ----------------------------------------------------------
 
 def test_build_poly_matrix_examples():

@@ -21,8 +21,10 @@ from tropfit.cli import (
     parse_samples,
     serialize_model,
 )
+from tropfit.approx import ZeroAbscissa
 from tropfit.datasets import GRID, convex_curve, dataset_csv, nonconvex_curve
 from tropfit.semifield import MAX_TIMES
+from tropfit.solvers import NonRegularInput
 
 
 @pytest.fixture
@@ -94,6 +96,33 @@ def test_parse_samples_max_times_negative(tmp_path):
     path.write_text("1,-2\n", encoding="utf-8")
     with pytest.raises(MalformedRow):
         parse_samples(str(path), MAX_TIMES)
+
+
+@pytest.mark.parametrize("text, error, code, message", [
+    ("1,0\n2,-1\n", MalformedRow, 2,
+     "line 2: max-times scalars must be finite and >= 0, got -1.0"),
+    ("1,0\n2,abc\n", MalformedRow, 2,
+     "line 2: could not convert string to float: 'abc'"),
+    ("1,-1\n2,abc\n", MalformedRow, 2,
+     "line 1: max-times scalars must be finite and >= 0, got -1.0"),
+    ("1,0\n3\n", MalformedRow, 2,
+     "line 2: expected two comma-separated values"),
+    ("1,0\n0,1\n", NonRegularInput, 3, "sample ordinates must be nonzero"),
+    ("0,1\n1,0\n", ZeroAbscissa, 2, "sample abscissas must be nonzero"),
+    ("-0,1\n", ZeroAbscissa, 2, "sample abscissas must be nonzero"),
+])
+def test_first_faulty_row_decides_the_error(text, error, code, message,
+                                            tmp_path, capsys):
+    # A malformed line anywhere beats a zero row; among malformed lines,
+    # or among zero rows, the first in file order wins.
+    path = tmp_path / "s.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as info:
+        parse_samples(str(path), MAX_TIMES)
+    assert str(info.value) == message
+    assert main(["fit", "--semifield", "max-times", "--degrees", "0,1",
+                 "--input", str(path)]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # --- grid --------------------------------------------------------------------
@@ -396,6 +425,30 @@ def test_eval_malformed_model(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--degrees", "0,1e400"], "--degrees: a degree overflows the float range"),
+    (["--terms", "2", "--range", "0:100000000000000000000000"],
+     "the degree bounds and the range width must lie within the int64 range"),
+    (["--terms", "2", "--range", "9223372036854775808:9223372036854775810"],
+     "the degree bounds and the range width must lie within the int64 range"),
+])
+def test_out_of_range_degrees_exit_2(flags, message, f_csv, capsys):
+    search = ["--samples", "1", "--seed", "1"] if "--range" in flags else []
+    assert main(["fit", "--input", f_csv, *flags, *search]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_eval_model_with_an_overflowing_degree_exits_2(tmp_path, capsys):
+    text = serialize_model(sample_document()).replace('"-3"', '"1e400"')
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedModel):
+        tropfit.cli.model_from_document(parse_model(text))
+    assert main(["eval", "--model", str(path), "--grid", "0:1:1"]) == 2
+    assert capsys.readouterr().err == \
+        "error: a degree overflows the float range\n"
+
+
 def test_degree_flags_accept_fractions(f_csv, capsys):
     assert main(["fit", "--degrees", "-1/2,1/3,2", "--input", f_csv]) == 0
     doc = parse_model(capsys.readouterr().out)
@@ -499,6 +552,20 @@ def test_design_overflow_prints_only_the_error_line(row, flags, tmp_path):
     assert done.stdout == ""
     assert done.stderr == \
         "error: a design matrix entry overflows the float range\n"
+
+
+def test_coefficient_overflow_prints_only_the_error_line(tmp_path):
+    # The fitted max-times coefficients leave the float range: exp
+    # overflows to inf or underflows to 0, and only the error shows.
+    path = tmp_path / "rows.csv"
+    path.write_text("1e-300,1\n1e-200,2\n0.5,3\n", encoding="utf-8")
+    done = run_fresh(["fit", "--semifield", "max-times", "--kind", "rational",
+                      "--num-terms", "4", "--den-terms", "2",
+                      "--range", "-10:10", "--samples", "1", "--seed", "5",
+                      "--input", str(path)], tmp_path)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: 0.0 is not a max-times scalar\n"
 
 
 def test_eval_overflow_prints_only_the_error_line(tmp_path):

@@ -21,7 +21,7 @@ from tropfit import (
     vec_mat_mul,
 )
 from tropfit.datasets import nonconvex_curve
-from tropfit.solvers import residuate
+from tropfit.solvers import one_sided, residuate
 from oracles import (
     grid_min_one_sided,
     grid_min_two_sided,
@@ -320,10 +320,21 @@ def test_residuate_of_a_stack_equals_single_calls():
     for n, m in ((1, 1), (3, 7), (5, 21)):
         stack = rng.uniform(-5.0, 5.0, size=(9, n, m))
         b = rng.uniform(-5.0, 5.0, size=m)
+        # System 0 is consistent: each term row is b shifted down.
+        stack[0] = b - rng.uniform(0.0, 3.0, size=(n, 1))
         r, deltas = residuate(stack, b)
         assert r.shape == (9, n) and deltas.shape == (9,)
+        x, one_deltas, exact = one_sided(stack, b)
+        assert x.shape == (9, n) and exact.shape == (9,)
+        # A single sample is always matched; more, drawn at random, are not.
+        assert exact[0] and (m == 1 or not exact[1:].any())
+        assert np.array_equal(one_deltas, deltas)
         for k in range(9):
             r_k, delta_k = residuate(stack[k], b)
             assert type(delta_k) is float
             assert np.array_equal(r[k], r_k)
             assert deltas[k] == delta_k
+            x_k, one_delta_k, exact_k = one_sided(stack[k], b)
+            assert type(one_delta_k) is float and type(exact_k) is bool
+            assert np.array_equal(x[k], x_k)
+            assert one_delta_k == delta_k and exact[k] == exact_k
