@@ -33,6 +33,7 @@ from .solvers import (  # noqa: F401
     NonRegularInput,
     Termination,
     alternate,
+    balance,
     from_max_plus,
     one_sided,
     one_sided_solve,
@@ -347,42 +348,53 @@ def fit_polynomial(samples: SampleSet, degrees: DegreeVector) -> FitReport:
                      model=model, iterations=1, termination=termination)
 
 
-#: Degree rows that score_polynomials residuates together. A block of b
-#: rows over n terms and m samples holds a few b x n x m float arrays at
-#: once; 64 rows amortise the per-call numpy overhead while each array
-#: stays small (53,760 bytes for the 21 samples and 5 terms of the
-#: bundled f data).
+#: Degree rows whose slack score_polynomials gathers at once. A block of
+#: b rows over n terms and m samples gathers one n x b x m float array;
+#: 64 rows amortise the per-call numpy overhead while that array stays
+#: small (53,760 bytes for the 21 samples and 5 terms of the bundled f
+#: data).
 SCORE_BLOCK = 64
 
 
 def score_polynomials(samples: SampleSet, rows: np.ndarray) -> np.ndarray:
     """fit_polynomial(samples, row).delta_star for every row of degrees.
 
-    rows is an int array with one degree class per row. Each block of
-    SCORE_BLOCK rows is solved with one residuation. Where
-    fit_polynomial would raise for some row (its design overflows, or a
-    coefficient leaves the semifield), the error of the first such row
-    is raised.
+    rows is an int array with one degree class per row. The residual
+    r_p = min_i (y_i - p x_i) of a degree p does not depend on the row
+    it is drawn into, so it is computed once for each distinct degree,
+    with the slack s_pi = y_i - (p x_i + r_p). The delta of a row is
+    max_i min_{p in row} s_pi: the same float as the residuation of the
+    row's design, since y - v rounds monotonically in v. Rows are
+    gathered SCORE_BLOCK at a time. Where fit_polynomial would raise for
+    some row (its design overflows, or a coefficient leaves the
+    semifield), the error of the first such row is raised.
     """
     sf = samples.semifield
     x, y = samples.xs, samples.ys
-    scores = []
-    for start in range(0, len(rows), SCORE_BLOCK):
-        block = rows[start:start + SCORE_BLOCK]
-        with np.errstate(all="ignore"):
-            design = block[:, :, None] * x
-            theta, delta, _ = one_sided(design, y)
-            # The coefficients mapped out and back in: a value outside
-            # the semifield comes back non-finite.
-            fits = (np.isfinite(design).all(axis=(1, 2))
-                    & np.isfinite(to_max_plus(from_max_plus(theta, sf),
-                                              sf)).all(axis=1))
-        if not fits.all():
-            # Fitting the first failing row on its own raises its error.
-            fit_polynomial(samples,
-                           DegreeVector(block[np.argmin(fits)].tolist()))
-        scores.append(from_max_plus(delta, sf))
-    return np.concatenate(scores)
+    degrees, index = np.unique(rows, return_inverse=True)
+    # numpy versions differ in the shape of the inverse.
+    index = index.reshape(rows.shape)
+    delta = np.empty(len(rows))
+    with np.errstate(all="ignore"):
+        terms = degrees[:, None] * x
+        r = np.minimum.reduce(y - terms, axis=1)
+        slack = y - (terms + r[:, None])
+        for start in range(0, len(rows), SCORE_BLOCK):
+            # Terms x rows x samples: the min over a row's terms is an
+            # elementwise min of contiguous sample rows.
+            block = np.take(slack, index[start:start + SCORE_BLOCK].T, axis=0)
+            np.maximum.reduce(np.minimum.reduce(block, axis=0), axis=1,
+                              out=delta[start:start + SCORE_BLOCK])
+        theta, _ = balance(r[index], delta)
+        # The coefficients mapped out and back in: a value outside the
+        # semifield comes back non-finite.
+        fits = (np.isfinite(terms).all(axis=1)[index].all(axis=1)
+                & np.isfinite(to_max_plus(from_max_plus(theta, sf),
+                                          sf)).all(axis=1))
+    if not fits.all():
+        # Fitting the first failing row on its own raises its error.
+        fit_polynomial(samples, DegreeVector(rows[np.argmin(fits)].tolist()))
+    return from_max_plus(delta, sf)
 
 
 def fit_rational(samples: SampleSet,

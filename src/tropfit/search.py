@@ -287,10 +287,11 @@ def random_search(samples: SampleSet, config: SearchConfig,
 
     Deterministic for a fixed config: the winner depends only on the
     seed and the samples. Every class is drawn up front in one block.
-    Polynomial draws are scored in array blocks (score_polynomials) and
-    only the winner is fitted into a FitReport; rational draws are
-    fitted one at a time. Everything runs on the calling thread; threads
-    is accepted for compatibility and has no effect.
+    Polynomial draws are scored from per-degree residuals
+    (score_polynomials) and only the winner is fitted into a FitReport;
+    rational draws are fitted one at a time. Everything runs on the
+    calling thread; threads is accepted for compatibility and has no
+    effect.
     """
     rng = np.random.default_rng(config.rng_seed)
     if not config.is_rational:

@@ -136,12 +136,21 @@ def tropical_vector(values: np.ndarray,
                     semifield: Semifield) -> TropicalVector:
     """Vector of the semifield values whose max-plus readings are given.
 
-    TropicalVector rejects a value that leaves the float range, so
-    numpy's overflow warning is muted.
+    A finite reading whose exponential leaves the float range, as 0 or
+    inf, raises ValueError naming the coefficient's index and the cause,
+    so numpy's overflow warning is muted.
     """
+    values = np.asarray(values, dtype=float)
     with np.errstate(over="ignore"):
-        values = from_max_plus(values, semifield)
-    return TropicalVector(values.tolist(), semifield)
+        mapped = from_max_plus(values, semifield)
+    if isinstance(semifield, MaxTimes):
+        lost = np.isfinite(values) & ((mapped == 0) | np.isinf(mapped))
+        if lost.any():
+            i = int(np.argmax(lost))
+            cause = "underflows to 0" if mapped[i] == 0 else "overflows to inf"
+            raise ValueError(f"coefficient {i} leaves the float range: "
+                             f"exp({values[i]:.1f}) {cause}")
+    return TropicalVector(mapped.tolist(), semifield)
 
 
 def scaled_tolerance(base: float, *arrays: np.ndarray) -> float:
@@ -188,12 +197,23 @@ def one_sided(at: np.ndarray, b: np.ndarray) -> tuple[
     and a bool exact, a batch arrays of them.
     """
     r, delta = residuate(at, b)
-    exact = np.abs(delta) <= DELTA_UNIT_TOL
-    # For a consistent system the greatest exact solution is returned
-    # unscaled; sqrt(delta) is the unit there anyway.
-    half = 0.5 * np.asarray(delta)[..., None]
-    x_star = np.where(np.asarray(exact)[..., None], r, r + half)
+    x_star, exact = balance(r, delta)
     return x_star, delta, (bool(exact) if at.ndim == 2 else exact)
+
+
+def balance(r: np.ndarray, delta: float | np.ndarray) -> tuple[
+        np.ndarray, bool | np.ndarray]:
+    """Best solution (x_star, exact) from the residuation r and its delta.
+
+    r has one row of coefficients per delta (leading axes as in
+    residuate). A system whose delta is the unit within DELTA_UNIT_TOL is
+    consistent: its greatest exact solution r is returned unscaled, since
+    sqrt(delta) is the unit there anyway. Otherwise r is scaled by
+    sqrt(delta), that is r + delta / 2 in max-plus.
+    """
+    exact = np.abs(delta) <= DELTA_UNIT_TOL
+    half = 0.5 * np.asarray(delta)[..., None]
+    return np.where(np.asarray(exact)[..., None], r, r + half), exact
 
 
 def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,

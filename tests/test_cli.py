@@ -272,6 +272,21 @@ def test_fit_search_command_is_reproducible(f_csv, capsys):
     assert doc.provenance["config"]["range"] == "-15:5"
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def test_readme_search_writes_the_recorded_model(tmp_path, capsys):
+    # The README polynomial search, recorded byte for byte.
+    f_csv, model = tmp_path / "f.csv", tmp_path / "model.json"
+    assert main(["datasets", "f", "--output", str(f_csv)]) == 0
+    assert main(["fit", "--kind", "polynomial", "--terms", "5",
+                 "--range", "-15:5", "--samples", "10000", "--seed", "7",
+                 "--input", str(f_csv), "--output", str(model)]) == 0
+    with open(os.path.join(DATA, "readme_poly_search.json"), "rb") as f:
+        assert model.read_bytes() == f.read()
+    capsys.readouterr()
+
+
 def test_fit_flag_validation(f_csv, capsys):
     # degrees and search flags together
     assert main(["fit", "--degrees", "1,2", "--terms", "3",
@@ -565,7 +580,8 @@ def test_coefficient_overflow_prints_only_the_error_line(tmp_path):
                       "--input", str(path)], tmp_path)
     assert done.returncode == 2
     assert done.stdout == ""
-    assert done.stderr == "error: 0.0 is not a max-times scalar\n"
+    assert done.stderr == ("error: coefficient 0 leaves the float range: "
+                           "exp(-1725.8) underflows to 0\n")
 
 
 def test_eval_overflow_prints_only_the_error_line(tmp_path):

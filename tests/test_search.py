@@ -19,6 +19,7 @@ from tropfit import (
     random_search,
     sample_degree_vector,
 )
+from tropfit.approx import score_polynomials
 from tropfit.datasets import convex_samples, nonconvex_samples
 
 
@@ -254,7 +255,86 @@ def test_batched_search_unrepresentable_coefficients_raise_value_error():
     with pytest.raises(ValueError) as direct:
         _draw_by_draw(samples, config)
     assert str(batched.value) == str(direct.value)
-    assert "is not a max-times scalar" in str(batched.value)
+    assert str(batched.value) == ("coefficient 0 leaves the float range: "
+                                  "exp(-2302.2) underflows to 0")
+
+
+def test_first_failing_row_past_the_first_block_raises_its_error():
+    samples = SampleSet(((1e-300, 1.0), (1e-200, 2.0), (0.5, 3.0)),
+                        MAX_TIMES)
+    fitting = [[-1, 0], [0, 1], [0, 2], [-1, 1], [1, 2]]
+    # Row BLOCK + 6 underflows, the row after it overflows.
+    rows = np.array((fitting * BLOCK)[:BLOCK + 6] + [[-3, -2], [3, 4]],
+                    dtype=np.int64)
+    with pytest.raises(ValueError) as first:
+        fit_polynomial(samples, DegreeVector([-3, -2]))
+    with pytest.raises(ValueError) as later:
+        fit_polynomial(samples, DegreeVector([3, 4]))
+    assert str(first.value) != str(later.value)
+    with pytest.raises(ValueError) as scored:
+        score_polynomials(samples, rows)
+    assert str(scored.value) == str(first.value)
+
+
+def test_scoring_no_rows_gives_an_empty_array():
+    scores = score_polynomials(convex_samples(),
+                               np.zeros((0, 3), dtype=np.int64))
+    assert scores.shape == (0,)
+    assert scores.dtype == np.float64
+
+
+def test_search_over_a_wide_range_matches_draw_by_draw_fits():
+    # The per-degree tables hold the drawn degrees, not the 2e9 + 1 of
+    # the range.
+    samples = convex_samples()
+    config = SearchConfig(n_terms_numerator=5, degree_min=-10**9,
+                          degree_max=10**9, n_samples=BLOCK + 1, rng_seed=3)
+    report = random_search(samples, config)
+    trace, winner = _draw_by_draw(samples, config)
+    assert [delta for _, delta in report.error_trace] == trace
+    assert report.best_degrees == winner
+
+
+@st.composite
+def _scoring_cases(draw):
+    """Samples of either semifield and rows over a shared degree pool."""
+    semifield = draw(st.sampled_from([MAX_PLUS, MAX_TIMES]))
+    pairs = draw(st.lists(st.tuples(st.floats(-3.0, 3.0),
+                                    st.floats(-10.0, 10.0)),
+                          min_size=1, max_size=12, unique_by=lambda p: p[0]))
+    if semifield is MAX_TIMES:
+        pairs = [(math.exp(x), math.exp(y)) for x, y in pairs]
+    bound = draw(st.sampled_from([20, 10**6]))
+    pool = draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=8,
+                         unique=True))
+    n_terms = draw(st.integers(1, min(len(pool), 5)))
+    n_rows = draw(st.integers(1, 2 * BLOCK + 1))
+    rows = draw(st.lists(st.permutations(pool).map(lambda p: p[:n_terms]),
+                         min_size=n_rows, max_size=n_rows))
+    return SampleSet.from_reals(pairs, semifield), rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scoring_cases())
+def test_scores_equal_per_row_fits_bit_for_bit(case):
+    samples, rows = case
+    rows_array = np.array(rows, dtype=np.int64)
+    # A max-times delta beyond the float range is reported as inf by
+    # both paths, each with numpy's overflow warning; this property
+    # compares the values, so the warning is muted here.
+    with np.errstate(over="ignore"):
+        expected = []
+        for row in rows:
+            try:
+                expected.append(fit_polynomial(samples, DegreeVector(row)))
+            except ValueError as exc:
+                with pytest.raises(ValueError) as scored:
+                    score_polynomials(samples, rows_array)
+                assert str(scored.value) == str(exc)
+                return
+        scores = score_polynomials(samples, rows_array)
+    assert ([float(d).hex() for d in scores]
+            == [report.delta_star.hex() for report in expected])
 
 
 @settings(max_examples=30, deadline=None)

@@ -21,7 +21,7 @@ from tropfit import (
     vec_mat_mul,
 )
 from tropfit.datasets import nonconvex_curve
-from tropfit.solvers import one_sided, residuate
+from tropfit.solvers import one_sided, residuate, tropical_vector
 from oracles import (
     grid_min_one_sided,
     grid_min_two_sided,
@@ -338,3 +338,19 @@ def test_residuate_of_a_stack_equals_single_calls():
             assert type(one_delta_k) is float and type(exact_k) is bool
             assert np.array_equal(x[k], x_k)
             assert one_delta_k == delta_k and exact[k] == exact_k
+
+
+@pytest.mark.parametrize("readings, message", [
+    ([0.0, 800.0, -800.0],
+     "coefficient 1 leaves the float range: exp(800.0) overflows to inf"),
+    ([0.0, 1.0, -812.4],
+     "coefficient 2 leaves the float range: exp(-812.4) underflows to 0"),
+])
+def test_max_times_coefficient_out_of_range_names_its_index(readings,
+                                                            message):
+    with pytest.raises(ValueError) as raised:
+        tropical_vector(np.array(readings), MAX_TIMES)
+    assert str(raised.value) == message
+    # In max-plus the same readings are the values themselves.
+    assert tropical_vector(np.array(readings), MAX_PLUS).elements == tuple(
+        readings)
