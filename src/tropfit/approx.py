@@ -343,9 +343,25 @@ def fit_polynomial(samples: SampleSet, degrees: DegreeVector) -> FitReport:
     model = PolynomialModel(degrees, tropical_vector(theta, sf))
     termination = (Termination.EXACT_SOLUTION if exact
                    else Termination.ONE_SHOT)
-    return FitReport(delta_star=float(from_max_plus(delta, sf)),
-                     error=float(from_max_plus(0.5 * delta, sf)),
+    delta_star, error = _delta_and_error(delta, sf)
+    return FitReport(delta_star=delta_star, error=error,
                      model=model, iterations=1, termination=termination)
+
+
+def _delta_and_error(delta: float, sf: Semifield) -> tuple[float, float]:
+    """delta_star and error of a fit from its max-plus delta.
+
+    A finite delta whose exponential (max-times) leaves the float range
+    raises ValueError, so numpy's overflow warning is muted.
+    """
+    with np.errstate(over="ignore"):
+        delta_star = float(from_max_plus(delta, sf))
+        error = float(from_max_plus(0.5 * delta, sf))
+    if math.isfinite(delta) and not (math.isfinite(delta_star)
+                                     and math.isfinite(error)):
+        raise ValueError("delta_star leaves the float range: "
+                         f"exp({delta:.1f}) overflows to inf")
+    return delta_star, error
 
 
 #: Degree rows whose slack score_polynomials gathers at once. A block of
@@ -366,8 +382,9 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> np.ndarray:
     max_i min_{p in row} s_pi: the same float as the residuation of the
     row's design, since y - v rounds monotonically in v. Rows are
     gathered SCORE_BLOCK at a time. Where fit_polynomial would raise for
-    some row (its design overflows, or a coefficient leaves the
-    semifield), the error of the first such row is raised.
+    some row (its design overflows, a coefficient leaves the semifield
+    or delta_star the float range), the error of the first such row is
+    raised.
     """
     sf = samples.semifield
     x, y = samples.xs, samples.ys
@@ -386,15 +403,19 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> np.ndarray:
             np.maximum.reduce(np.minimum.reduce(block, axis=0), axis=1,
                               out=delta[start:start + SCORE_BLOCK])
         theta, _ = balance(r[index], delta)
+        scores = from_max_plus(delta, sf)
         # The coefficients mapped out and back in: a value outside the
-        # semifield comes back non-finite.
+        # semifield comes back non-finite. A non-finite delta makes theta
+        # non-finite, so the score test adds only the rows whose
+        # delta_star leaves the float range (_delta_and_error).
         fits = (np.isfinite(terms).all(axis=1)[index].all(axis=1)
                 & np.isfinite(to_max_plus(from_max_plus(theta, sf),
-                                          sf)).all(axis=1))
+                                          sf)).all(axis=1)
+                & np.isfinite(scores))
     if not fits.all():
         # Fitting the first failing row on its own raises its error.
         fit_polynomial(samples, DegreeVector(rows[np.argmin(fits)].tolist()))
-    return from_max_plus(delta, sf)
+    return scores
 
 
 def fit_rational(samples: SampleSet,
@@ -431,8 +452,8 @@ def fit_rational(samples: SampleSet,
     model = RationalModel(
         PolynomialModel(num_degrees, tropical_vector(theta, sf)),
         PolynomialModel(den_degrees, tropical_vector(sigma, sf)))
-    return FitReport(delta_star=float(from_max_plus(delta, sf)),
-                     error=float(from_max_plus(0.5 * delta, sf)),
+    delta_star, error = _delta_and_error(delta, sf)
+    return FitReport(delta_star=delta_star, error=error,
                      model=model, iterations=len(deltas),
                      termination=termination)
 

@@ -128,6 +128,9 @@ class ModelDocument:
 
 
 def _fmt_float(x: float) -> str:
+    # JSON has no inf or nan, so a model file never holds one.
+    if not math.isfinite(x):
+        raise ValueError(f"{float(x)!r} cannot be written as a JSON number")
     # 17 significant digits round-trip any double; force a decimal point
     # so the value parses back as a float, not an int.
     s = f"{float(x):.17g}"

@@ -18,12 +18,24 @@ have many samples and few terms, so with terms on the leading axis a
 reduction over terms is an elementwise max of a few contiguous sample
 rows, and a reduction over samples runs along one contiguous row,
 instead of either one reducing many short inner rows of 4 to 6 terms.
+
+A run of alternate allocates its buffers once and reuses them in every
+half step (residuate takes them as keyword outputs), and each new
+iterate is written straight into its slot of the side's history. The
+repeat test against earlier iterates only looks at those whose first
+coordinate lies within twice the match tolerance of the new one's;
+since a match needs the first coordinates within the tolerance, and
+rounding is monotone, that gives the verdict of a scan over all of
+them. So the buffers change no floating-point operation and the
+prefilter no verdict.
+
 The tuple API (one_sided_solve, two_sided_solve) keeps the usual
 samples x terms orientation and transposes once at its boundary.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -167,8 +179,11 @@ def scaled_tolerance(base: float, *arrays: np.ndarray) -> float:
 # Max-plus array core
 
 
-def residuate(at: np.ndarray,
-              b: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+def residuate(at: np.ndarray, b: np.ndarray, *,
+              scratch: Optional[np.ndarray] = None,
+              r: Optional[np.ndarray] = None,
+              image: Optional[np.ndarray] = None) -> tuple[
+        np.ndarray, float | np.ndarray]:
     """Greatest r with a r <= b, and the squared distance of a r to b.
 
     at is the transposed matrix a, terms by samples:
@@ -181,10 +196,17 @@ def residuate(at: np.ndarray,
     Leading axes of at are a batch of independent systems, each solved
     against b: at of shape (..., n, m) gives r of shape (..., n) and an
     array of deltas of shape (...). A single system gives a float delta.
+
+    The keyword buffers, when given, receive the intermediate results so
+    that a caller in a loop allocates nothing: scratch the shape of at,
+    r the shape of r, image the shape of b (it ends up holding the
+    slack b - a r). The arithmetic is the same either way.
     """
-    r = np.minimum.reduce(b[..., None, :] - at, axis=-1)
-    image = np.maximum.reduce(at + r[..., None], axis=-2)
-    delta = np.maximum.reduce(b - image, axis=-1)
+    scratch = np.subtract(b[..., None, :], at, out=scratch)
+    r = np.minimum.reduce(scratch, axis=-1, out=r)
+    scratch = np.add(at, r[..., None], out=scratch)
+    image = np.maximum.reduce(scratch, axis=-2, out=image)
+    delta = np.maximum.reduce(np.subtract(b, image, out=image), axis=-1)
     return r, (float(delta) if at.ndim == 2 else delta)
 
 
@@ -216,6 +238,70 @@ def balance(r: np.ndarray, delta: float | np.ndarray) -> tuple[
     return np.where(np.asarray(exact)[..., None], r, r + half), exact
 
 
+class _History:
+    """Earlier iterates of one side of alternate, and their repeat test.
+
+    The iterates are the first count columns of an (n, capacity) array
+    that doubles when full; alternate computes each new iterate straight
+    into the free column (free_column) and keeps it with store. Beside
+    the array, firsts is the sorted list of the stored iterates' first
+    coordinates and order the column of each, so the repeat test only
+    looks at the columns whose first coordinate is near.
+    """
+
+    __slots__ = ("columns", "count", "firsts", "order", "tol")
+
+    def __init__(self, n: int, tol: float):
+        self.columns = np.empty((n, 32))
+        self.count = 0
+        self.firsts: list[float] = []
+        self.order: list[int] = []
+        self.tol = tol
+
+    def free_column(self) -> np.ndarray:
+        """The column the next iterate goes into; grows the array if full."""
+        if self.count == self.columns.shape[1]:
+            self.columns = np.concatenate(
+                [self.columns, np.empty_like(self.columns)], axis=1)
+        return self.columns[:, self.count]
+
+    def repeats(self, v: np.ndarray) -> bool:
+        """Whether a stored column h has max_j |h_j - v_j| <= tol.
+
+        Only the columns whose first coordinate lies in
+        [v_0 - 2 tol, v_0 + 2 tol] are tested, and the verdict is that
+        of testing them all: a match needs fl(|h_0 - v_0|) <= tol, so
+        |h_0 - v_0| is at most tol plus half an ulp of tol, and since
+        rounding is monotone, h_0 lies inside the rounded window. A gap
+        of nan or inf never passes, so a non-finite v_0 matches nothing.
+        """
+        first = float(v[0])
+        if not math.isfinite(first):
+            return False
+        low = bisect.bisect_left(self.firsts, first - 2 * self.tol)
+        high = bisect.bisect_right(self.firsts, first + 2 * self.tol, low)
+        if low == high:
+            return False
+        near = self.columns[:, self.order[low:high]]
+        # inf - inf elsewhere in a column is a nan gap, which fails.
+        with np.errstate(invalid="ignore"):
+            gaps = np.maximum.reduce(np.abs(near - v[:, None]), axis=0)
+        return bool((gaps <= self.tol).any())
+
+    def store(self) -> None:
+        """Keep the iterate in the free column.
+
+        An iterate with a non-finite first coordinate never matches, so
+        it is kept in the array but not in firsts.
+        """
+        first = float(self.columns[0, self.count])
+        if math.isfinite(first):
+            at = bisect.bisect_right(self.firsts, first)
+            self.firsts.insert(at, first)
+            self.order.insert(at, self.count)
+        self.count += 1
+
+
 def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
               max_iter: int) -> tuple[list[float], np.ndarray, np.ndarray,
                                       Termination]:
@@ -228,49 +314,58 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     smallest delta, and the reason for stopping. The rules are those of
     two_sided_solve.
 
-    Earlier iterates of each side are kept as the columns of an
-    (n, capacity) array that doubles when full, so the repeat test is an
-    elementwise max over the n rows of the stored columns.
+    Every buffer is allocated once per call: per side an (n, m) scratch
+    and the residuation r, plus the image and the second image (m). A
+    half step writes into them with out=, in the same floating-point
+    operations as residuate without buffers, and adds delta / 2 to r
+    straight into the free column of its side's history (_History),
+    where earlier iterates are kept. The repeat test looks only at the
+    stored iterates whose first coordinate is within 2 match_tol of the
+    new one's, which gives the verdict of testing them all.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     match_tol = scaled_tolerance(ITERATE_MATCH_TOL, at, bt)
     spans = (at, bt)
-    current = [x0, None]
-    seen = [np.empty((len(at), 32)), np.empty((len(bt), 32))]
-    seen[0][:, 0] = x0
-    count = [1, 0]
+    histories = (_History(len(at), match_tol), _History(len(bt), match_tol))
+    scratch = (np.empty(at.shape), np.empty(bt.shape))
+    reached = (np.empty(len(at)), np.empty(len(bt)))
+    image, projection = np.empty(at.shape[1]), np.empty(at.shape[1])
+    current = [histories[0].free_column(), None]
+    current[0][:] = x0
+    histories[0].store()
+    # The column of each side's current iterate, in its history.
+    columns = [0, None]
     deltas: list[float] = []
     best = None
     side = 0
     while True:
         other = 1 - side
-        image = np.maximum.reduce(spans[side] + current[side][:, None],
-                                  axis=0)
-        reached, delta = residuate(spans[other], image)
-        current[other] = reached + 0.5 * delta
+        np.maximum.reduce(
+            np.add(spans[side], current[side][:, None], out=scratch[side]),
+            axis=0, out=image)
+        _, delta = residuate(spans[other], image, scratch=scratch[other],
+                             r=reached[other], image=projection)
+        history = histories[other]
+        current[other] = np.add(reached[other], 0.5 * delta,
+                                out=history.free_column())
+        columns[other] = history.count
         deltas.append(delta)
         if best is None or delta < best[0]:
-            best = (delta, current[0], current[1])
+            best = (delta, columns[0], columns[1])
         if abs(delta) <= DELTA_UNIT_TOL:
             termination = Termination.EXACT_SOLUTION
             break
-        history = seen[other][:, :count[other]]
-        gaps = np.maximum.reduce(np.abs(history - current[other][:, None]),
-                                 axis=0)
-        if (gaps <= match_tol).any():
+        if history.repeats(current[other]):
             termination = Termination.CYCLE_DETECTED
             break
-        if count[other] == seen[other].shape[1]:
-            seen[other] = np.concatenate(
-                [seen[other], np.empty_like(seen[other])], axis=1)
-        seen[other][:, count[other]] = current[other]
-        count[other] += 1
+        history.store()
         if len(deltas) >= max_iter:
             termination = Termination.ITERATION_CAP
             break
         side = other
-    return deltas, best[1], best[2], termination
+    return (deltas, histories[0].columns[:, best[1]].copy(),
+            histories[1].columns[:, best[2]].copy(), termination)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,17 @@ cannot share a bug. The per-scalar references below are built on the
 package's public tuple products (linalg and the semifield methods),
 which compute one scalar at a time in the semifield itself; the
 package's max-plus float-array core is compared against them.
+
+alternate_reference is the plain form of solvers.alternate: fresh
+arrays every half step and a repeat test that scans every stored
+iterate; alternate must match it bit for bit. milp_rational computes the
+exact Chebyshev optimum of a small rational fit as a mixed-integer
+program (it needs scipy).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -27,6 +34,7 @@ from tropfit import (
     scale,
     vec_mat_mul,
 )
+from tropfit.solvers import DELTA_UNIT_TOL, ITERATE_MATCH_TOL, scaled_tolerance
 
 #: Unit and iterate match tolerances of the per-scalar two-sided
 #: reference. The package's match tolerance grows for data above about
@@ -211,3 +219,185 @@ def rational_system(samples, num_degrees, den_degrees):
     y = TropicalMatrix.diagonal(samples.outputs.elements, samples.semifield)
     return (build_poly_matrix(samples, num_degrees),
             mat_mul(y, build_poly_matrix(samples, den_degrees)))
+
+
+# --- the plain array loop of alternate --------------------------------------
+
+def _residuate_reference(at: np.ndarray, b: np.ndarray):
+    r = np.minimum.reduce(b[..., None, :] - at, axis=-1)
+    image = np.maximum.reduce(at + r[..., None], axis=-2)
+    delta = np.maximum.reduce(b - image, axis=-1)
+    return r, (float(delta) if at.ndim == 2 else delta)
+
+
+def alternate_reference(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
+                        max_iter: int):
+    """solvers.alternate with fresh arrays per half step and a full
+    repeat test over every stored iterate: (deltas, x, y, termination)."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    match_tol = scaled_tolerance(ITERATE_MATCH_TOL, at, bt)
+    spans = (at, bt)
+    current = [x0, None]
+    seen = [np.empty((len(at), 32)), np.empty((len(bt), 32))]
+    seen[0][:, 0] = x0
+    count = [1, 0]
+    deltas: list[float] = []
+    best = None
+    side = 0
+    while True:
+        other = 1 - side
+        image = np.maximum.reduce(spans[side] + current[side][:, None],
+                                  axis=0)
+        reached, delta = _residuate_reference(spans[other], image)
+        current[other] = reached + 0.5 * delta
+        deltas.append(delta)
+        if best is None or delta < best[0]:
+            best = (delta, current[0], current[1])
+        if abs(delta) <= DELTA_UNIT_TOL:
+            termination = Termination.EXACT_SOLUTION
+            break
+        history = seen[other][:, :count[other]]
+        gaps = np.maximum.reduce(np.abs(history - current[other][:, None]),
+                                 axis=0)
+        if (gaps <= match_tol).any():
+            termination = Termination.CYCLE_DETECTED
+            break
+        if count[other] == seen[other].shape[1]:
+            seen[other] = np.concatenate(
+                [seen[other], np.empty_like(seen[other])], axis=1)
+        seen[other][:, count[other]] = current[other]
+        count[other] += 1
+        if len(deltas) >= max_iter:
+            termination = Termination.ITERATION_CAP
+            break
+        side = other
+    return deltas, best[1], best[2], termination
+
+
+# --- exact rational optimum as a mixed-integer program ----------------------
+
+def _values(coefficients: np.ndarray, degrees: np.ndarray,
+            x: np.ndarray) -> np.ndarray:
+    """max_j (c_j + p_j x_i) for every sample i."""
+    return np.max(coefficients[None, :] + np.outer(x, degrees), axis=1)
+
+
+def _greatest(values: np.ndarray, degrees: np.ndarray,
+              x: np.ndarray) -> np.ndarray:
+    """Greatest coefficients c with max_j (c_j + p_j x_i) <= values_i."""
+    return np.min(values[:, None] - np.outer(x, degrees), axis=0)
+
+
+def milp_rational(x, y, num_degrees, den_degrees, time_limit: float = 60.0):
+    """Exact best Chebyshev error of a max-plus rational fit, by MILP.
+
+    Minimises t subject to |u_i - w_i - y_i| <= t, where
+    u_i = max_j (theta_j + p_j x_i) and w_i = max_k (sigma_k + q_k x_i).
+    Each max is exact through one binary per sample and term that picks
+    the active term (big-M), and theta_0 = 0 fixes the common shift.
+    Solved with scipy.optimize.milp (HiGHS) at a zero relative gap,
+    without presolve, which is about three times faster on these sizes.
+
+    Bounds, from the data range: with U_p = max |p_j x_i|,
+    U_q = max |q_k x_i|, Y = max |y_i| and T the error of all-zero
+    coefficients (an upper bound of the optimum t), take an optimal pair
+    and make it greatest on each side in turn: sigma from u, theta from
+    w, shifted to theta_0 = 0, then sigma again. That pair is still
+    optimal, and u_i >= p_0 x_i >= -U_p and w_i + y_i + t >= u_i give
+    |theta_j| <= 2 U_p and
+    -U_p - U_q - Y <= sigma_k <= 3 U_p + U_q + Y + T.
+    Boxing the coefficients there, widened by 1, keeps an optimum, and
+    M_ij is the largest gap u_i - (theta_j + p_j x_i) the box allows.
+
+    Returns (error, theta, sigma): the pair is that greatest form of
+    the solver's pair, error its Chebyshev error recomputed with numpy.
+    Raises AssertionError when the solve fails, when a coefficient of
+    the returned pair touches the box (a bound is active), or when the
+    recomputed error is off the solver's objective by more than 1e-6.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    p = np.asarray([float(d) for d in num_degrees])
+    q = np.asarray([float(d) for d in den_degrees])
+    m, n, d = len(x), len(p), len(q)
+    y_max = float(np.max(np.abs(y)))
+    u_p = float(np.max(np.abs(np.outer(x, p))))
+    u_q = float(np.max(np.abs(np.outer(x, q))))
+    zero_error = float(np.max(np.abs(_values(np.zeros(n), p, x)
+                                     - _values(np.zeros(d), q, x) - y)))
+    low = np.concatenate([np.full(n, -2 * u_p),
+                          np.full(d, -u_p - u_q - y_max)]) - 1
+    high = np.concatenate([np.full(n, 2 * u_p),
+                           np.full(d, 3 * u_p + u_q + y_max + zero_error)]) + 1
+    low[0] = high[0] = 0.0
+    # Variables: theta (n), sigma (d), t, u (m), w (m), z (m, n), v (m, d).
+    theta, sigma, t = 0, n, n + d
+    u, w = t + 1, t + 1 + m
+    z, v = w + m, w + m + m * n
+    size = v + m * d
+    rows, lower, upper = [], [], []
+
+    def constrain(entries, lo, hi):
+        row = np.zeros(size)
+        for index, value in entries:
+            row[index] += value
+        rows.append(row)
+        lower.append(lo)
+        upper.append(hi)
+
+    for coeff, degrees, value, pick, count in ((theta, p, u, z, n),
+                                               (sigma, q, w, v, d)):
+        box = slice(coeff, coeff + count)
+        for i in range(m):
+            terms = degrees * x[i]
+            top = float(np.max(high[box] + terms))
+            for j in range(count):
+                # value_i >= coeff_j + p_j x_i, with equality where picked.
+                big_m = top - float(low[coeff + j] + terms[j])
+                constrain([(value + i, 1), (coeff + j, -1)],
+                          terms[j], terms[j] + big_m)
+                constrain([(value + i, 1), (coeff + j, -1),
+                           (pick + i * count + j, big_m)],
+                          -np.inf, terms[j] + big_m)
+            constrain([(pick + i * count + j, 1) for j in range(count)], 1, 1)
+    for i in range(m):
+        constrain([(u + i, 1), (w + i, -1), (t, -1)], -np.inf, y[i])
+        constrain([(u + i, 1), (w + i, -1), (t, 1)], y[i], np.inf)
+
+    lb = np.full(size, -np.inf)
+    ub = np.full(size, np.inf)
+    lb[:t], ub[:t] = low, high
+    lb[t] = 0.0
+    lb[z:], ub[z:] = 0.0, 1.0
+    integrality = np.zeros(size)
+    integrality[z:] = 1
+    cost = np.zeros(size)
+    cost[t] = 1.0
+    result = milp(cost, constraints=LinearConstraint(np.array(rows), lower,
+                                                     upper),
+                  integrality=integrality, bounds=Bounds(lb, ub),
+                  options={"mip_rel_gap": 0.0, "presolve": False,
+                           "time_limit": time_limit})
+    assert result.success, f"MILP failed: {result.message}"
+
+    def error_of(num, den):
+        return float(np.max(np.abs(_values(num, p, x) - _values(den, q, x)
+                                   - y)))
+
+    num, den = result.x[theta:sigma], result.x[sigma:t]
+    error = error_of(num, den)
+    den = _greatest(_values(num, p, x) - y + error, q, x)
+    num = _greatest(_values(den, q, x) + y + error, p, x)
+    den = den - num[0]
+    num = num - num[0]
+    den = _greatest(_values(num, p, x) - y + error, q, x)
+    error = error_of(num, den)
+    pair = np.concatenate([num, den])[1:]
+    margin = 1e-6 * (high - low)[1:]
+    assert ((pair > low[1:] + margin) & (pair < high[1:] - margin)).all(), \
+        "a coefficient bound is active"
+    assert math.isclose(error, result.fun, rel_tol=0, abs_tol=1e-6), \
+        f"recomputed error {error!r} is off the MILP objective {result.fun!r}"
+    return error, num, den

@@ -1,0 +1,194 @@
+"""solvers.alternate against its plain form, and its repeat test.
+
+alternate reuses its buffers and prefilters its repeat test by the
+first coordinate; neither may move a result. Every case compares the
+delta list, the returned pair and the termination exactly with
+oracles.alternate_reference.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from tropfit import (
+    MAX_PLUS,
+    MAX_TIMES,
+    DegreeVector,
+    SampleSet,
+    Termination,
+    TropicalVector,
+    two_sided_solve,
+)
+from tropfit.approx import _design
+from tropfit.datasets import nonconvex_curve, nonconvex_samples
+from tropfit.solvers import (
+    ITERATE_MATCH_TOL,
+    _History,
+    alternate,
+    scaled_tolerance,
+    to_max_plus,
+)
+from oracles import alternate_reference, rational_system
+
+NUM_6 = DegreeVector([-3, -2, 0, 1, 2, 4])
+DEN_4 = DegreeVector([-5, -3, -2, 0])
+NUM_4 = DegreeVector([-3, -2, 1, 2])
+DEN_2 = DegreeVector([-5, -2])
+
+
+def noisy_g(seed, index, size):
+    """Noisy samples of g at sorted uniform x in [0.05, 2], sd 0.02."""
+    rng = np.random.default_rng([seed, index])
+    x = np.sort(rng.uniform(0.05, 2.0, size))
+    y = np.array([nonconvex_curve(v) for v in x.tolist()])
+    return x, y + rng.normal(0.0, 0.02, size)
+
+
+def rational_arrays(samples, num, den):
+    """The transposed designs of fit_rational: X and Y Z, in max-plus."""
+    x, y = samples.xs, samples.ys
+    return _design(x, num), y + _design(x, den)
+
+
+def assert_same_run(at, bt, x0, max_iter):
+    got = alternate(at, bt, x0, max_iter)
+    want = alternate_reference(at, bt, x0, max_iter)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+    assert got[3] is want[3]
+    return got
+
+
+# Built as the rational-fit benchmark builds its instances: 200 noisy
+# samples of g and the 6/4 class. A run that stops at the cap is cut
+# short; the same run uncapped ends in a cycle.
+RATIONAL_FIT_CASES = [rational_arrays(SampleSet.from_reals(
+    zip(*(v.tolist() for v in noisy_g(1, k, 200))), MAX_PLUS), NUM_6, DEN_4)
+    for k in range(32)]
+
+
+@pytest.mark.parametrize("max_iter, stops", [
+    (150, {Termination.ITERATION_CAP, Termination.CYCLE_DETECTED}),
+    (1000, {Termination.ITERATION_CAP, Termination.CYCLE_DETECTED}),
+    (100000, {Termination.CYCLE_DETECTED}),
+])
+def test_rational_fit_instances_match_the_reference(max_iter, stops):
+    terminations = {assert_same_run(at, bt, np.zeros(6), max_iter)[3]
+                    for at, bt in RATIONAL_FIT_CASES}
+    assert terminations == stops
+
+
+def test_max_times_instances_match_the_reference():
+    # Shaped like the max-times command-line fits: exp of noisy g, 4/2.
+    for k in range(8):
+        x, y = noisy_g(2, k, 200)
+        samples = SampleSet.from_reals(zip(np.exp(x).tolist(),
+                                           np.exp(y).tolist()), MAX_TIMES)
+        at, bt = rational_arrays(samples, NUM_4, DEN_2)
+        assert_same_run(at, bt, np.zeros(4), 1000)
+
+
+def test_shifted_data_with_a_scaled_match_tolerance_matches_the_reference():
+    # At 2e7 the match tolerance is 16 ulps of the data, not 1e-9.
+    g = nonconvex_samples()
+    shifted = SampleSet.from_reals(zip(g.x.tolist(), (g.y + 2e7).tolist()),
+                                   MAX_PLUS)
+    at, bt = rational_arrays(shifted, NUM_4, DEN_2)
+    assert scaled_tolerance(ITERATE_MATCH_TOL, at, bt) > 10 * ITERATE_MATCH_TOL
+    assert_same_run(at, bt, np.zeros(4), 1000)
+
+
+def test_two_sided_solve_from_a_large_start_matches_the_reference():
+    a, b = rational_system(nonconvex_samples(), NUM_4, DEN_2)
+    x0 = TropicalVector([1e20, -3e19, 7e19, -1e20], MAX_PLUS)
+    solution = two_sided_solve(a, b, x0=x0)
+    deltas, x_star, y_star, termination = alternate_reference(
+        np.ascontiguousarray(np.array(a.entries).T),
+        np.ascontiguousarray(np.array(b.entries).T),
+        to_max_plus(x0.elements, MAX_PLUS), 1000)
+    assert list(solution.deltas) == deltas
+    assert solution.x_star.elements == tuple(x_star.tolist())
+    assert solution.y_star.elements == tuple(y_star.tolist())
+    assert solution.termination is termination
+
+
+# --- the history's prefiltered repeat test ----------------------------------
+
+def brute_repeats(history, v):
+    stored = history.columns[:, :history.count]
+    with np.errstate(invalid="ignore"):
+        gaps = np.maximum.reduce(np.abs(stored - v[:, None]), axis=0)
+    return bool((gaps <= history.tol).any())
+
+
+def store(history, v):
+    history.free_column()[:] = v
+    history.store()
+
+
+def probes(v, tol, rng):
+    """Vectors at and just past tol from v, in the first or another place."""
+    up = math.nextafter(tol, math.inf)
+    out = [v.copy()]
+    for shift in (tol, -tol, up, -up, 2 * tol, 0.5 * tol):
+        for place in (0, 1 + int(rng.integers(len(v) - 1))):
+            w = v.copy()
+            w[place] += shift
+            out.append(w)
+    w = v.copy()
+    w[1:] += 2 * tol  # equal first coordinate, the rest off by 2 tol
+    out.append(w)
+    for bad in (math.nan, math.inf, -math.inf):
+        for place in (0, len(v) - 1):
+            w = v.copy()
+            w[place] = bad
+            out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-9, 6e-8])
+def test_history_repeat_test_equals_the_full_scan(tol):
+    rng = np.random.default_rng(5)
+    history = _History(4, tol)
+    checked = matched = 0
+    for scale in (1e-3, 1.0, 1e6, 1e20):
+        for _ in range(12):
+            v = rng.uniform(-1, 1, 4) * scale
+            if history.count:
+                # Reuse the first coordinate of a stored iterate half the
+                # time, so the prefilter window is not empty.
+                if rng.integers(2):
+                    v[0] = history.columns[0, rng.integers(history.count)]
+            for probe in probes(v, tol, rng):
+                verdict = history.repeats(probe)
+                assert verdict == brute_repeats(history, probe)
+                checked += 1
+                matched += verdict
+            store(history, v)
+            for probe in probes(v, tol, rng):
+                verdict = history.repeats(probe)
+                assert verdict == brute_repeats(history, probe)
+                checked += 1
+                matched += verdict
+    # Non-finite iterates are stored too and never match.
+    for bad in (math.nan, math.inf, -math.inf):
+        v = np.array([bad, 1.0, 2.0, 3.0])
+        store(history, v)
+        assert not history.repeats(v)
+        w = np.array([1.0, 2.0, bad, 3.0])
+        store(history, w)
+        assert not history.repeats(w)
+    assert history.count == 54 and history.columns.shape[1] == 64
+    assert 0 < matched < checked
+
+
+def test_history_keeps_columns_when_it_grows():
+    history = _History(2, 1e-9)
+    for k in range(70):
+        store(history, np.array([float(k), -float(k)]))
+    assert history.count == 70 and history.columns.shape[1] == 128
+    assert np.array_equal(history.columns[0, :70], np.arange(70.0))
+    assert history.repeats(np.array([33.0, -33.0]))
+    assert not history.repeats(np.array([33.0, -34.0]))

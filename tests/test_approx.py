@@ -498,3 +498,18 @@ def test_reported_error_is_the_largest_residual(pairs, num, den):
                    fit_rational(samples, num, den, max_iter=100)):
         worst = float(np.max(np.abs(evaluate(report.model, x) - y)))
         assert worst == pytest.approx(report.error, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda s: fit_polynomial(s, DegreeVector([2, 3])),
+    lambda s: fit_rational(s, DegreeVector([2, 3]), DegreeVector([0])),
+], ids=["polynomial", "rational"])
+def test_max_times_delta_star_out_of_range_raises(fit):
+    # The coefficients are in range, exp(delta) is not; no overflow
+    # warning escapes (tier-1 turns it into an error).
+    samples = SampleSet.from_reals([(1e-300, 1.0), (1e-200, 2.0), (0.5, 3.0)],
+                                   MAX_TIMES)
+    with pytest.raises(ValueError) as raised:
+        fit(samples)
+    assert str(raised.value) == ("delta_star leaves the float range: "
+                                 "exp(1379.1) overflows to inf")

@@ -584,6 +584,37 @@ def test_coefficient_overflow_prints_only_the_error_line(tmp_path):
                            "exp(-1725.8) underflows to 0\n")
 
 
+@pytest.mark.parametrize("rows, argv, reading", [
+    # The error exp(delta / 2) is finite, delta_star exp(delta) is not.
+    ("1e-300,1\n1e-200,2\n0.5,3\n", ["--degrees", "2,3"], "1379.1"),
+    ("1e-300,1e300\n1e-200,2\n0.5,3\n",
+     ["--kind", "polynomial", "--terms", "3", "--range", "-4:4",
+      "--samples", "1", "--seed", "7"], "1379.8"),
+])
+def test_delta_star_overflow_prints_only_the_error_line(tmp_path, rows, argv,
+                                                        reading):
+    path = tmp_path / "rows.csv"
+    path.write_text(rows, encoding="utf-8")
+    model = tmp_path / "model.json"
+    done = run_fresh(["fit", "--semifield", "max-times", *argv,
+                      "--input", str(path), "--output", str(model)], tmp_path)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == ("error: delta_star leaves the float range: "
+                           f"exp({reading}) overflows to inf\n")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_model_documents_reject_non_finite_numbers(value):
+    doc = ModelDocument(semifield="max-plus", kind="polynomial",
+                        numerator=PolynomialDoc((Fraction(1),), (1.0,)),
+                        denominator=None, delta_star=value, error=1.0,
+                        provenance={})
+    with pytest.raises(ValueError, match="cannot be written as a JSON number"):
+        serialize_model(doc)
+
+
 def test_eval_overflow_prints_only_the_error_line(tmp_path):
     # x**40 times the fitted coefficient leaves the float range at 6e8.
     path = tmp_path / "rows.csv"
