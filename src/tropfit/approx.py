@@ -8,7 +8,7 @@ matrix couples the denominator design with the sample ordinates.
 
 Fits and evaluation run on float arrays in max-plus; max-times samples
 and models pass through the logarithm on the way in and the
-exponential on the way out.
+exponential on the way out, where solvers applies its range rule.
 """
 
 from __future__ import annotations
@@ -34,9 +34,11 @@ from .solvers import (  # noqa: F401
     Termination,
     alternate,
     balance,
+    delta_and_error,
     from_max_plus,
     one_sided,
     one_sided_solve,
+    out_of_range,
     scaled_tolerance,
     to_max_plus,
     tropical_vector,
@@ -343,25 +345,8 @@ def fit_polynomial(samples: SampleSet, degrees: DegreeVector) -> FitReport:
     model = PolynomialModel(degrees, tropical_vector(theta, sf))
     termination = (Termination.EXACT_SOLUTION if exact
                    else Termination.ONE_SHOT)
-    delta_star, error = _delta_and_error(delta, sf)
-    return FitReport(delta_star=delta_star, error=error,
-                     model=model, iterations=1, termination=termination)
-
-
-def _delta_and_error(delta: float, sf: Semifield) -> tuple[float, float]:
-    """delta_star and error of a fit from its max-plus delta.
-
-    A finite delta whose exponential (max-times) leaves the float range
-    raises ValueError, so numpy's overflow warning is muted.
-    """
-    with np.errstate(over="ignore"):
-        delta_star = float(from_max_plus(delta, sf))
-        error = float(from_max_plus(0.5 * delta, sf))
-    if math.isfinite(delta) and not (math.isfinite(delta_star)
-                                     and math.isfinite(error)):
-        raise ValueError("delta_star leaves the float range: "
-                         f"exp({delta:.1f}) overflows to inf")
-    return delta_star, error
+    return FitReport(*delta_and_error(delta, sf), model=model, iterations=1,
+                     termination=termination)
 
 
 #: Degree rows whose slack score_polynomials gathers at once. A block of
@@ -382,9 +367,9 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> np.ndarray:
     max_i min_{p in row} s_pi: the same float as the residuation of the
     row's design, since y - v rounds monotonically in v. Rows are
     gathered SCORE_BLOCK at a time. Where fit_polynomial would raise for
-    some row (its design overflows, a coefficient leaves the semifield
-    or delta_star the float range), the error of the first such row is
-    raised.
+    some row (its design overflows, or a coefficient or delta_star is
+    out of range by solvers.out_of_range), the error of the first such
+    row is raised.
     """
     sf = samples.semifield
     x, y = samples.xs, samples.ys
@@ -404,14 +389,9 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> np.ndarray:
                               out=delta[start:start + SCORE_BLOCK])
         theta, _ = balance(r[index], delta)
         scores = from_max_plus(delta, sf)
-        # The coefficients mapped out and back in: a value outside the
-        # semifield comes back non-finite. A non-finite delta makes theta
-        # non-finite, so the score test adds only the rows whose
-        # delta_star leaves the float range (_delta_and_error).
         fits = (np.isfinite(terms).all(axis=1)[index].all(axis=1)
-                & np.isfinite(to_max_plus(from_max_plus(theta, sf),
-                                          sf)).all(axis=1)
-                & np.isfinite(scores))
+                & ~out_of_range(theta, sf).any(axis=1)
+                & ~out_of_range(delta, sf))
     if not fits.all():
         # Fitting the first failing row on its own raises its error.
         fit_polynomial(samples, DegreeVector(rows[np.argmin(fits)].tolist()))
@@ -452,10 +432,8 @@ def fit_rational(samples: SampleSet,
     model = RationalModel(
         PolynomialModel(num_degrees, tropical_vector(theta, sf)),
         PolynomialModel(den_degrees, tropical_vector(sigma, sf)))
-    delta_star, error = _delta_and_error(delta, sf)
-    return FitReport(delta_star=delta_star, error=error,
-                     model=model, iterations=len(deltas),
-                     termination=termination)
+    return FitReport(*delta_and_error(delta, sf), model=model,
+                     iterations=len(deltas), termination=termination)
 
 
 def _check_rational_error(numerator: np.ndarray, denominator: np.ndarray,
@@ -485,8 +463,8 @@ def evaluate(model: Union[PolynomialModel, RationalModel],
 
     Points and values are conventional reals of the model's semifield.
     A point at the semifield zero raises ZeroArgument, any other value
-    outside the semifield ValueError, and so does a model value that
-    leaves the float range.
+    outside the semifield ValueError, and so does a model value out of
+    the float range (solvers.out_of_range), overflow or underflow.
     """
     sf = model.semifield
     x = to_max_plus(points, sf)
@@ -501,10 +479,7 @@ def evaluate(model: Union[PolynomialModel, RationalModel],
                       - _poly_values(model.denominator, x))
         else:
             values = _poly_values(model, x)
-        values = from_max_plus(values, sf)
-    if not np.isfinite(values).all():
-        raise ValueError("a model value overflows the float range")
-    return values
+    return from_max_plus(values, sf, "a model value")
 
 
 def eval_polynomial(model: PolynomialModel, x: Scalar) -> float:

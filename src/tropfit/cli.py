@@ -192,13 +192,44 @@ def serialize_model(doc: ModelDocument) -> str:
     return _to_json(payload) + "\n"
 
 
+def _is_json_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, label: str) -> float:
+    """A JSON number as a finite float; anything else is malformed.
+
+    A bool is not a number, and NaN, Infinity and numbers beyond the
+    float range have no finite float, so no model file may hold them.
+    """
+    if not _is_json_number(value):
+        raise MalformedModel(f"{label} must be a number, not {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise MalformedModel(f"{label} is not a finite float")
+    return number
+
+
+def _array(data: dict, key: str) -> list:
+    if not isinstance(data.get(key), list):
+        raise MalformedModel(f"{key} must be an array")
+    return data[key]
+
+
 def _parse_poly_doc(data) -> PolynomialDoc:
     if not isinstance(data, dict):
         raise MalformedModel("polynomial part must be an object")
+    degrees = _array(data, "degrees")
+    if not all(isinstance(d, str) or _is_json_number(d) for d in degrees):
+        raise MalformedModel("degrees must be strings or numbers")
+    coefficients = tuple(_number(c, "a coefficient")
+                         for c in _array(data, "coefficients"))
     try:
-        degrees = tuple(Fraction(str(d)) for d in data["degrees"])
-        coefficients = tuple(float(c) for c in data["coefficients"])
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+        degrees = tuple(Fraction(str(d)) for d in degrees)
+    except (ValueError, ZeroDivisionError) as exc:
         raise MalformedModel(f"bad polynomial part: {exc}") from None
     if len(degrees) != len(coefficients):
         raise MalformedModel("degrees and coefficients differ in length")
@@ -218,8 +249,8 @@ def parse_model(text: str) -> ModelDocument:
         kind = str(data["kind"])
         numerator = _parse_poly_doc(data["numerator"])
         denominator_data = data.get("denominator")
-        delta_star = float(data["delta_star"])
-        error = float(data["error"])
+        delta_star = _number(data["delta_star"], "delta_star")
+        error = _number(data["error"], "error")
         provenance = data.get("provenance", {})
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedModel(f"bad model document: {exc}") from None
@@ -344,7 +375,10 @@ def parse_grid(spec: str) -> list[float]:
         raise ValueError("--grid step must be positive")
     if stop < start:
         raise ValueError("--grid stop is below start")
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
+    steps = (stop - start) / step + 0.5
+    if not math.isfinite(steps):
+        raise ValueError("--grid has too many points")
+    count = int(math.floor(steps)) + 1
     return [start + k * step for k in range(count)]
 
 

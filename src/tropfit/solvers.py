@@ -10,7 +10,11 @@ a non-increasing sequence whose minimum is reported.
 All arithmetic runs in max-plus on float arrays. This module owns that
 number format: max-times values are mapped in through the logarithm
 and out through the exponential (to_max_plus / from_max_plus), which
-turns max-times products into max-plus sums.
+turns max-times products into max-plus sums. It also owns the one
+range rule (out_of_range): a reading has a float value when it is
+finite and, in max-times, its exponential is neither 0 nor inf. Every
+value leaving the core goes through the checked map-out, from_max_plus
+with a name, which raises ValueError for the first reading out of range.
 
 The array core (residuate, one_sided, alternate) takes every matrix
 transposed, as (..., n_terms, n_samples) C-contiguous arrays. Designs
@@ -18,16 +22,8 @@ have many samples and few terms, so with terms on the leading axis a
 reduction over terms is an elementwise max of a few contiguous sample
 rows, and a reduction over samples runs along one contiguous row,
 instead of either one reducing many short inner rows of 4 to 6 terms.
-
-A run of alternate allocates its buffers once and reuses them in every
-half step (residuate takes them as keyword outputs), and each new
-iterate is written straight into its slot of the side's history. The
-repeat test against earlier iterates only looks at those whose first
-coordinate lies within twice the match tolerance of the new one's;
-since a match needs the first coordinates within the tolerance, and
-rounding is monotone, that gives the verdict of a scan over all of
-them. So the buffers change no floating-point operation and the
-prefilter no verdict.
+alternate reuses its buffers in every half step and prefilters its
+repeat test, without changing a floating-point operation or a verdict.
 
 The tuple API (one_sided_solve, two_sided_solve) keeps the usual
 samples x terms orientation and transposes once at its boundary.
@@ -110,7 +106,8 @@ class TwoSidedSolution:
     delta_star is the smallest squared distance seen across all
     iterations, with x_star / y_star the pair that achieved it. The
     full delta sequence is kept for diagnostics; it is non-increasing
-    up to floating point noise.
+    up to floating point noise, and unchecked, so a delta above the
+    float range reads inf there.
     """
 
     delta_star: float
@@ -138,31 +135,60 @@ def to_max_plus(values, semifield: Semifield) -> np.ndarray:
     return array
 
 
-def from_max_plus(values, semifield: Semifield) -> np.ndarray:
-    """Inverse of to_max_plus: identity for max-plus, exp for max-times."""
+def out_of_range(readings, semifield: Semifield) -> np.ndarray:
+    """Where max-plus readings have no float value in the semifield.
+
+    A reading is out of range when it is not finite and, in max-times,
+    also when its exponential underflows to 0 or overflows to inf. In
+    max-plus 0.0 is the unit, a value like any other.
+    """
+    readings = np.asarray(readings, dtype=float)
+    if not isinstance(semifield, MaxTimes):
+        return ~np.isfinite(readings)
+    with np.errstate(over="ignore"):
+        values = np.exp(readings)
+    return ~((values > 0) & (values < math.inf))
+
+
+def from_max_plus(values, semifield: Semifield,
+                  what: Optional[str] = None) -> np.ndarray:
+    """Inverse of to_max_plus: identity for max-plus, exp for max-times.
+
+    Given what, the map-out is checked, without a numpy warning: the
+    first reading out of range raises ValueError("<what> leaves the
+    float range: exp(<reading>) underflows to 0" or "overflows to inf";
+    "<reading> is not finite" in max-plus), what formatted with the
+    reading's flat index.
+    """
     array = np.asarray(values, dtype=float)
-    return np.exp(array) if isinstance(semifield, MaxTimes) else array
+    max_times = isinstance(semifield, MaxTimes)
+    if what is not None and out_of_range(array, semifield).any():
+        i = int(np.argmax(out_of_range(array, semifield)))
+        reading = float(array.flat[i])
+        cause = (f"{reading:.1f} is not finite" if not max_times
+                 else f"exp({reading:.1f}) " + (
+                     "underflows to 0" if reading < 0 else
+                     "overflows to inf" if reading > 0 else "is nan"))
+        raise ValueError(f"{what.format(i)} leaves the float range: {cause}")
+    return np.exp(array) if max_times else array
+
+
+def delta_and_error(delta: float, semifield: Semifield) -> tuple[
+        float, float]:
+    """Checked semifield values of a max-plus delta and of delta / 2.
+
+    The second is in range whenever the first is.
+    """
+    return tuple(from_max_plus((delta, 0.5 * delta), semifield,
+                               "delta_star").tolist())
 
 
 def tropical_vector(values: np.ndarray,
                     semifield: Semifield) -> TropicalVector:
-    """Vector of the semifield values whose max-plus readings are given.
-
-    A finite reading whose exponential leaves the float range, as 0 or
-    inf, raises ValueError naming the coefficient's index and the cause,
-    so numpy's overflow warning is muted.
-    """
-    values = np.asarray(values, dtype=float)
-    with np.errstate(over="ignore"):
-        mapped = from_max_plus(values, semifield)
-    if isinstance(semifield, MaxTimes):
-        lost = np.isfinite(values) & ((mapped == 0) | np.isinf(mapped))
-        if lost.any():
-            i = int(np.argmax(lost))
-            cause = "underflows to 0" if mapped[i] == 0 else "overflows to inf"
-            raise ValueError(f"coefficient {i} leaves the float range: "
-                             f"exp({values[i]:.1f}) {cause}")
-    return TropicalVector(mapped.tolist(), semifield)
+    """Vector of the semifield values of max-plus coefficient readings."""
+    return TropicalVector(
+        from_max_plus(values, semifield, "coefficient {}").tolist(),
+        semifield)
 
 
 def scaled_tolerance(base: float, *arrays: np.ndarray) -> float:
@@ -407,9 +433,8 @@ def one_sided_solve(a: TropicalMatrix, b: TropicalVector) -> OneSidedSolution:
 
     x_star, delta, exact = one_sided(_transposed(a),
                                      to_max_plus(b.elements, sf))
-    return OneSidedSolution(delta=float(from_max_plus(delta, sf)),
-                            error=float(from_max_plus(0.5 * delta, sf)),
-                            x_star=tropical_vector(x_star, sf), exact=exact)
+    x_star = tropical_vector(x_star, sf)
+    return OneSidedSolution(*delta_and_error(delta, sf), x_star, exact)
 
 
 def two_sided_solve(a: TropicalMatrix,
@@ -454,11 +479,9 @@ def two_sided_solve(a: TropicalMatrix,
 
     deltas, x_star, y_star, termination = alternate(
         _transposed(a), _transposed(b), start, max_iter)
-    return TwoSidedSolution(
-        delta_star=float(from_max_plus(min(deltas), sf)),
-        x_star=tropical_vector(x_star, sf),
-        y_star=tropical_vector(y_star, sf),
-        iterations=len(deltas),
-        termination=termination,
-        deltas=tuple(from_max_plus(deltas, sf).tolist()),
-    )
+    x_star, y_star = tropical_vector(x_star, sf), tropical_vector(y_star, sf)
+    delta_star, _ = delta_and_error(min(deltas), sf)
+    with np.errstate(over="ignore"):
+        trace = tuple(from_max_plus(deltas, sf).tolist())
+    return TwoSidedSolution(delta_star, x_star, y_star, len(deltas),
+                            termination, trace)

@@ -25,7 +25,7 @@ from tropfit import (
     fit_polynomial,
     fit_rational,
 )
-from tropfit.approx import evaluate
+from tropfit.approx import evaluate, score_polynomials
 from tropfit.datasets import convex_samples, nonconvex_samples
 from oracles import eval_reference, rational_system, two_sided_reference
 
@@ -513,3 +513,34 @@ def test_max_times_delta_star_out_of_range_raises(fit):
         fit(samples)
     assert str(raised.value) == ("delta_star leaves the float range: "
                                  "exp(1379.1) overflows to inf")
+
+
+@pytest.mark.parametrize("point, message", [
+    (1e-9, "a model value leaves the float range: exp(-828.9) underflows to 0"),
+    (1e9, "a model value leaves the float range: exp(828.9) overflows to inf"),
+])
+def test_evaluate_rejects_max_times_values_out_of_range(point, message):
+    # 0 is the semifield zero, not a value; inf is no float value at all.
+    model = PolynomialModel(DegreeVector([40]),
+                            TropicalVector((1.0,), MAX_TIMES))
+    assert evaluate(model, [1.0]).tolist() == [1.0]
+    with pytest.raises(ValueError) as raised:
+        evaluate(model, [1.0, point])
+    assert str(raised.value) == message
+
+
+def test_max_plus_zero_coefficient_scores_and_fits():
+    # y = x exactly: the fitted coefficient is 0.0, the max-plus unit,
+    # which is a value like any other (in max-times it would read 1).
+    samples = SampleSet.from_reals([(1.0, 1.0), (2.0, 2.0), (4.0, 4.0)],
+                                   MAX_PLUS)
+    report = fit_polynomial(samples, DegreeVector([1]))
+    assert report.model.coefficients.elements == (0.0,)
+    assert (report.delta_star, report.error) == (0.0, 0.0)
+    assert report.termination is Termination.EXACT_SOLUTION
+    scores = score_polynomials(samples, np.array([[1], [0]]))
+    assert scores.tolist() == [0.0, 3.0]
+    rational = fit_rational(samples, DegreeVector([1]), DegreeVector([0]))
+    assert rational.model.numerator.coefficients.elements == (0.0,)
+    assert rational.model.denominator.coefficients.elements == (0.0,)
+    assert rational.delta_star == 0.0

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -166,6 +167,22 @@ def test_eval_non_finite_grid_exits_2(spec, tmp_path, capsys):
         "error: --grid start, stop and step must be finite\n")
 
 
+@pytest.mark.parametrize("spec", ["0:1e308:1e-308", "-1e308:1e308:1"])
+def test_eval_grid_with_too_many_points_exits_2(spec, tmp_path, capsys):
+    # The point count is inf: (stop - start) / step overflows, or
+    # stop - start already does.
+    model = ModelDocument(
+        semifield="max-plus", kind="polynomial",
+        numerator=PolynomialDoc((Fraction(0),), (0.0,)),
+        denominator=None, delta_star=0.0, error=0.0, provenance={})
+    path = tmp_path / "unit.json"
+    path.write_text(serialize_model(model), encoding="utf-8")
+    assert main(["eval", "--model", str(path), "--grid", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --grid has too many points\n"
+
+
 # --- model documents ---------------------------------------------------------
 
 def sample_document():
@@ -192,6 +209,27 @@ def test_model_document_round_trip():
     assert parsed["numerator"]["degrees"] == ["-3", "1/2"]
 
 
+#: A defect in a parseable model document, and its error message.
+MALFORMED_PARTS = [
+    # Strings would be iterated one character at a time.
+    ("degrees must be an array",
+     lambda d: d["numerator"].update(degrees="12", coefficients="34")),
+    ("degrees must be an array",
+     lambda d: d["numerator"].update(degrees={"-3": 1, "1/2": 2})),
+    ("a coefficient must be a number, not True",
+     lambda d: d["numerator"]["coefficients"].__setitem__(0, True)),
+    ("delta_star must be a number, not '0.5'",
+     lambda d: d.update(delta_star="0.5")),
+    ("degrees must be strings or numbers",
+     lambda d: d["denominator"].update(degrees=[False])),
+    ("a coefficient is not a finite float",
+     lambda d: d["numerator"]["coefficients"].__setitem__(0, 10 ** 400)),
+    ("error is not a finite float", lambda d: d.update(error=math.nan)),
+    ("delta_star is not a finite float",
+     lambda d: d.update(delta_star=math.inf)),
+]
+
+
 def test_parse_model_rejects_garbage():
     with pytest.raises(MalformedModel):
         parse_model("not json")
@@ -203,6 +241,25 @@ def test_parse_model_rejects_garbage():
     text = serialize_model(doc).replace('"rational"', '"polynomial"', 1)
     with pytest.raises(MalformedModel):
         parse_model(text)  # polynomial with a denominator
+    for message, edit in MALFORMED_PARTS:
+        data = json.loads(serialize_model(doc))
+        edit(data)
+        with pytest.raises(MalformedModel) as raised:
+            parse_model(json.dumps(data))
+        assert str(raised.value) == message
+
+
+def test_eval_malformed_model_part_prints_only_the_error_line(tmp_path):
+    data = json.loads(serialize_model(sample_document()))
+    data["numerator"]["coefficients"][0] = True
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(data), encoding="utf-8")
+    done = run_fresh(["eval", "--model", str(model), "--grid", "1:2:1"],
+                     tmp_path)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        "error: a coefficient must be a number, not True\n")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -627,4 +684,21 @@ def test_eval_overflow_prints_only_the_error_line(tmp_path):
                       "--grid", "1e8:1e9:5e8"], tmp_path)
     assert done.returncode == 2
     assert done.stdout == ""
-    assert done.stderr == "error: a model value overflows the float range\n"
+    assert done.stderr == ("error: a model value leaves the float range: "
+                           "exp(766.4) overflows to inf\n")
+
+
+def test_eval_underflow_prints_only_the_error_line(tmp_path):
+    # 1e-9 ** 40 underflows to 0, the semifield zero, which is no value.
+    doc = ModelDocument(semifield="max-times", kind="polynomial",
+                        numerator=PolynomialDoc((Fraction(40),), (1.0,)),
+                        denominator=None, delta_star=1.0, error=1.0,
+                        provenance={})
+    model = tmp_path / "model.json"
+    model.write_text(serialize_model(doc), encoding="utf-8")
+    done = run_fresh(["eval", "--model", str(model),
+                      "--grid", "1e-9:1e-9:1"], tmp_path)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == ("error: a model value leaves the float range: "
+                           "exp(-828.9) underflows to 0\n")

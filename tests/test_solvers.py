@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -20,8 +21,20 @@ from tropfit import (
     two_sided_solve,
     vec_mat_mul,
 )
+from tropfit.approx import (
+    DegreeVector,
+    SampleSet,
+    fit_polynomial,
+    fit_rational,
+)
 from tropfit.datasets import nonconvex_curve
-from tropfit.solvers import one_sided, residuate, tropical_vector
+from tropfit.solvers import (
+    from_max_plus,
+    one_sided,
+    out_of_range,
+    residuate,
+    tropical_vector,
+)
 from oracles import (
     grid_min_one_sided,
     grid_min_two_sided,
@@ -354,3 +367,68 @@ def test_max_times_coefficient_out_of_range_names_its_index(readings,
     # In max-plus the same readings are the values themselves.
     assert tropical_vector(np.array(readings), MAX_PLUS).elements == tuple(
         readings)
+
+
+def test_out_of_range_is_the_range_rule_of_each_semifield():
+    inf, nan = math.inf, math.nan
+    readings = np.array([0.0, -745.2, -745.1, 709.7, 709.8, -inf, inf, nan])
+    # In max-plus 0.0 is the unit: only the non-finite readings are out.
+    assert out_of_range(readings, MAX_PLUS).tolist() == [
+        False, False, False, False, False, True, True, True]
+    # In max-times exp underflows to 0 below about -745.13 and overflows
+    # above about 709.78.
+    assert out_of_range(readings, MAX_TIMES).tolist() == [
+        False, True, False, False, True, True, True, True]
+    assert out_of_range(readings.reshape(2, 4), MAX_TIMES).shape == (2, 4)
+
+
+@pytest.mark.parametrize("readings, semifield, message", [
+    ([[0.0, 1.0], [2.0, 1e3]], MAX_TIMES,
+     "value 3 leaves the float range: exp(1000.0) overflows to inf"),
+    ([0.0, -math.inf], MAX_TIMES,
+     "value 1 leaves the float range: exp(-inf) underflows to 0"),
+    ([math.nan], MAX_TIMES, "value 0 leaves the float range: exp(nan) is nan"),
+    ([0.0, math.inf], MAX_PLUS,
+     "value 1 leaves the float range: inf is not finite"),
+])
+def test_checked_map_out_names_the_first_reading_out_of_range(
+        readings, semifield, message):
+    with pytest.raises(ValueError) as raised:
+        from_max_plus(readings, semifield, "value {}")
+    assert str(raised.value) == message
+    # Unnamed, the map-out is unchecked.
+    with np.errstate(over="ignore"):
+        from_max_plus(readings, semifield)
+
+
+def test_max_times_tuple_solvers_out_of_range_raise_like_the_fits():
+    # exp(log 1e300 - log 1e-300) is delta_star; the coefficients are in
+    # range. Degree 0 makes the fits' designs the all-ones matrix a, and
+    # the rational right side the column b.
+    a = TropicalMatrix(((1.0,), (1.0,)), MAX_TIMES)
+    b = (1e-300, 1e300)
+    samples = SampleSet.from_reals([(2.0, b[0]), (3.0, b[1])], MAX_TIMES)
+    zero = DegreeVector([0])
+    raised = []
+    for solve in (lambda: one_sided_solve(a, TropicalVector(b, MAX_TIMES)),
+                  lambda: two_sided_solve(
+                      a, TropicalMatrix(((b[0],), (b[1],)), MAX_TIMES)),
+                  lambda: fit_polynomial(samples, zero),
+                  lambda: fit_rational(samples, zero, zero)):
+        with pytest.raises(ValueError) as error:
+            solve()
+        raised.append(str(error.value))
+    assert raised == ["delta_star leaves the float range: "
+                      "exp(1381.6) overflows to inf"] * 4
+
+
+def test_two_sided_delta_trace_is_unchecked():
+    # The first delta, about 740, is above the float range in max-times;
+    # the second is 0, so delta_star is the unit and the trace reads inf.
+    tiny = math.exp(-740.0)
+    a = TropicalMatrix(((1.0, tiny), (tiny, 1.0)), MAX_TIMES)
+    b = TropicalMatrix(((1.0,), (1.0,)), MAX_TIMES)
+    solution = two_sided_solve(a, b, x0=TropicalVector((1.0, tiny), MAX_TIMES))
+    assert solution.deltas == (math.inf, 1.0)
+    assert solution.delta_star == 1.0
+    assert solution.termination is Termination.EXACT_SOLUTION
