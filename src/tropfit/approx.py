@@ -39,6 +39,7 @@ from .solvers import (  # noqa: F401
     one_sided,
     one_sided_solve,
     out_of_range,
+    residuation_in_range,
     scaled_tolerance,
     to_max_plus,
     tropical_vector,
@@ -367,9 +368,9 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> np.ndarray:
     max_i min_{p in row} s_pi: the same float as the residuation of the
     row's design, since y - v rounds monotonically in v. Rows are
     gathered SCORE_BLOCK at a time. Where fit_polynomial would raise for
-    some row (its design overflows, or a coefficient or delta_star is
-    out of range by solvers.out_of_range), the error of the first such
-    row is raised.
+    some row (its design overflows or fails solvers.residuation_in_range,
+    or a coefficient or delta_star is out of range by
+    solvers.out_of_range), the error of the first such row is raised.
     """
     sf = samples.semifield
     x, y = samples.xs, samples.ys
@@ -389,7 +390,12 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> np.ndarray:
                               out=delta[start:start + SCORE_BLOCK])
         theta, _ = balance(r[index], delta)
         scores = from_max_plus(delta, sf)
-        fits = (np.isfinite(terms).all(axis=1)[index].all(axis=1)
+        # Terms x rows: the extremes of each row's terms reduce rows.
+        columns = np.ascontiguousarray(index.T)
+        fits = (residuation_in_range(
+                    np.minimum.reduce(terms.min(axis=1)[columns]),
+                    np.maximum.reduce(terms.max(axis=1)[columns]),
+                    y.min(), y.max())
                 & ~out_of_range(theta, sf).any(axis=1)
                 & ~out_of_range(delta, sf))
     if not fits.all():

@@ -283,15 +283,12 @@ def _poly_doc(model: PolynomialModel) -> PolynomialDoc:
 def document_from_report(report: FitReport, semifield_name: str,
                          provenance: dict) -> ModelDocument:
     model = report.model
-    if isinstance(model, RationalModel):
-        return ModelDocument(semifield_name, "rational",
-                             _poly_doc(model.numerator),
-                             _poly_doc(model.denominator),
-                             float(report.delta_star), float(report.error),
-                             provenance)
-    return ModelDocument(semifield_name, "polynomial", _poly_doc(model), None,
-                         float(report.delta_star), float(report.error),
-                         provenance)
+    rational = isinstance(model, RationalModel)
+    return ModelDocument(
+        semifield_name, "rational" if rational else "polynomial",
+        _poly_doc(model.numerator if rational else model),
+        _poly_doc(model.denominator) if rational else None,
+        float(report.delta_star), float(report.error), provenance)
 
 
 def model_from_document(doc: ModelDocument):
@@ -440,12 +437,12 @@ def _fit_search(args, samples: SampleSet) -> tuple[FitReport, dict]:
                 "rational searches need --num-terms and --den-terms")
         n_num, n_den = args.num_terms, args.den_terms
     else:
-        n_num = args.terms if args.terms is not None else args.num_terms
-        if n_num is None:
+        if args.num_terms is not None or args.den_terms is not None:
+            raise ValueError("--num-terms and --den-terms apply to "
+                             "rational searches only")
+        if args.terms is None:
             raise ValueError("polynomial searches need --terms")
-        if args.den_terms is not None:
-            raise ValueError("--den-terms applies to rational searches only")
-        n_den = None
+        n_num, n_den = args.terms, None
     config = SearchConfig(
         n_terms_numerator=n_num,
         degree_min=low,

@@ -1,24 +1,22 @@
 """Monte Carlo search over integer degree classes.
 
 Degree vectors are drawn without replacement from a discrete uniform
-range using numpy's seedable PCG64 generator, each draw is fitted, and
-the class with the smallest squared error wins. Draws are generated
-up front from a single stream in step order, so run i of a longer
-search sees exactly the draws of a shorter one (prefix stability), and
-ties are broken by draw index.
+range using a seeded numpy Generator, each draw is fitted, and the
+class with the smallest squared error wins. Draws are generated up
+front from a single stream in step order, so run i of a longer search
+sees exactly the draws of a shorter one (prefix stability), and ties
+are broken by draw index.
 
 The stream is that of one rng.choice(width, size=count, replace=False)
 call per draw (numerator, then denominator, for rational classes), but
-a search computes all of its draws in one block (_choice_block): it
-reads PCG64's 32-bit words, replays numpy's Floyd sampling and
-Fisher-Yates shuffle with Lemire's bounded integers on whole arrays,
-and leaves the generator where the per-draw calls would. Per-draw
-rng.choice remains where the block would not reproduce it: widths above
-10000 with more than width // 50 values, where numpy switches to a tail
-shuffle; widths above 2**32, where it draws 64-bit bounded integers;
-and bit generators other than PCG64, whose 32-bit words come from a
-different scheme. The block replays numpy 2.x's Generator.choice, and
-the tests compare it with rng.choice itself.
+a search computes all of its draws in one block (_choice_block): one
+rng.integers call makes the bounded draws of every call, in the order
+and with the routine Generator.choice uses, and Floyd's sampling is
+then replayed on whole arrays. The generator ends where the per-draw
+calls would leave it, for any bit generator and width. Only where
+numpy shuffles a tail of arange(width) instead (widths above 10000
+with more than width // 50 values) is each draw an rng.choice call.
+The tests compare the block with rng.choice itself.
 """
 
 from __future__ import annotations
@@ -103,80 +101,6 @@ class SearchReport:
     error_trace: tuple[tuple[int, float], ...]
 
 
-# Generator.choice(width, size=count, replace=False) draws by Floyd's
-# algorithm unless width exceeds _TAIL_WIDTH and count exceeds
-# width // _TAIL_DIVISOR; it draws 32-bit bounded integers while width
-# is at most _WORD.
-_TAIL_WIDTH = 10000
-_TAIL_DIVISOR = 50
-_WORD = 2**32
-
-
-def _lemire_draws(bitgen: np.random.PCG64, bounds: np.ndarray,
-                  n: int) -> np.ndarray:
-    """n rounds of bounded draws in [0, bound], one per bound, in order.
-
-    Each draw is Lemire's multiply-and-reject on bitgen's 32-bit word
-    stream: a buffered half-word first, then the low and the high half
-    of each 64-bit output. Rounds are computed as arrays up to the first
-    one that rejects a word, which is replayed word by word. The unused
-    half-word, if any, is buffered back, and like numpy the buffer keeps
-    the last high half even when it is spent, so bitgen ends in exactly
-    the state numpy's own draws leave.
-    """
-    k = len(bounds)
-    values = np.empty((n, k), np.int64)
-    if not (n and k):
-        return values
-    span = bounds.astype(np.uint64) + 1
-    # A word is rejected when the low half of word * span falls below this.
-    threshold = (_WORD - span) % span
-    state = bitgen.state
-    words = np.array([state["uinteger"]] if state["has_uint32"] else [],
-                     np.uint64)
-    pos = done = 0
-    window = n
-
-    def refill(count):
-        nonlocal words, pos
-        short = count - (len(words) - pos)
-        if short > 0:
-            raw = bitgen.random_raw(-(-short // 2)).astype("<u8")
-            words = np.concatenate([words[pos:],
-                                    raw.view("<u4").astype(np.uint64)])
-            pos = 0
-
-    while done < n:
-        rounds = min(window, n - done)
-        refill(rounds * k)
-        m = words[pos:pos + rounds * k].reshape(rounds, k) * span
-        rejects = ((m & (_WORD - 1)) < threshold).any(axis=1)
-        clean = int(rejects.argmax()) if rejects.any() else rounds
-        values[done:done + clean] = m[:clean] >> 32
-        pos += clean * k
-        done += clean
-        if clean == rounds:
-            window *= 2
-            continue
-        for j, (size, limit) in enumerate(zip(span.tolist(),
-                                              threshold.tolist())):
-            while True:
-                refill(1)
-                draw = int(words[pos]) * size
-                pos += 1
-                if draw % _WORD >= limit:
-                    break
-            values[done, j] = draw >> 32
-        done += 1
-        # Rejecting rounds come about every clean + 1 rounds.
-        window = 2 * clean + 2
-    state = bitgen.state
-    state["has_uint32"] = len(words) - pos
-    state["uinteger"] = int(words[-1])
-    bitgen.state = state
-    return values
-
-
 def _floyd_sets(draws: np.ndarray, width: int) -> np.ndarray:
     """Values Floyd's algorithm takes from its draws, one call per row.
 
@@ -215,37 +139,30 @@ def _choice_block(rng: np.random.Generator, width: int,
 
     Returns one (n, c) int64 array per count, each row sorted, holding
     the values of the matching call, and leaves rng as those calls
-    would. For a PCG64 generator with width at most 2**32 and no tail
-    shuffle, the rounds are computed in one block from the word stream;
-    otherwise they are drawn one call at a time.
+    would. Each call draws Floyd's values, then shuffles them, with
+    numpy's bounded integers (Lemire's method), the same routine that
+    rng.integers uses for an int64 array of bounds. So all rounds take
+    one rng.integers call, and _floyd_sets turns its draws into values;
+    only a tail shuffle is drawn one rng.choice call at a time.
     """
-    if (type(rng.bit_generator) is not np.random.PCG64 or width > _WORD
-            or (width > _TAIL_WIDTH
-                and max(counts, default=0) > width // _TAIL_DIVISOR)):
-        calls = [[rng.choice(width, size=c, replace=False) for c in counts]
-                 for _ in range(n)]
-        blocks = [np.array([call[i] for call in calls],
-                           dtype=np.int64).reshape(n, c)
-                  for i, c in enumerate(counts)]
+    # Above width 10000, a count over width // 50 makes rng.choice
+    # shuffle a tail of arange(width) instead of running Floyd's algorithm.
+    if width > 10000 and max(counts, default=0) > width // 50:
+        blocks = [np.empty((n, c), np.int64) for c in counts]
+        for row in range(n):
+            for block, c in zip(blocks, counts):
+                block[row] = rng.choice(width, size=c, replace=False)
     else:
-        # Per call: Floyd draws in [0, j] for j = width - c .. width - 1
-        # (j = 0 takes no word), then the shuffle's draws in [0, i] for
-        # i = c - 1 .. 1, whose values the sorted rows do not need.
-        patterns = [(np.arange(width - c, width), np.arange(c - 1, 0, -1))
-                    for c in counts]
-        values = _lemire_draws(
-            rng.bit_generator,
-            np.concatenate([part for floyd, shuffle in patterns
-                            for part in (floyd[floyd > 0], shuffle)]),
-            n)
-        blocks = []
-        start = 0
-        for c, (floyd, shuffle) in zip(counts, patterns):
-            drawn = np.count_nonzero(floyd)
-            block = np.zeros((n, c), np.int64)
-            block[:, c - drawn:] = values[:, start:start + drawn]
-            start += drawn + len(shuffle)
-            blocks.append(_floyd_sets(block, width))
+        # Per call: Floyd draws in [0, j] for j = width - c .. width - 1,
+        # then the shuffle's draws in [0, i] for i = c - 1 .. 1, whose
+        # values the sorted rows do not need. A bound of 0 takes no word.
+        bounds = np.concatenate([
+            part for c in counts
+            for part in (np.arange(width - c, width), np.arange(c - 1, 0, -1))])
+        draws = rng.integers(0, bounds, size=(n, len(bounds)), endpoint=True)
+        starts = np.cumsum([0] + [max(2 * c - 1, 0) for c in counts])
+        blocks = [_floyd_sets(draws[:, start:start + c], width)
+                  for start, c in zip(starts.tolist(), counts)]
     for block in blocks:
         block.sort(axis=1)
     return blocks
@@ -258,8 +175,7 @@ def sample_degree_rows(low: int, high: int, count: int, n: int,
     Row i holds the values of the i-th of n rng.choice(width, size=count,
     replace=False) calls, sorted and shifted by low, and rng ends where
     those calls leave it, so the stream is that of n sample_degree_vector
-    calls. The rows come from one block draw (_choice_block), except in
-    the regimes where numpy draws differently (see the module docstring).
+    calls. The rows come from one block draw (_choice_block).
     A negative count or n raises ValueError before anything is drawn.
     """
     if count < 0 or n < 0:

@@ -173,6 +173,33 @@ def from_max_plus(values, semifield: Semifield,
     return np.exp(array) if max_times else array
 
 
+def residuation_in_range(a_lo, a_hi, b_lo, b_hi) -> bool | np.ndarray:
+    """Whether residuating b by a stays in the float range, from extremes.
+
+    The map-in rule, beside out_of_range. For finite a and b with entries
+    in [a_lo, a_hi] and [b_lo, b_hi], every entry of b - a, r, a r, the
+    slack b - a r and the balanced r + delta / 2 lies between bounds
+    computed from the extremes in the same rounded operations, which are
+    monotone. Finite bounds so mean a finite residuate and balance.
+    Broadcasts over arrays of extremes, which overflow with numpy's
+    warning unless the caller mutes it; Python floats never warn.
+    """
+    r_lo, r_hi = b_lo - a_hi, b_hi - a_lo
+    # Every other bound, and every extreme, lies on the path of one of
+    # these two, and + and - carry inf and nan through.
+    low = r_lo + 0.5 * (b_lo - (a_hi + r_hi))
+    high = r_hi + 0.5 * (b_hi - (a_lo + r_lo))
+    return np.isfinite(low) & np.isfinite(high)
+
+
+def check_residuation(at: np.ndarray, b: np.ndarray) -> None:
+    """Raise ValueError unless residuation_in_range holds for at and b."""
+    if not residuation_in_range(float(at.min()), float(at.max()),
+                                float(b.min()), float(b.max())):
+        raise ValueError(
+            "the data leave the float range: their differences overflow")
+
+
 def delta_and_error(delta: float, semifield: Semifield) -> tuple[
         float, float]:
     """Checked semifield values of a max-plus delta and of delta / 2.
@@ -242,8 +269,10 @@ def one_sided(at: np.ndarray, b: np.ndarray) -> tuple[
 
     at is the transposed matrix a (terms by samples), as for residuate,
     and so are leading batch axes: a single system gives a float delta
-    and a bool exact, a batch arrays of them.
+    and a bool exact, a batch arrays of them. Data outside
+    residuation_in_range raise ValueError.
     """
+    check_residuation(at, b)
     r, delta = residuate(at, b)
     x_star, exact = balance(r, delta)
     return x_star, delta, (bool(exact) if at.ndim == 2 else exact)
@@ -351,6 +380,9 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    # Each span is residuated against images of the other.
+    check_residuation(at, bt)
+    check_residuation(bt, at)
     match_tol = scaled_tolerance(ITERATE_MATCH_TOL, at, bt)
     spans = (at, bt)
     histories = (_History(len(at), match_tol), _History(len(bt), match_tol))

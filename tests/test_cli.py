@@ -344,6 +344,20 @@ def test_readme_search_writes_the_recorded_model(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_rational_search_writes_the_recorded_model(tmp_path, capsys):
+    # A seeded 4/2 rational search, recorded byte for byte: it pins the
+    # interleaved numerator and denominator draws end to end.
+    g_csv, model = tmp_path / "g.csv", tmp_path / "model.json"
+    assert main(["datasets", "g", "--output", str(g_csv)]) == 0
+    assert main(["fit", "--kind", "rational", "--num-terms", "4",
+                 "--den-terms", "2", "--range", "-10:10", "--samples", "300",
+                 "--seed", "7", "--input", str(g_csv),
+                 "--output", str(model)]) == 0
+    with open(os.path.join(DATA, "rational_search.json"), "rb") as f:
+        assert model.read_bytes() == f.read()
+    capsys.readouterr()
+
+
 def test_fit_flag_validation(f_csv, capsys):
     # degrees and search flags together
     assert main(["fit", "--degrees", "1,2", "--terms", "3",
@@ -357,6 +371,20 @@ def test_fit_flag_validation(f_csv, capsys):
     # duplicate degrees
     assert main(["fit", "--degrees", "1,1", "--input", f_csv]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--terms", "5", "--num-terms", "3"],
+    ["--num-terms", "3"],
+    ["--terms", "5", "--den-terms", "2"],
+])
+def test_polynomial_search_rejects_rational_term_flags(flags, f_csv, capsys):
+    assert main(["fit", "--kind", "polynomial", *flags, "--range", "-15:5",
+                 "--samples", "5", "--seed", "1", "--input", f_csv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --num-terms and --den-terms apply to "
+                            "rational searches only\n")
 
 
 def test_fit_exit_codes(tmp_path, capsys):
@@ -624,6 +652,26 @@ def test_design_overflow_prints_only_the_error_line(row, flags, tmp_path):
     assert done.stdout == ""
     assert done.stderr == \
         "error: a design matrix entry overflows the float range\n"
+
+
+@pytest.mark.parametrize("rows, flags", [
+    # b - a overflows (y - p x), and in the rational fit also a r.
+    ("x,y\n1e308,-1e308\n1,1e308\n", ["--degrees", "1"]),
+    ("x,y\n1e308,-1e308\n1,1e308\n", ["--kind", "rational",
+                                        "--num-degrees", "0,1",
+                                        "--den-degrees", "0"]),
+    # Every y - p x is finite; a r = p x + r overflows to -inf.
+    ("x,y\n-1e308,0\n1e308,0\n", ["--degrees", "1"]),
+], ids=["polynomial", "rational", "image"])
+def test_residuation_overflow_prints_only_the_error_line(rows, flags,
+                                                         tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(rows, encoding="utf-8")
+    done = run_fresh(["fit", "--input", str(path), *flags], tmp_path)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == ("error: the data leave the float range: "
+                           "their differences overflow\n")
 
 
 def test_coefficient_overflow_prints_only_the_error_line(tmp_path):

@@ -357,6 +357,10 @@ def _choice_rounds(rng, width, counts, n):
             for i, c in enumerate(counts)]
 
 
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                  np.random.Philox, np.random.SFC64)
+
+
 def _assert_same_stream(width, counts, n, seed, bit_generator=np.random.PCG64,
                         buffered=False):
     block_rng = np.random.Generator(bit_generator(seed))
@@ -372,8 +376,9 @@ def _assert_same_stream(width, counts, n, seed, bit_generator=np.random.PCG64,
         assert block.dtype == np.int64
         assert block.shape == reference.shape
         assert (block == reference).all()
-    if bit_generator is np.random.PCG64:
-        assert block_rng.bit_generator.state == choice_rng.bit_generator.state
+    # MT19937's state holds an array, so the states are compared deeply.
+    np.testing.assert_equal(block_rng.bit_generator.state,
+                            choice_rng.bit_generator.state)
     assert _following(block_rng) == _following(choice_rng)
 
 
@@ -396,14 +401,18 @@ def _following(rng):
     (3_000_000_000, 4, 300),
     (4_000_000_000, 5, 300),
     (2**32, 3, 200),                # widest 32-bit bound
-    (2**32 + 1, 3, 20),             # 64-bit bounds: per-draw fallback
+    (2**32 + 1, 3, 20),             # from here on, 64-bit bounds
+    (10**12, 6, 300),
+    (2**62, 3, 300),
     (10001, 200, 4),                # last Floyd case above width 10000
     (10001, 201, 4),                # tail shuffle: per-draw fallback
 ])
 @pytest.mark.parametrize("buffered", [False, True])
 def test_block_draw_equals_rng_choice(width, count, n, buffered):
-    for seed in (0, 1, 2026):
-        _assert_same_stream(width, (count,), n, seed, buffered=buffered)
+    for bit_generator in BIT_GENERATORS:
+        for seed in (0, 1, 2026):
+            _assert_same_stream(width, (count,), n, seed, bit_generator,
+                                buffered)
 
 
 @pytest.mark.parametrize("width, counts", [
@@ -411,13 +420,38 @@ def test_block_draw_equals_rng_choice(width, count, n, buffered):
     (3_000_000_000, (4, 2)),
 ])
 def test_interleaved_block_draw_equals_rng_choice(width, counts):
-    for seed, buffered in ((0, False), (7, True), (123, False)):
-        _assert_same_stream(width, counts, 150, seed, buffered=buffered)
+    for bit_generator in BIT_GENERATORS:
+        for seed, buffered in ((0, False), (7, True), (123, False)):
+            _assert_same_stream(width, counts, 150, seed, bit_generator,
+                                buffered)
 
 
 def test_block_draw_with_another_bit_generator_equals_rng_choice():
-    for counts in ((5,), (4, 2)):
-        _assert_same_stream(21, counts, 60, 3, bit_generator=np.random.MT19937)
+    for bit_generator in BIT_GENERATORS[1:]:
+        for width, counts in ((21, (5,)), (21, (4, 2)), (10**12, (4, 2)),
+                              (10001, (201,))):
+            _assert_same_stream(width, counts, 60, 3, bit_generator)
+
+
+def test_block_draw_calls_rng_choice_only_for_a_tail_shuffle(monkeypatch):
+    # Generator's own type is immutable, so a subclass takes the patch.
+    class Refusing(np.random.Generator):
+        pass
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("rng.choice was called")
+
+    monkeypatch.setattr(Refusing, "choice", refuse)
+    choice_block = tropfit.search._choice_block
+    for width, counts in ((1, (1,)), (21, (5,)), (21, (4, 2)), (9, (0, 3)),
+                          (10000, (10000,)), (10001, (200,)),
+                          (2**32 + 1, (3,)), (2**62, (4, 2))):
+        for bit_generator in BIT_GENERATORS:
+            choice_block(Refusing(bit_generator(0)), width, counts, 20)
+    with pytest.raises(AssertionError, match="rng.choice was called"):
+        choice_block(Refusing(np.random.PCG64(0)), 10001, (201,), 1)
+    with pytest.raises(AssertionError, match="rng.choice was called"):
+        choice_block(Refusing(np.random.PCG64(0)), 10**6, (4, 20001), 1)
 
 
 def test_sample_degree_rows_pinned_for_one_seed():

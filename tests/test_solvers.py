@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropfit import (
     MAX_PLUS,
@@ -28,11 +29,15 @@ from tropfit.approx import (
     fit_rational,
 )
 from tropfit.datasets import nonconvex_curve
+from tropfit.approx import score_polynomials
 from tropfit.solvers import (
+    alternate,
+    balance,
     from_max_plus,
     one_sided,
     out_of_range,
     residuate,
+    residuation_in_range,
     tropical_vector,
 )
 from oracles import (
@@ -432,3 +437,66 @@ def test_two_sided_delta_trace_is_unchecked():
     assert solution.deltas == (math.inf, 1.0)
     assert solution.delta_star == 1.0
     assert solution.termination is Termination.EXACT_SOLUTION
+
+
+# --- the map-in rule ----------------------------------------------------------
+
+OVERFLOWING = [
+    # b - a overflows to -inf.
+    (np.array([[0.0, 0.0], [1e308, 1.0]]), np.array([-1e308, 1e308])),
+    # Every b - a is finite; a r overflows to -inf at the first sample.
+    (np.array([[-1e308, 1e308]]), np.array([0.0, 0.0])),
+]
+
+
+@pytest.mark.parametrize("at, b", OVERFLOWING)
+def test_residuation_out_of_range_raises_before_computing(at, b):
+    message = "the data leave the float range: their differences overflow"
+    with pytest.raises(ValueError, match=message):
+        one_sided(at, b)
+    with pytest.raises(ValueError, match=message):
+        alternate(at, b[None, :], np.zeros(len(at)), 10)
+    with pytest.raises(ValueError, match=message):
+        alternate(b[None, :], at, np.zeros(1), 10)
+    with pytest.raises(ValueError, match=message):
+        one_sided_solve(TropicalMatrix(tuple(map(tuple, at.T.tolist())),
+                                       MAX_PLUS),
+                        TropicalVector(b.tolist(), MAX_PLUS))
+
+
+def test_scoring_raises_the_rule_error_of_the_first_failing_row():
+    # Degree 1 puts p x at -1e308 and 1e308; degree 0 fits.
+    samples = SampleSet.from_reals([(-1e308, 0.0), (1e308, 0.0)], MAX_PLUS)
+    with pytest.raises(ValueError) as direct:
+        fit_polynomial(samples, DegreeVector([1]))
+    with pytest.raises(ValueError) as scored:
+        score_polynomials(samples, np.array([[0], [1]]))
+    assert str(scored.value) == str(direct.value)
+    assert score_polynomials(samples, np.array([[0]])).tolist() == [0.0]
+
+
+_HUGE = st.floats(-1.7e308, 1.7e308)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_HUGE, min_size=4, max_size=4), min_size=n,
+             max_size=n),
+    st.lists(_HUGE, min_size=4, max_size=4))))
+def test_residuation_in_range_bounds_every_step(case):
+    # Where the rule holds, residuate and balance stay finite: tier-1
+    # turns any overflow warning into a failure.
+    at, b = (np.array(part) for part in case)
+    in_range = residuation_in_range(float(at.min()), float(at.max()),
+                                    float(b.min()), float(b.max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = residuation_in_range(at.min(axis=1), at.max(axis=1),
+                                    b.min(), b.max())
+    assert rows.shape == (len(at),)
+    if not in_range:
+        return
+    assert rows.all()
+    r, delta = residuate(at, b)
+    x_star, _ = balance(r, delta)
+    assert np.isfinite(r).all() and math.isfinite(delta)
+    assert np.isfinite(x_star).all()
