@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -341,8 +341,14 @@ def fit_polynomial(samples: SampleSet, degrees: DegreeVector) -> FitReport:
     the best approximate sense, so the reported error is the smallest
     achievable pointwise distance for this degree class.
     """
-    sf = samples.semifield
     theta, delta, exact = one_sided(_design(samples.xs, degrees), samples.ys)
+    return _polynomial_report(samples.semifield, degrees, theta, delta, exact)
+
+
+def _polynomial_report(sf: Semifield, degrees: DegreeVector,
+                       theta: np.ndarray, delta: float,
+                       exact: bool) -> FitReport:
+    """FitReport of a polynomial fit from its max-plus solution."""
     model = PolynomialModel(degrees, tropical_vector(theta, sf))
     termination = (Termination.EXACT_SOLUTION if exact
                    else Termination.ONE_SHOT)
@@ -350,58 +356,103 @@ def fit_polynomial(samples: SampleSet, degrees: DegreeVector) -> FitReport:
                      termination=termination)
 
 
-#: Degree rows whose slack score_polynomials gathers at once. A block of
-#: b rows over n terms and m samples gathers one n x b x m float array;
-#: 64 rows amortise the per-call numpy overhead while that array stays
-#: small (53,760 bytes for the 21 samples and 5 terms of the bundled f
-#: data).
-SCORE_BLOCK = 64
+#: Floats that score_polynomials gathers at once. b rows over n terms and
+#: m samples gather one n x b x m array, so a gather holds
+#: SCORE_ELEMENTS // (n m) rows (at least one) in at most 512 KiB: a
+#: 500-draw search over the 5 terms and 21 samples of the bundled f data
+#: is one gather.
+SCORE_ELEMENTS = 1 << 16
 
 
-def score_polynomials(samples: SampleSet, rows: np.ndarray) -> np.ndarray:
-    """fit_polynomial(samples, row).delta_star for every row of degrees.
+def _degree_index(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(rows, return_inverse=True), the inverse shaped as rows.
 
-    rows is an int array with one degree class per row. The residual
-    r_p = min_i (y_i - p x_i) of a degree p does not depend on the row
-    it is drawn into, so it is computed once for each distinct degree,
-    with the slack s_pi = y_i - (p x_i + r_p). The delta of a row is
-    max_i min_{p in row} s_pi: the same float as the residuation of the
-    row's design, since y - v rounds monotonically in v. Rows are
-    gathered SCORE_BLOCK at a time. Where fit_polynomial would raise for
-    some row (its design overflows or fails solvers.residuation_in_range,
-    or a coefficient or delta_star is out of range by
-    solvers.out_of_range), the error of the first such row is raised.
+    When the rows span no more integers than they hold entries, an offset
+    table over the span replaces np.unique's sort; the distinct degrees
+    and the index are the same. rows must not be empty.
+    """
+    low = int(rows.min())
+    span = int(rows.max()) - low + 1
+    if span > rows.size:
+        degrees, index = np.unique(rows, return_inverse=True)
+        # numpy versions differ in the shape of the inverse.
+        return degrees, index.reshape(rows.shape)
+    offsets = rows - low
+    drawn = np.zeros(span, bool)
+    drawn[offsets] = True
+    present = np.flatnonzero(drawn)
+    table = np.empty(span, np.intp)
+    table[present] = np.arange(len(present))
+    return present + low, table[offsets]
+
+
+def score_polynomials(samples: SampleSet, rows: np.ndarray) -> tuple[
+        np.ndarray, Optional[FitReport]]:
+    """fit_polynomial(samples, row) for every row of degrees, in one pass.
+
+    rows is an int array with one degree class per row. Returns the
+    delta_star of every row, and the FitReport of the first row with the
+    smallest one (None without rows), equal to fit_polynomial's for that
+    row. The residual r_p = min_i (y_i - p x_i) of a degree p does not
+    depend on the row it is drawn into, so it is computed once for each
+    distinct degree, with the slack s_pi = y_i - (p x_i + r_p). The delta
+    of a row is max_i min_{p in row} s_pi: the same float as the
+    residuation of the row's design, since y - v rounds monotonically in
+    v. Rows are gathered SCORE_ELEMENTS floats at a time.
+
+    Where fit_polynomial would raise for some row (its design overflows
+    or fails solvers.residuation_in_range, or a coefficient or delta_star
+    is out of range by solvers.out_of_range), the error of the first such
+    row is raised. The range rule is checked once, on the extremes of all
+    drawn degrees' terms, which enclose every row's bounds; only when that
+    or the range check of all coefficients and deltas fails are the rows
+    checked one by one.
     """
     sf = samples.semifield
     x, y = samples.xs, samples.ys
-    degrees, index = np.unique(rows, return_inverse=True)
-    # numpy versions differ in the shape of the inverse.
-    index = index.reshape(rows.shape)
+    if not len(rows):
+        return np.empty(0), None
+    degrees, index = _degree_index(rows)
     delta = np.empty(len(rows))
+    step = max(1, SCORE_ELEMENTS // (index.shape[1] * len(x)))
     with np.errstate(all="ignore"):
         terms = degrees[:, None] * x
         r = np.minimum.reduce(y - terms, axis=1)
         slack = y - (terms + r[:, None])
-        for start in range(0, len(rows), SCORE_BLOCK):
+        for start in range(0, len(rows), step):
             # Terms x rows x samples: the min over a row's terms is an
             # elementwise min of contiguous sample rows.
-            block = np.take(slack, index[start:start + SCORE_BLOCK].T, axis=0)
-            np.maximum.reduce(np.minimum.reduce(block, axis=0), axis=1,
-                              out=delta[start:start + SCORE_BLOCK])
-        theta, _ = balance(r[index], delta)
+            gather = np.take(slack, index[start:start + step].T, axis=0)
+            np.maximum.reduce(np.minimum.reduce(gather, axis=0), axis=1,
+                              out=delta[start:start + step])
+        theta, exact = balance(r[index], delta)
         scores = from_max_plus(delta, sf)
-        # Terms x rows: the extremes of each row's terms reduce rows.
-        columns = np.ascontiguousarray(index.T)
-        fits = (residuation_in_range(
-                    np.minimum.reduce(terms.min(axis=1)[columns]),
-                    np.maximum.reduce(terms.max(axis=1)[columns]),
-                    y.min(), y.max())
-                & ~out_of_range(theta, sf).any(axis=1)
-                & ~out_of_range(delta, sf))
-    if not fits.all():
+        y_lo, y_hi = y.min(), y.max()
+        fits = (residuation_in_range(terms.min(), terms.max(), y_lo, y_hi)
+                and not out_of_range(theta, sf).any()
+                and not out_of_range(delta, sf).any())
+        if not fits:
+            # Terms x rows: the extremes of each row's terms reduce rows.
+            columns = np.ascontiguousarray(index.T)
+            row_fits = (residuation_in_range(
+                            np.minimum.reduce(terms.min(axis=1)[columns]),
+                            np.maximum.reduce(terms.max(axis=1)[columns]),
+                            y_lo, y_hi)
+                        & ~out_of_range(theta, sf).any(axis=1)
+                        & ~out_of_range(delta, sf))
+            fits = row_fits.all()
+    if not fits:
         # Fitting the first failing row on its own raises its error.
-        fit_polynomial(samples, DegreeVector(rows[np.argmin(fits)].tolist()))
-    return scores
+        fit_polynomial(samples,
+                       DegreeVector(rows[np.argmin(row_fits)].tolist()))
+    # argmin takes the first smallest delta_star, as the strict < of a
+    # row-by-row search does.
+    best = int(np.argmin(scores))
+    # DegreeVector sorts the degrees; the coefficients follow them.
+    order = np.argsort(rows[best], kind="stable")
+    return scores, _polynomial_report(
+        sf, DegreeVector(rows[best].tolist()), theta[best][order],
+        float(delta[best]), bool(exact[best]))
 
 
 def fit_rational(samples: SampleSet,

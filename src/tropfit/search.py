@@ -27,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .approx import (
+# perfbench/tracer.py wraps fit_polynomial here.
+from .approx import (  # noqa: F401
     DegreeVector,
     FitReport,
     SampleSet,
@@ -204,7 +205,7 @@ def random_search(samples: SampleSet, config: SearchConfig,
     Deterministic for a fixed config: the winner depends only on the
     seed and the samples. Every class is drawn up front in one block.
     Polynomial draws are scored from per-degree residuals
-    (score_polynomials) and only the winner is fitted into a FitReport;
+    (score_polynomials), whose tables also give the winner's FitReport;
     rational draws are fitted one at a time. Everything runs on the
     calling thread; threads is accepted for compatibility and has no
     effect.
@@ -214,13 +215,10 @@ def random_search(samples: SampleSet, config: SearchConfig,
         rows = sample_degree_rows(config.degree_min, config.degree_max,
                                   config.n_terms_numerator, config.n_samples,
                                   rng)
-        trace = score_polynomials(samples, rows)
-        # argmin takes the first smallest delta_star, as the strict < of
-        # a draw-by-draw search does.
-        winner = DegreeVector(rows[np.argmin(trace)].tolist())
+        trace, best = score_polynomials(samples, rows)
         return SearchReport(
-            best=fit_polynomial(samples, winner),
-            best_degrees=winner,
+            best=best,
+            best_degrees=best.model.degrees,
             best_denominator_degrees=None,
             samples_evaluated=config.n_samples,
             error_trace=tuple(enumerate(trace.tolist())),

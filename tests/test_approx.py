@@ -538,8 +538,9 @@ def test_max_plus_zero_coefficient_scores_and_fits():
     assert report.model.coefficients.elements == (0.0,)
     assert (report.delta_star, report.error) == (0.0, 0.0)
     assert report.termination is Termination.EXACT_SOLUTION
-    scores = score_polynomials(samples, np.array([[1], [0]]))
+    scores, best = score_polynomials(samples, np.array([[1], [0]]))
     assert scores.tolist() == [0.0, 3.0]
+    assert best == report
     rational = fit_rational(samples, DegreeVector([1]), DegreeVector([0]))
     assert rational.model.numerator.coefficients.elements == (0.0,)
     assert rational.model.denominator.coefficients.elements == (0.0,)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -194,7 +195,19 @@ def _max_times(samples):
                            for x, y in samples.points), MAX_TIMES)
 
 
-BLOCK = tropfit.approx.SCORE_BLOCK
+#: Rows per gather in the tests that cross gathers. score_polynomials
+#: gathers SCORE_ELEMENTS floats at once, which holds hundreds of rows for
+#: small data, so those tests shrink it with _gathers_of.
+BLOCK = 64
+
+
+@contextlib.contextmanager
+def _gathers_of(rows, n_terms, n_samples):
+    """score_polynomials gathering rows rows of n_terms by n_samples."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tropfit.approx, "SCORE_ELEMENTS",
+                      rows * n_terms * n_samples)
+        yield
 
 
 @pytest.mark.parametrize("n_samples", [1, BLOCK - 1, BLOCK, BLOCK + 1, 500])
@@ -203,11 +216,13 @@ def test_batched_search_matches_draw_by_draw_fits(n_samples, semifield):
     samples = convex_samples()
     if semifield == "max-times":
         samples = _max_times(samples)
-    for seed in (0, 17):
+    for seed, gather in ((0, None), (0, BLOCK), (17, BLOCK)):
         config = SearchConfig(n_terms_numerator=5, degree_min=-15,
                               degree_max=5, n_samples=n_samples,
                               rng_seed=seed)
-        report = random_search(samples, config)
+        with (_gathers_of(gather, 5, len(samples)) if gather
+              else contextlib.nullcontext()):
+            report = random_search(samples, config)
         trace, winner = _draw_by_draw(samples, config)
         assert [delta for _, delta in report.error_trace] == trace
         assert [index for index, _ in report.error_trace] == list(
@@ -224,7 +239,8 @@ def test_batched_search_tie_goes_to_the_first_draw():
     samples = nonconvex_samples()
     config = SearchConfig(n_terms_numerator=5, degree_min=0, degree_max=4,
                           n_samples=2 * BLOCK + 3, rng_seed=4)
-    report = random_search(samples, config)
+    with _gathers_of(BLOCK, 5, len(samples)):
+        report = random_search(samples, config)
     trace, winner = _draw_by_draw(samples, config)
     assert [delta for _, delta in report.error_trace] == trace
     assert len(set(trace)) == 1
@@ -271,16 +287,17 @@ def test_first_failing_row_past_the_first_block_raises_its_error():
     with pytest.raises(ValueError) as later:
         fit_polynomial(samples, DegreeVector([3, 4]))
     assert str(first.value) != str(later.value)
-    with pytest.raises(ValueError) as scored:
+    with pytest.raises(ValueError) as scored, _gathers_of(BLOCK, 2, 3):
         score_polynomials(samples, rows)
     assert str(scored.value) == str(first.value)
 
 
 def test_scoring_no_rows_gives_an_empty_array():
-    scores = score_polynomials(convex_samples(),
-                               np.zeros((0, 3), dtype=np.int64))
+    scores, best = score_polynomials(convex_samples(),
+                                     np.zeros((0, 3), dtype=np.int64))
     assert scores.shape == (0,)
     assert scores.dtype == np.float64
+    assert best is None
 
 
 def test_search_over_a_wide_range_matches_draw_by_draw_fits():
@@ -311,26 +328,130 @@ def _scoring_cases(draw):
     n_rows = draw(st.integers(1, 2 * BLOCK + 1))
     rows = draw(st.lists(st.permutations(pool).map(lambda p: p[:n_terms]),
                          min_size=n_rows, max_size=n_rows))
-    return SampleSet.from_reals(pairs, semifield), rows
+    gather = draw(st.integers(1, BLOCK))
+    return SampleSet.from_reals(pairs, semifield), rows, gather
 
 
-@settings(max_examples=100, deadline=None)
-@given(_scoring_cases())
-def test_scores_equal_per_row_fits_bit_for_bit(case):
-    samples, rows = case
+def _hex_report(report):
+    """A polynomial FitReport with its floats as float.hex strings."""
+    return (report.delta_star.hex(), report.error.hex(),
+            report.model.degrees,
+            [float(c).hex() for c in report.model.coefficients.elements],
+            report.iterations, report.termination)
+
+
+def _check_scores_equal_per_row_fits(samples, rows, gather):
+    """score_polynomials equals fit_polynomial row by row, in float.hex.
+
+    Where some row's fit raises ValueError, scoring raises the first
+    such row's error text.
+    """
     rows_array = np.array(rows, dtype=np.int64)
     expected = []
     for row in rows:
         try:
             expected.append(fit_polynomial(samples, DegreeVector(row)))
         except ValueError as exc:
-            with pytest.raises(ValueError) as scored:
+            with (pytest.raises(ValueError) as scored,
+                  _gathers_of(gather, len(rows[0]), len(samples))):
                 score_polynomials(samples, rows_array)
             assert str(scored.value) == str(exc)
             return
-    scores = score_polynomials(samples, rows_array)
+    with _gathers_of(gather, len(rows[0]), len(samples)):
+        scores, best = score_polynomials(samples, rows_array)
     assert ([float(d).hex() for d in scores]
             == [report.delta_star.hex() for report in expected])
+    deltas = [report.delta_star for report in expected]
+    assert _hex_report(best) == _hex_report(expected[deltas.index(min(deltas))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scoring_cases())
+def test_scores_equal_per_row_fits_bit_for_bit(case):
+    _check_scores_equal_per_row_fits(*case)
+
+
+def _extreme(signed):
+    """Floats of magnitude 1e-308 to 9.9e307, negated too when signed.
+
+    Magnitudes near 1e307 are drawn often: times a small degree they
+    come close to the float range's edge without passing it.
+    """
+    magnitude = st.one_of(
+        st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+                  st.floats(1.0, 9.9), st.integers(-308, 307)),
+        st.sampled_from([1e306, 1e307, 5e307]))
+    if signed:
+        magnitude = st.builds(lambda m, negate: -m if negate else m,
+                              magnitude, st.booleans())
+    return st.one_of(magnitude, st.floats(-10.0, 10.0) if signed
+                     else st.floats(0.1, 10.0))
+
+
+@st.composite
+def _extreme_scoring_cases(draw):
+    """Samples up to 1e308 in either semifield, rows over a degree pool.
+
+    The data reach the float range's edges, so in many cases a whole-array
+    range check fails and the rows are checked one by one. A failing
+    check of the terms' extremes with no failing row is rare here, so
+    test_scoring_survives_a_failing_whole_array_check pins one.
+    """
+    semifield = draw(st.sampled_from([MAX_PLUS, MAX_TIMES]))
+    signed = semifield is MAX_PLUS
+    pairs = draw(st.lists(st.tuples(_extreme(signed), _extreme(signed)),
+                          min_size=1, max_size=6, unique_by=lambda p: p[0]))
+    bound = draw(st.sampled_from([2, 20, 10**6]))
+    pool = draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=6,
+                         unique=True))
+    n_terms = draw(st.integers(1, min(len(pool), 4)))
+    n_rows = draw(st.integers(1, 2 * BLOCK + 1))
+    rows = draw(st.lists(st.permutations(pool).map(lambda p: p[:n_terms]),
+                         min_size=n_rows, max_size=n_rows))
+    gather = draw(st.integers(1, BLOCK))
+    return SampleSet.from_reals(pairs, semifield), rows, gather
+
+
+@settings(max_examples=200, deadline=None)
+@given(_extreme_scoring_cases())
+def test_scores_at_extreme_magnitudes_equal_per_row_fits(case):
+    _check_scores_equal_per_row_fits(*case)
+
+
+def test_scoring_survives_a_failing_whole_array_check():
+    # The extremes of both rows' terms, -9e307 and 9e307, fail the range
+    # rule together, but each row alone fits: its slack reaches 9e307.
+    samples = SampleSet.from_reals([(1e307, 0.0), (1.0, 0.0)], MAX_PLUS)
+    rows = [[9], [-9]]
+    assert not tropfit.solvers.residuation_in_range(-9e307, 9e307, 0.0, 0.0)
+    _check_scores_equal_per_row_fits(samples, rows, BLOCK)
+    scores, best = score_polynomials(samples, np.array(rows))
+    assert scores.tolist() == [9e307, 9e307]
+    assert best == fit_polynomial(samples, DegreeVector([9]))
+
+
+@pytest.mark.parametrize("rows, sorted_out", [
+    # Spans of 3 and 4 integers in 4 entries take the offset table,
+    ([[2, 3], [3, 4]], False),
+    ([[1, 2], [3, 4]], False),
+    # a span of 5 integers in 4 entries takes np.unique,
+    ([[0, 1], [3, 4]], True),
+    # as do wide ranges.
+    ([[-10**9, 0], [5, 10**9]], True),
+])
+def test_degree_index_equals_np_unique(rows, sorted_out, monkeypatch):
+    rows = np.array(rows, dtype=np.int64)
+    expected_degrees, expected_index = np.unique(rows, return_inverse=True)
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique",
+                        lambda *a, **k: calls.append(a) or unique(*a, **k))
+    degrees, index = tropfit.approx._degree_index(rows)
+    assert bool(calls) == sorted_out
+    assert degrees.tolist() == expected_degrees.tolist()
+    assert index.tolist() == expected_index.reshape(rows.shape).tolist()
+    monkeypatch.undo()
+    _check_scores_equal_per_row_fits(convex_samples(), rows.tolist(), BLOCK)
 
 
 @settings(max_examples=30, deadline=None)

@@ -472,7 +472,9 @@ def test_scoring_raises_the_rule_error_of_the_first_failing_row():
     with pytest.raises(ValueError) as scored:
         score_polynomials(samples, np.array([[0], [1]]))
     assert str(scored.value) == str(direct.value)
-    assert score_polynomials(samples, np.array([[0]])).tolist() == [0.0]
+    scores, best = score_polynomials(samples, np.array([[0]]))
+    assert scores.tolist() == [0.0]
+    assert best == fit_polynomial(samples, DegreeVector([0]))
 
 
 _HUGE = st.floats(-1.7e308, 1.7e308)
