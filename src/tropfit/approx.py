@@ -482,10 +482,8 @@ def fit_rational(samples: SampleSet,
     deltas, theta, sigma, termination = alternate(
         num_design, right, np.zeros(len(num_degrees)), max_iter)
     delta = min(deltas)
-    _check_rational_error(
-        np.maximum.reduce(theta[:, None] + num_design, axis=0),
-        np.maximum.reduce(sigma[:, None] + den_design, axis=0),
-        y, 0.5 * delta)
+    _check_rational_error(theta, num_design, sigma, den_design, y,
+                          0.5 * delta)
     model = RationalModel(
         PolynomialModel(num_degrees, tropical_vector(theta, sf)),
         PolynomialModel(den_degrees, tropical_vector(sigma, sf)))
@@ -493,16 +491,29 @@ def fit_rational(samples: SampleSet,
                      iterations=len(deltas), termination=termination)
 
 
-def _check_rational_error(numerator: np.ndarray, denominator: np.ndarray,
+def _check_rational_error(theta: np.ndarray, num_design: np.ndarray,
+                          sigma: np.ndarray, den_design: np.ndarray,
                           y: np.ndarray, error: float) -> None:
-    """Compare max_i |numerator_i - denominator_i - y_i| with error.
+    """Compare the pointwise error of the fitted model with error.
 
-    All values are max-plus readings; the tolerance grows with their
-    magnitude.
+    All values are max-plus readings, the designs transposed. The core
+    solves against y + den_design, so the model's own values can still
+    overflow; a residual that does raises ValueError. The sums forming
+    the model values can cancel, so the tolerance grows with the largest
+    magnitude among the coefficients, design entries, values and y.
     """
-    worst = float(np.max(np.abs(numerator - denominator - y)))
-    tol = scaled_tolerance(RATIONAL_ERROR_CHECK_TOL, numerator, denominator, y)
-    if not abs(worst - error) <= tol:
+    with np.errstate(over="ignore", invalid="ignore"):
+        numerator = np.maximum.reduce(theta[:, None] + num_design, axis=0)
+        denominator = np.maximum.reduce(sigma[:, None] + den_design, axis=0)
+        worst = float(np.max(np.abs(numerator - denominator - y)))
+    if not math.isfinite(worst):
+        raise ValueError("the data leave the float range: "
+                         "the model's residuals overflow")
+    gap = abs(worst - error)
+    if not (gap <= RATIONAL_ERROR_CHECK_TOL
+            or gap <= scaled_tolerance(RATIONAL_ERROR_CHECK_TOL, numerator,
+                                       denominator, y, theta, sigma,
+                                       num_design, den_design)):
         raise ErrorCheckFailed(
             "pointwise model error disagrees with the solver error "
             f"({worst!r} vs {error!r} in max-plus units)")

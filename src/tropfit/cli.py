@@ -81,7 +81,7 @@ def parse_samples(path: str, semifield: Semifield = MAX_PLUS) -> SampleSet:
     a value the semifield rejects. Only when no line is malformed does
     the first row holding a zero raise (see SampleSet.from_columns).
     """
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         text = handle.read()
     x, y, lines = [], [], []
     for lineno, line in enumerate(text.splitlines(), start=1):

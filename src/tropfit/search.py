@@ -11,11 +11,12 @@ The stream is that of one rng.choice(width, size=count, replace=False)
 call per draw (numerator, then denominator, for rational classes), but
 a search computes all of its draws in one block (_choice_block): one
 rng.integers call makes the bounded draws of every call, in the order
-and with the routine Generator.choice uses, and Floyd's sampling is
-then replayed on whole arrays. The generator ends where the per-draw
-calls would leave it, for any bit generator and width. Only where
-numpy shuffles a tail of arange(width) instead (widths above 10000
-with more than width // 50 values) is each draw an rng.choice call.
+and with the routine Generator.choice uses, and Floyd's algorithm then
+runs step by step, each step on the matching column of every draw at
+once. The generator ends where the per-draw calls would leave it, for
+any bit generator and width. Only where numpy shuffles a tail of
+arange(width) instead (widths above 10000 with more than width // 50
+values) is each draw an rng.choice call.
 The tests compare the block with rng.choice itself.
 """
 
@@ -102,38 +103,6 @@ class SearchReport:
     error_trace: tuple[tuple[int, float], ...]
 
 
-def _floyd_sets(draws: np.ndarray, width: int) -> np.ndarray:
-    """Values Floyd's algorithm takes from its draws, one call per row.
-
-    With c columns, step t draws draws[:, t] in [0, j_t], where
-    j_t = width - c + t, and takes that draw, or j_t itself when the draw
-    is already taken. A draw below width - c is already taken when an
-    earlier step drew it. A draw j_s (s < t) is already taken when an
-    earlier step drew it, or when step s found its own draw taken. Each
-    step so depends only on earlier ones, and iterating that rule from
-    the repeats reaches the exact answer in as many passes as the
-    longest chain of such steps.
-    """
-    n, c = draws.shape
-    steps = np.arange(c)
-    # Flat indices of each row's entries into the C-ordered (n, c) arrays.
-    rows = c * np.arange(n)[:, None]
-    order = np.argsort(draws, axis=1, kind="stable") + rows
-    ranked = draws.take(order)
-    repeat = np.zeros(n * c, bool)
-    repeat[order[:, 1:]] = ranked[:, 1:] == ranked[:, :-1]
-    repeat = repeat.reshape(n, c)
-    link = draws - (width - c)
-    chained = (link >= 0) & (link < steps)
-    link = np.where(chained, link, 0) + rows
-    taken = repeat
-    while True:
-        follow = repeat | (chained & taken.take(link))
-        if np.array_equal(follow, taken):
-            return np.where(taken, steps + (width - c), draws)
-        taken = follow
-
-
 def _choice_block(rng: np.random.Generator, width: int,
                   counts: tuple[int, ...], n: int) -> list[np.ndarray]:
     """n rounds of [rng.choice(width, size=c, replace=False) for c in counts].
@@ -143,8 +112,9 @@ def _choice_block(rng: np.random.Generator, width: int,
     would. Each call draws Floyd's values, then shuffles them, with
     numpy's bounded integers (Lemire's method), the same routine that
     rng.integers uses for an int64 array of bounds. So all rounds take
-    one rng.integers call, and _floyd_sets turns its draws into values;
-    only a tail shuffle is drawn one rng.choice call at a time.
+    one rng.integers call, and Floyd's steps then run one column at a
+    time over every row; only a tail shuffle is drawn one rng.choice
+    call at a time.
     """
     # Above width 10000, a count over width // 50 makes rng.choice
     # shuffle a tail of arange(width) instead of running Floyd's algorithm.
@@ -161,9 +131,17 @@ def _choice_block(rng: np.random.Generator, width: int,
             part for c in counts
             for part in (np.arange(width - c, width), np.arange(c - 1, 0, -1))])
         draws = rng.integers(0, bounds, size=(n, len(bounds)), endpoint=True)
-        starts = np.cumsum([0] + [max(2 * c - 1, 0) for c in counts])
-        blocks = [_floyd_sets(draws[:, start:start + c], width)
-                  for start, c in zip(starts.tolist(), counts)]
+        blocks, start = [], 0
+        for c in counts:
+            block = draws[:, start:start + c]
+            start += max(2 * c - 1, 0)
+            # Floyd's step t keeps its draw, or takes its bound width - c + t
+            # when an earlier step of the same call took that value.
+            for t in range(1, c):
+                column = block[:, t]
+                column[(block[:, :t] == column[:, None]).any(axis=1)] = (
+                    width - c + t)
+            blocks.append(block)
     for block in blocks:
         block.sort(axis=1)
     return blocks
@@ -233,7 +211,6 @@ def random_search(samples: SampleSet, config: SearchConfig,
 
     trace: list[tuple[int, float]] = []
     best: Optional[FitReport] = None
-    best_draw = None
     for index, (num, den) in enumerate(draws):
         try:
             report = fit_rational(samples, num, den,
@@ -243,13 +220,13 @@ def random_search(samples: SampleSet, config: SearchConfig,
             continue
         trace.append((index, report.delta_star))
         if best is None or report.delta_star < best.delta_star:
-            best, best_draw = report, (num, den)
+            best = report
     if best is None:
         raise TropicalError("every sampled degree class failed to fit")
     return SearchReport(
         best=best,
-        best_degrees=best_draw[0],
-        best_denominator_degrees=best_draw[1],
+        best_degrees=best.model.numerator.degrees,
+        best_denominator_degrees=best.model.denominator.degrees,
         samples_evaluated=len(draws),
         error_trace=tuple(trace),
     )

@@ -12,9 +12,10 @@ number format: max-times values are mapped in through the logarithm
 and out through the exponential (to_max_plus / from_max_plus), which
 turns max-times products into max-plus sums. It also owns the one
 range rule (out_of_range): a reading has a float value when it is
-finite and, in max-times, its exponential is neither 0 nor inf. Every
-value leaving the core goes through the checked map-out, from_max_plus
-with a name, which raises ValueError for the first reading out of range.
+finite and, in max-times, its exponential is a normal float: not inf,
+0 or subnormal, which keeps too few bits. Every value leaving the core
+goes through the checked map-out, from_max_plus with a name, which
+raises ValueError for the first reading out of range.
 
 The array core (residuate, one_sided, alternate) takes every matrix
 transposed, as (..., n_terms, n_samples) C-contiguous arrays. Designs
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -139,15 +141,17 @@ def out_of_range(readings, semifield: Semifield) -> np.ndarray:
     """Where max-plus readings have no float value in the semifield.
 
     A reading is out of range when it is not finite and, in max-times,
-    also when its exponential underflows to 0 or overflows to inf. In
-    max-plus 0.0 is the unit, a value like any other.
+    also when its exponential overflows to inf or underflows below the
+    normal floats: a subnormal keeps fewer significant bits (as few as
+    one), so a model written with it no longer has the error it
+    reports. In max-plus 0.0 is the unit, a value like any other.
     """
     readings = np.asarray(readings, dtype=float)
     if not isinstance(semifield, MaxTimes):
         return ~np.isfinite(readings)
     with np.errstate(over="ignore"):
         values = np.exp(readings)
-    return ~((values > 0) & (values < math.inf))
+    return ~((values >= sys.float_info.min) & (values < math.inf))
 
 
 def from_max_plus(values, semifield: Semifield,
@@ -156,9 +160,9 @@ def from_max_plus(values, semifield: Semifield,
 
     Given what, the map-out is checked, without a numpy warning: the
     first reading out of range raises ValueError("<what> leaves the
-    float range: exp(<reading>) underflows to 0" or "overflows to inf";
-    "<reading> is not finite" in max-plus), what formatted with the
-    reading's flat index.
+    float range: exp(<reading>) underflows to 0", "underflows to a
+    subnormal" or "overflows to inf"; "<reading> is not finite" in
+    max-plus), what formatted with the reading's flat index.
     """
     array = np.asarray(values, dtype=float)
     max_times = isinstance(semifield, MaxTimes)
@@ -167,8 +171,10 @@ def from_max_plus(values, semifield: Semifield,
         reading = float(array.flat[i])
         cause = (f"{reading:.1f} is not finite" if not max_times
                  else f"exp({reading:.1f}) " + (
-                     "underflows to 0" if reading < 0 else
-                     "overflows to inf" if reading > 0 else "is nan"))
+                     "overflows to inf" if reading > 0 else
+                     "is nan" if math.isnan(reading) else
+                     "underflows to 0" if math.exp(reading) == 0 else
+                     "underflows to a subnormal"))
         raise ValueError(f"{what.format(i)} leaves the float range: {cause}")
     return np.exp(array) if max_times else array
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropfit import (
     MAX_PLUS,
@@ -27,6 +27,7 @@ from tropfit import (
 )
 from tropfit.approx import evaluate, score_polynomials
 from tropfit.datasets import convex_samples, nonconvex_samples
+from tropfit.solvers import DELTA_UNIT_TOL, scaled_tolerance
 from oracles import eval_reference, rational_system, two_sided_reference
 
 # Reference values for the bundled demo fits (printed to four decimals
@@ -424,6 +425,74 @@ def test_fit_rational_at_large_magnitude():
         worst = max(abs(eval_rational(report.model, x) - y)
                     for x, y in shifted.points)
         assert worst == pytest.approx(report.error, abs=64 * math.ulp(c))
+
+
+def _extreme_reals(sf):
+    if sf is MAX_PLUS:
+        return st.floats(min_value=-1e308, max_value=1e308)
+    return st.floats(min_value=0.0, max_value=1e308, exclude_min=True)
+
+
+_extreme_samples = st.sampled_from([MAX_PLUS, MAX_TIMES]).flatmap(
+    lambda sf: st.tuples(st.just(sf), st.lists(
+        st.tuples(_extreme_reals(sf), _extreme_reals(sf)),
+        min_size=1, max_size=8)))
+_extreme_degrees = st.lists(st.integers(-8, 8), min_size=1, max_size=4,
+                            unique=True).map(DegreeVector)
+
+
+def _readings(model, x):
+    """Max-plus coefficients and terms of a polynomial model at x."""
+    coefficients = np.array(model.coefficients.elements)
+    if model.semifield is MAX_TIMES:
+        coefficients = np.log(coefficients)
+    return coefficients, model.degrees.exponents[:, None] * x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_extreme_samples, _extreme_degrees, _extreme_degrees)
+# Terms near 9e216 cancel to model values near 9e214; the fit is exact.
+@example((MAX_PLUS, [(-4.5613567752820786e+216, -9.172485905169307e+214)]),
+         DegreeVector([0, 1, 3]), DegreeVector([-2, 1]))
+# A coefficient maps out to the subnormal 5e-324, which keeps one bit.
+@example((MAX_TIMES, [(5.150620829855958e-140, 1.401298464324817e-45)]),
+         DegreeVector([-2, 0]), DegreeVector([0]))
+# The core sees y - x near 1e292, but sigma - x, a denominator value of
+# the model, overflows.
+@example((MAX_PLUS, [(8.988465674311579e+307, 8.98846567431158e+307)]),
+         DegreeVector([-1]), DegreeVector([-1]))
+def test_fits_at_any_magnitude_report_the_error_numpy_recomputes(
+        samples, num, den):
+    # Either the fit raises ValueError, or numpy recomputes its error
+    # from the model (in log space for max-times). ErrorCheckFailed is
+    # no ValueError, and tier-1 turns a RuntimeWarning into an error.
+    sf, pairs = samples
+    data = SampleSet.from_reals(pairs, sf)
+    x, y = data.xs, data.ys
+    for fit in (lambda: fit_polynomial(data, num),
+                lambda: fit_rational(data, num, den, max_iter=100)):
+        try:
+            report = fit()
+        except ValueError:
+            continue
+        model = report.model
+        parts = ([_readings(model, x)] if isinstance(model, PolynomialModel)
+                 else [_readings(model.numerator, x),
+                       _readings(model.denominator, x)])
+        with np.errstate(all="ignore"):
+            values = [np.max(theta[:, None] + terms, axis=0)
+                      for theta, terms in parts]
+            residual = (values[0] - y if len(values) == 1
+                        else values[0] - values[1] - y)
+            worst = float(np.max(np.abs(residual)))
+        error = math.log(report.error) if sf is MAX_TIMES else report.error
+        # A fit within DELTA_UNIT_TOL of exact keeps the greatest exact
+        # solution, whose error can exceed the reported one by up to half
+        # that tolerance.
+        tol = max(1e-9 * abs(error),
+                  scaled_tolerance(DELTA_UNIT_TOL, y, *(a for part in parts
+                                                        for a in part)))
+        assert abs(worst - error) <= tol
 
 
 # --- max-times through the logarithm ----------------------------------------

@@ -65,6 +65,16 @@ def test_parse_samples_crlf_and_blank_lines(tmp_path):
     assert [p[0] for p in ss.points] == [1.0, 3.0]
 
 
+def test_parse_samples_skips_a_byte_order_mark(tmp_path):
+    # A BOM before a headerless first row must not make it a header.
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2\n2,3\n3,5\n")
+    assert parse_samples(str(path)).points == ((1.0, 2.0), (2.0, 3.0),
+                                               (3.0, 5.0))
+    path.write_bytes(b"\xef\xbb\xbfx,y\n1,2\n2,3\n")
+    assert parse_samples(str(path)).points == ((1.0, 2.0), (2.0, 3.0))
+
+
 def test_parse_samples_malformed_row(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("0,abc\n", encoding="utf-8")
@@ -429,6 +439,19 @@ def test_fit_failed_self_check_exits_2(g_shifted_csv, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: pointwise model error disagrees")
+
+
+def test_exact_fit_of_cancelling_large_terms_passes_the_self_check(
+        tmp_path, capsys):
+    # The model values are about 9e214, but the coefficients and design
+    # entries summed into them are about 9e216 and cancel: their
+    # rounding, not the values', bounds the gap the check must allow.
+    path = tmp_path / "huge.csv"
+    path.write_text("-4.5613567752820786e+216,-9.172485905169307e+214\n",
+                    encoding="utf-8")
+    assert main(["fit", "--kind", "rational", "--num-degrees", "0,1,3",
+                 "--den-degrees", "-2,1", "--input", str(path)]) == 0
+    assert parse_model(capsys.readouterr().out).delta_star == 0.0
 
 
 def test_eval_grid(tmp_path, capsys):

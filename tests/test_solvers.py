@@ -380,10 +380,13 @@ def test_out_of_range_is_the_range_rule_of_each_semifield():
     # In max-plus 0.0 is the unit: only the non-finite readings are out.
     assert out_of_range(readings, MAX_PLUS).tolist() == [
         False, False, False, False, False, True, True, True]
-    # In max-times exp underflows to 0 below about -745.13 and overflows
-    # above about 709.78.
+    # In max-times exp leaves the normal floats below about -708.40
+    # (subnormal, then 0 below about -745.13) and overflows above about
+    # 709.78.
     assert out_of_range(readings, MAX_TIMES).tolist() == [
-        False, True, False, False, True, True, True, True]
+        False, True, True, False, True, True, True, True]
+    assert out_of_range(np.array([-708.3, -708.5]), MAX_TIMES).tolist() == [
+        False, True]
     assert out_of_range(readings.reshape(2, 4), MAX_TIMES).shape == (2, 4)
 
 
@@ -392,6 +395,8 @@ def test_out_of_range_is_the_range_rule_of_each_semifield():
      "value 3 leaves the float range: exp(1000.0) overflows to inf"),
     ([0.0, -math.inf], MAX_TIMES,
      "value 1 leaves the float range: exp(-inf) underflows to 0"),
+    ([-745.1], MAX_TIMES,
+     "value 0 leaves the float range: exp(-745.1) underflows to a subnormal"),
     ([math.nan], MAX_TIMES, "value 0 leaves the float range: exp(nan) is nan"),
     ([0.0, math.inf], MAX_PLUS,
      "value 1 leaves the float range: inf is not finite"),
