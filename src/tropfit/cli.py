@@ -127,49 +127,6 @@ class ModelDocument:
     provenance: dict
 
 
-def _fmt_float(x: float) -> str:
-    # JSON has no inf or nan, so a model file never holds one.
-    if not math.isfinite(x):
-        raise ValueError(f"{float(x)!r} cannot be written as a JSON number")
-    # 17 significant digits round-trip any double; force a decimal point
-    # so the value parses back as a float, not an int.
-    s = f"{float(x):.17g}"
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
-
-
-def _to_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join(
-            "  " * (indent + 1) + _to_json(v, indent + 1) for v in value)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f'{"  " * (indent + 1)}{json.dumps(str(k))}: '
-            f'{_to_json(v, indent + 1)}'
-            for k, v in value.items())
-        return "{\n" + items + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _poly_payload(doc: PolynomialDoc) -> dict:
     return {
         "degrees": [str(d) for d in doc.degrees],
@@ -178,7 +135,13 @@ def _poly_payload(doc: PolynomialDoc) -> dict:
 
 
 def serialize_model(doc: ModelDocument) -> str:
-    """Render a model document as stable, byte-reproducible JSON text."""
+    """Render a model document as stable, byte-reproducible JSON text.
+
+    Two-space indented JSON with an LF after the closing brace. Floats
+    are written as their shortest round-trip repr, as eval and datasets
+    write them, so parsing and re-serializing reproduces the text. JSON
+    has no inf or nan: a non-finite float raises ValueError.
+    """
     payload = {
         "semifield": doc.semifield,
         "kind": doc.kind,
@@ -189,7 +152,7 @@ def serialize_model(doc: ModelDocument) -> str:
         "error": doc.error,
         "provenance": doc.provenance,
     }
-    return _to_json(payload) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _is_json_number(value) -> bool:

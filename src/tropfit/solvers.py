@@ -90,9 +90,9 @@ class OneSidedSolution:
     """Result of solving a x = b.
 
     delta is the squared best error (>= the unit), error its semifield
-    square root, and x_star the minimizing vector. When the system is
-    consistent (delta at the unit within DELTA_UNIT_TOL), exact is True
-    and x_star is the greatest exact solution.
+    square root, and x_star the minimizing vector: the residuation scaled
+    by sqrt(delta), whose pointwise error is error. exact is True when
+    the system is consistent, delta at the unit within DELTA_UNIT_TOL.
     """
 
     delta: float
@@ -289,14 +289,13 @@ def balance(r: np.ndarray, delta: float | np.ndarray) -> tuple[
     """Best solution (x_star, exact) from the residuation r and its delta.
 
     r has one row of coefficients per delta (leading axes as in
-    residuate). A system whose delta is the unit within DELTA_UNIT_TOL is
-    consistent: its greatest exact solution r is returned unscaled, since
-    sqrt(delta) is the unit there anyway. Otherwise r is scaled by
-    sqrt(delta), that is r + delta / 2 in max-plus.
+    residuate). x_star is r scaled by sqrt(delta), that is r + delta / 2
+    in max-plus, for every delta, so the pointwise error of x_star is
+    the reported one. exact labels a delta at the unit within
+    DELTA_UNIT_TOL, a consistent system.
     """
     exact = np.abs(delta) <= DELTA_UNIT_TOL
-    half = 0.5 * np.asarray(delta)[..., None]
-    return np.where(np.asarray(exact)[..., None], r, r + half), exact
+    return r + 0.5 * np.asarray(delta)[..., None], exact
 
 
 class _History:
@@ -373,7 +372,10 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     back (residuate) reduces along contiguous sample rows. Returns the
     delta of every half step, the pair (x, y) that first reached the
     smallest delta, and the reason for stopping. The rules are those of
-    two_sided_solve.
+    two_sided_solve. The entry check (check_residuation) bounds the spans,
+    not the iterates, which can drift out of the float range: a half step
+    whose delta is not finite raises the same ValueError, and numpy's
+    overflow warnings are muted in the loop.
 
     Every buffer is allocated once per call: per side an (n, m) scratch
     and the residuation r, plus the image and the second image (m). A
@@ -403,31 +405,35 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     deltas: list[float] = []
     best = None
     side = 0
-    while True:
-        other = 1 - side
-        np.maximum.reduce(
-            np.add(spans[side], current[side][:, None], out=scratch[side]),
-            axis=0, out=image)
-        _, delta = residuate(spans[other], image, scratch=scratch[other],
-                             r=reached[other], image=projection)
-        history = histories[other]
-        current[other] = np.add(reached[other], 0.5 * delta,
-                                out=history.free_column())
-        columns[other] = history.count
-        deltas.append(delta)
-        if best is None or delta < best[0]:
-            best = (delta, columns[0], columns[1])
-        if abs(delta) <= DELTA_UNIT_TOL:
-            termination = Termination.EXACT_SOLUTION
-            break
-        if history.repeats(current[other]):
-            termination = Termination.CYCLE_DETECTED
-            break
-        history.store()
-        if len(deltas) >= max_iter:
-            termination = Termination.ITERATION_CAP
-            break
-        side = other
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            other = 1 - side
+            np.maximum.reduce(
+                np.add(spans[side], current[side][:, None], out=scratch[side]),
+                axis=0, out=image)
+            _, delta = residuate(spans[other], image, scratch=scratch[other],
+                                 r=reached[other], image=projection)
+            if not math.isfinite(delta):
+                raise ValueError("the data leave the float range: "
+                                 "their differences overflow")
+            history = histories[other]
+            current[other] = np.add(reached[other], 0.5 * delta,
+                                    out=history.free_column())
+            columns[other] = history.count
+            deltas.append(delta)
+            if best is None or delta < best[0]:
+                best = (delta, columns[0], columns[1])
+            if abs(delta) <= DELTA_UNIT_TOL:
+                termination = Termination.EXACT_SOLUTION
+                break
+            if history.repeats(current[other]):
+                termination = Termination.CYCLE_DETECTED
+                break
+            history.store()
+            if len(deltas) >= max_iter:
+                termination = Termination.ITERATION_CAP
+                break
+            side = other
     return (deltas, histories[0].columns[:, best[1]].copy(),
             histories[1].columns[:, best[2]].copy(), termination)
 

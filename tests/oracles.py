@@ -194,8 +194,6 @@ def one_sided_reference(a: TropicalMatrix, b: TropicalVector):
     sf = a.semifield
     reached = conjugate(vec_mat_mul(conjugate(b), a))
     delta = dot(conjugate(mat_vec_mul(a, reached)), b)
-    if sf.is_one(delta, REFERENCE_UNIT_TOL):
-        return delta, reached
     return delta, scale(sf.sqrt(delta), reached)
 
 

@@ -486,9 +486,8 @@ def test_fits_at_any_magnitude_report_the_error_numpy_recomputes(
                         else values[0] - values[1] - y)
             worst = float(np.max(np.abs(residual)))
         error = math.log(report.error) if sf is MAX_TIMES else report.error
-        # A fit within DELTA_UNIT_TOL of exact keeps the greatest exact
-        # solution, whose error can exceed the reported one by up to half
-        # that tolerance.
+        # The tolerance allows for rounding at the magnitude of the data
+        # and the model.
         tol = max(1e-9 * abs(error),
                   scaled_tolerance(DELTA_UNIT_TOL, y, *(a for part in parts
                                                         for a in part)))

@@ -219,6 +219,62 @@ def test_model_document_round_trip():
     assert parsed["numerator"]["degrees"] == ["-3", "1/2"]
 
 
+#: The README polynomial fit as older versions wrote it, every float with
+#: 17 significant digits; two of them are longer than their shortest repr.
+OLD_README_FIT = """\
+{
+  "semifield": "max-plus",
+  "kind": "polynomial",
+  "numerator": {
+    "degrees": [
+      "-14",
+      "-1",
+      "1",
+      "2",
+      "3"
+    ],
+    "coefficients": [
+      2.5680041281282557,
+      0.91758522894402439,
+      -0.43199587187174404,
+      -1.6280626981159347,
+      -3.2413170692157838
+    ]
+  },
+  "denominator": null,
+  "delta_star": 0.13600825625651192,
+  "error": 0.068004128128255958,
+  "provenance": {
+    "seed": null,
+    "config": {
+      "kind": "polynomial",
+      "semifield": "max-plus",
+      "degrees": [
+        "-14",
+        "-1",
+        "1",
+        "2",
+        "3"
+      ]
+    },
+    "tool_version": "0.1.0"
+  }
+}
+"""
+
+
+def test_old_model_documents_read_back_as_shortest_floats():
+    shortest = (OLD_README_FIT
+                .replace("0.91758522894402439", "0.9175852289440244")
+                .replace("0.068004128128255958", "0.06800412812825596"))
+    assert shortest != OLD_README_FIT
+    doc = parse_model(OLD_README_FIT)
+    assert doc == parse_model(shortest)
+    assert doc.numerator.coefficients[1] == 0.9175852289440244
+    assert doc.error == 0.06800412812825596
+    assert serialize_model(doc) == shortest
+
+
 #: A defect in a parseable model document, and its error message.
 MALFORMED_PARTS = [
     # Strings would be iterated one character at a time.
@@ -739,7 +795,8 @@ def test_model_documents_reject_non_finite_numbers(value):
                         numerator=PolynomialDoc((Fraction(1),), (1.0,)),
                         denominator=None, delta_star=value, error=1.0,
                         provenance={})
-    with pytest.raises(ValueError, match="cannot be written as a JSON number"):
+    with pytest.raises(ValueError, match="Out of range float values are not "
+                                         "JSON compliant"):
         serialize_model(doc)
 
 

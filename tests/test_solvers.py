@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,22 @@ def test_one_sided_max_times():
     reproduced = mat_vec_mul(a, sol.x_star)
     for p, q in zip(reproduced, b):
         assert p == pytest.approx(q, rel=1e-12)
+
+
+def test_one_sided_balances_a_delta_inside_the_exact_band():
+    # delta = 1e-9 is within DELTA_UNIT_TOL, so the fit counts as exact,
+    # and its coefficient is still scaled by sqrt(delta): 0 + 1e-9 / 2.
+    y = (0.0, 1e-9)
+    sol = one_sided_solve(TropicalMatrix(((0.0,), (0.0,)), MAX_PLUS),
+                          TropicalVector(y, MAX_PLUS))
+    report = fit_polynomial(
+        SampleSet.from_reals([(0.0, v) for v in y], MAX_PLUS),
+        DegreeVector([0]))
+    assert sol.exact and report.termination is Termination.EXACT_SOLUTION
+    for coefficient, error in ((sol.x_star[0], sol.error),
+                               (report.model.coefficients[0], report.error)):
+        assert coefficient == 5e-10
+        assert max(abs(coefficient - v) for v in y) == error == 5e-10
 
 
 # --- two-sided -------------------------------------------------------------
@@ -467,6 +484,27 @@ def test_residuation_out_of_range_raises_before_computing(at, b):
         one_sided_solve(TropicalMatrix(tuple(map(tuple, at.T.tolist())),
                                        MAX_PLUS),
                         TropicalVector(b.tolist(), MAX_PLUS))
+
+
+def test_alternate_raises_when_a_later_half_step_overflows():
+    # The fifth system this loop draws passes the entry check, but its
+    # iterates drift upward until the differences of half step 209
+    # overflow: the solve raises the error the CLI prints with exit 2,
+    # and numpy warns of nothing.
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        m, n, l = rng.integers(2, 8), rng.integers(1, 4), rng.integers(1, 4)
+        magnitude = 10.0 ** rng.uniform(300, 307.5)
+        a = rng.uniform(-1, 1, (m, n)) * magnitude
+        b = rng.uniform(-1, 1, (m, l)) * magnitude
+    assert a.shape == (6, 3) and b.shape == (6, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as error:
+            two_sided_solve(TropicalMatrix(a.tolist(), MAX_PLUS),
+                            TropicalMatrix(b.tolist(), MAX_PLUS))
+    assert str(error.value) == ("the data leave the float range: "
+                                "their differences overflow")
 
 
 def test_scoring_raises_the_rule_error_of_the_first_failing_row():
