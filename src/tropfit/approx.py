@@ -390,15 +390,17 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> tuple[
         np.ndarray, Optional[FitReport]]:
     """fit_polynomial(samples, row) for every row of degrees, in one pass.
 
-    rows is an int array with one degree class per row. Returns the
-    delta_star of every row, and the FitReport of the first row with the
-    smallest one (None without rows), equal to fit_polynomial's for that
-    row. The residual r_p = min_i (y_i - p x_i) of a degree p does not
-    depend on the row it is drawn into, so it is computed once for each
-    distinct degree, with the slack s_pi = y_i - (p x_i + r_p). The delta
+    rows is an int array with one degree class per row, in any order
+    within the row. Returns the delta_star of every row, and the
+    FitReport of the first row with the smallest one (None without rows),
+    equal to fit_polynomial's for that row. The residual
+    r_p = min_i (y_i - p x_i) of a degree p does not depend on the row it
+    is drawn into, so it is computed once for each distinct degree, with
+    the slack s_pi = y_i - (p x_i + r_p). The delta
     of a row is max_i min_{p in row} s_pi: the same float as the
     residuation of the row's design, since y - v rounds monotonically in
-    v. Rows are gathered SCORE_ELEMENTS floats at a time.
+    v, and the same for every order of the row's terms. Rows are gathered
+    SCORE_ELEMENTS floats at a time.
 
     Where fit_polynomial would raise for some row (its design overflows
     or fails solvers.residuation_in_range, or a coefficient or delta_star
@@ -421,9 +423,11 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> tuple[
         slack = y - (terms + r[:, None])
         for start in range(0, len(rows), step):
             # Terms x rows x samples: the min over a row's terms is an
-            # elementwise min of contiguous sample rows.
+            # elementwise min of contiguous sample rows, and the max over
+            # samples one of contiguous rows of its samples x rows copy.
             gather = np.take(slack, index[start:start + step].T, axis=0)
-            np.maximum.reduce(np.minimum.reduce(gather, axis=0), axis=1,
+            mins = np.minimum.reduce(gather, axis=0)
+            np.maximum.reduce(mins.T.copy(), axis=0,
                               out=delta[start:start + step])
         theta, exact = balance(r[index], delta)
         scores = from_max_plus(delta, sf)

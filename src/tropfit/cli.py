@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 # perfbench/tracer.py wraps eval_polynomial and eval_rational here.
 from .approx import (  # noqa: F401
@@ -320,7 +322,9 @@ def parse_grid(spec: str) -> list[float]:
     """Expand "start:stop:step" into points, inclusive of both ends.
 
     The last point is kept when it lands within step/2 of the stop
-    value, which absorbs floating point drift in the step count.
+    value, which absorbs floating point drift in the step count. Point k
+    is start + k * step, computed in one array operation; a point that
+    overflows to inf is left to evaluate to reject.
     """
     parts = spec.split(":")
     if len(parts) != 3:
@@ -339,7 +343,8 @@ def parse_grid(spec: str) -> list[float]:
     if not math.isfinite(steps):
         raise ValueError("--grid has too many points")
     count = int(math.floor(steps)) + 1
-    return [start + k * step for k in range(count)]
+    with np.errstate(over="ignore"):
+        return (start + np.arange(count) * step).tolist()
 
 
 def _write_output(text: str, path: Optional[str]) -> None:

@@ -12,12 +12,16 @@ call per draw (numerator, then denominator, for rational classes), but
 a search computes all of its draws in one block (_choice_block): one
 rng.integers call makes the bounded draws of every call, in the order
 and with the routine Generator.choice uses, and Floyd's algorithm then
-runs step by step, each step on the matching column of every draw at
-once. The generator ends where the per-draw calls would leave it, for
-any bit generator and width. Only where numpy shuffles a tail of
-arange(width) instead (widths above 10000 with more than width // 50
-values) is each draw an rng.choice call.
+runs step by step on a terms x draws block, each step on one row of it
+for every draw at once. The generator ends where the per-draw calls
+would leave it, for any bit generator and width. Only where numpy
+shuffles a tail of arange(width) instead (widths above 10000 with more
+than width // 50 values) is each draw an rng.choice call.
 The tests compare the block with rng.choice itself.
+
+A block's classes are not sorted: a polynomial class's delta is a max
+of mins over its terms, so the scorer takes its terms in any order, and
+DegreeVector sorts the classes that become models.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ from .approx import (  # noqa: F401
 )
 from .semifield import TropicalError
 from .solvers import DEFAULT_MAX_ITER
+
+
+_INT64 = np.iinfo(np.int64)
 
 
 class RangeTooNarrow(TropicalError):
@@ -72,8 +79,7 @@ class SearchConfig:
         if self.max_iter_two_sided < 1:
             raise ValueError("max_iter_two_sided must be at least 1")
         width = self.degree_max - self.degree_min + 1
-        int64 = np.iinfo(np.int64)
-        if not all(int64.min <= v <= int64.max
+        if not all(_INT64.min <= v <= _INT64.max
                    for v in (self.degree_min, self.degree_max, width)):
             raise ValueError("the degree bounds and the range width must "
                              "lie within the int64 range")
@@ -107,43 +113,40 @@ def _choice_block(rng: np.random.Generator, width: int,
                   counts: tuple[int, ...], n: int) -> list[np.ndarray]:
     """n rounds of [rng.choice(width, size=c, replace=False) for c in counts].
 
-    Returns one (n, c) int64 array per count, each row sorted, holding
-    the values of the matching call, and leaves rng as those calls
-    would. Each call draws Floyd's values, then shuffles them, with
-    numpy's bounded integers (Lemire's method), the same routine that
-    rng.integers uses for an int64 array of bounds. So all rounds take
-    one rng.integers call, and Floyd's steps then run one column at a
-    time over every row; only a tail shuffle is drawn one rng.choice
-    call at a time.
+    Returns one C-contiguous (c, n) int64 block per count, terms x draws:
+    column j holds the values of the j-th round's call for that count,
+    unsorted, and rng is left as those calls would leave it. Each call
+    draws Floyd's values, then shuffles them, with numpy's bounded
+    integers (Lemire's method), the same routine that rng.integers uses
+    for an int64 array of bounds. So all rounds take one rng.integers
+    call, and Floyd's steps then run one block row at a time over every
+    draw; only a tail shuffle is drawn one rng.choice call at a time.
     """
     # Above width 10000, a count over width // 50 makes rng.choice
     # shuffle a tail of arange(width) instead of running Floyd's algorithm.
     if width > 10000 and max(counts, default=0) > width // 50:
-        blocks = [np.empty((n, c), np.int64) for c in counts]
-        for row in range(n):
+        blocks = [np.empty((c, n), np.int64) for c in counts]
+        for draw in range(n):
             for block, c in zip(blocks, counts):
-                block[row] = rng.choice(width, size=c, replace=False)
-    else:
-        # Per call: Floyd draws in [0, j] for j = width - c .. width - 1,
-        # then the shuffle's draws in [0, i] for i = c - 1 .. 1, whose
-        # values the sorted rows do not need. A bound of 0 takes no word.
-        bounds = np.concatenate([
-            part for c in counts
-            for part in (np.arange(width - c, width), np.arange(c - 1, 0, -1))])
-        draws = rng.integers(0, bounds, size=(n, len(bounds)), endpoint=True)
-        blocks, start = [], 0
-        for c in counts:
-            block = draws[:, start:start + c]
-            start += max(2 * c - 1, 0)
-            # Floyd's step t keeps its draw, or takes its bound width - c + t
-            # when an earlier step of the same call took that value.
-            for t in range(1, c):
-                column = block[:, t]
-                column[(block[:, :t] == column[:, None]).any(axis=1)] = (
-                    width - c + t)
-            blocks.append(block)
-    for block in blocks:
-        block.sort(axis=1)
+                block[:, draw] = rng.choice(width, size=c, replace=False)
+        return blocks
+    # Per call: Floyd draws in [0, j] for j = width - c .. width - 1,
+    # then the shuffle's draws in [0, i] for i = c - 1 .. 1, whose
+    # values the unordered classes do not need. A bound of 0 takes no word.
+    bounds = np.concatenate([
+        part for c in counts
+        for part in (np.arange(width - c, width), np.arange(c - 1, 0, -1))])
+    draws = rng.integers(0, bounds, size=(n, len(bounds)), endpoint=True)
+    blocks, start = [], 0
+    for c in counts:
+        block = draws[:, start:start + c].T.copy()
+        start += max(2 * c - 1, 0)
+        # Floyd's step t keeps its draw, or takes its bound width - c + t
+        # when an earlier step of the same call took that value.
+        for t in range(1, c):
+            step = block[t]
+            step[(block[:t] == step).any(axis=0)] = width - c + t
+        blocks.append(block)
     return blocks
 
 
@@ -154,7 +157,8 @@ def sample_degree_rows(low: int, high: int, count: int, n: int,
     Row i holds the values of the i-th of n rng.choice(width, size=count,
     replace=False) calls, sorted and shifted by low, and rng ends where
     those calls leave it, so the stream is that of n sample_degree_vector
-    calls. The rows come from one block draw (_choice_block).
+    calls. The rows are the sorted columns of one block draw
+    (_choice_block).
     A negative count or n raises ValueError before anything is drawn.
     """
     if count < 0 or n < 0:
@@ -164,8 +168,9 @@ def sample_degree_rows(low: int, high: int, count: int, n: int,
         raise RangeTooNarrow(
             f"range [{low}, {high}] holds {width} integers, "
             f"fewer than the {count} required")
-    rows, = _choice_block(rng, width, (count,), n)
-    rows += low
+    block, = _choice_block(rng, width, (count,), n)
+    rows = block.T + low
+    rows.sort(axis=1)
     return rows
 
 
@@ -189,11 +194,14 @@ def random_search(samples: SampleSet, config: SearchConfig,
     effect.
     """
     rng = np.random.default_rng(config.rng_seed)
+    low = config.degree_min
+    width = config.degree_max - low + 1
     if not config.is_rational:
-        rows = sample_degree_rows(config.degree_min, config.degree_max,
-                                  config.n_terms_numerator, config.n_samples,
-                                  rng)
-        trace, best = score_polynomials(samples, rows)
+        block, = _choice_block(rng, width, (config.n_terms_numerator,),
+                               config.n_samples)
+        # A class's delta is a max of mins over its terms, so its draws
+        # score unsorted; the winner's DegreeVector sorts them.
+        trace, best = score_polynomials(samples, block.T + low)
         return SearchReport(
             best=best,
             best_degrees=best.model.degrees,
@@ -201,13 +209,12 @@ def random_search(samples: SampleSet, config: SearchConfig,
             samples_evaluated=config.n_samples,
             error_trace=tuple(enumerate(trace.tolist())),
         )
-    low = config.degree_min
     nums, dens = _choice_block(
-        rng, config.degree_max - low + 1,
-        (config.n_terms_numerator, config.n_terms_denominator),
+        rng, width, (config.n_terms_numerator, config.n_terms_denominator),
         config.n_samples)
     draws = [(DegreeVector(num), DegreeVector(den))
-             for num, den in zip((nums + low).tolist(), (dens + low).tolist())]
+             for num, den in zip((nums.T + low).tolist(),
+                                 (dens.T + low).tolist())]
 
     trace: list[tuple[int, float]] = []
     best: Optional[FitReport] = None

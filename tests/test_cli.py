@@ -193,6 +193,25 @@ def test_eval_grid_with_too_many_points_exits_2(spec, tmp_path, capsys):
     assert captured.err == "error: --grid has too many points\n"
 
 
+def test_eval_grid_point_past_the_float_range_exits_2(tmp_path, capsys):
+    # The grid's last point, 0 + 2 * 1e308, overflows to inf, which no
+    # semifield holds; the points overflow without a numpy warning.
+    assert parse_grid("0:1.7976931348623157e308:1e308") == [
+        0.0, 1e308, math.inf]
+    model = ModelDocument(
+        semifield="max-plus", kind="polynomial",
+        numerator=PolynomialDoc((Fraction(0),), (0.0,)),
+        denominator=None, delta_star=0.0, error=0.0, provenance={})
+    path = tmp_path / "unit.json"
+    path.write_text(serialize_model(model), encoding="utf-8")
+    assert main(["eval", "--model", str(path), "--grid",
+                 "0:1.7976931348623157e308:1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: evaluation points must be max-plus scalars\n")
+
+
 # --- model documents ---------------------------------------------------------
 
 def sample_document():
@@ -421,6 +440,34 @@ def test_rational_search_writes_the_recorded_model(tmp_path, capsys):
                  "--output", str(model)]) == 0
     with open(os.path.join(DATA, "rational_search.json"), "rb") as f:
         assert model.read_bytes() == f.read()
+    capsys.readouterr()
+
+
+def test_readme_evals_write_the_recorded_output(tmp_path, capsys):
+    # The README quick start's two evals, recorded byte for byte: the
+    # polynomial model of f on --grid 0:2:0.1 and the rational model of g
+    # on its samples.
+    def path(name):
+        return str(tmp_path / name)
+
+    for argv in (
+            ["datasets", "f", "--output", path("f.csv")],
+            ["fit", "--semifield", "max-plus", "--kind", "polynomial",
+             "--degrees", "-14,-1,1,2,3", "--input", path("f.csv"),
+             "--output", path("model.json")],
+            ["eval", "--model", path("model.json"), "--grid", "0:2:0.1",
+             "--output", path("grid.tsv")],
+            ["datasets", "g", "--output", path("g.csv")],
+            ["fit", "--kind", "rational", "--num-degrees", "-3,-2,1,2",
+             "--den-degrees", "-5,-2", "--input", path("g.csv"),
+             "--output", path("rmodel.json")],
+            ["eval", "--model", path("rmodel.json"), "--input", path("g.csv"),
+             "--output", path("input.tsv")]):
+        assert main(argv) == 0
+    for written, recorded in (("grid.tsv", "readme_eval_grid.tsv"),
+                              ("input.tsv", "readme_eval_input.tsv")):
+        with open(os.path.join(DATA, recorded), "rb") as f:
+            assert (tmp_path / written).read_bytes() == f.read()
     capsys.readouterr()
 
 

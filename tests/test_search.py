@@ -105,9 +105,10 @@ def test_search_prefix_stability_and_dominance():
 def test_search_injected_draw_reproduces_direct_fit(monkeypatch):
     samples = convex_samples()
     forced = DegreeVector([-14, -1, 1, 2, 3])
+    # The block holds terms x draws offsets from degree_min = -15.
     monkeypatch.setattr(
-        tropfit.search, "sample_degree_rows",
-        lambda low, high, count, n, rng: np.array([[-14, -1, 1, 2, 3]] * n))
+        tropfit.search, "_choice_block",
+        lambda rng, width, counts, n: [np.array([[1, 14, 16, 17, 18]] * n).T])
     report = random_search(samples, SearchConfig(
         n_terms_numerator=5, degree_min=-15, degree_max=5,
         n_samples=1, rng_seed=0))
@@ -454,6 +455,48 @@ def test_degree_index_equals_np_unique(rows, sorted_out, monkeypatch):
     _check_scores_equal_per_row_fits(convex_samples(), rows.tolist(), BLOCK)
 
 
+def _scoring_outcome(samples, rows):
+    """float.hex scores and best report of score_polynomials, or its error."""
+    try:
+        scores, best = score_polynomials(samples, rows)
+    except ValueError as exc:
+        return str(exc)
+    return [float(d).hex() for d in scores], _hex_report(best), best
+
+
+@pytest.mark.parametrize("semifield", ["max-plus", "max-times"])
+@pytest.mark.parametrize("bound, n_rows", [
+    (15, 500),      # 31 integers in 500 x 5 entries: the offset table
+    (150, 40),      # about 300 integers in 40 x 5 entries: np.unique
+])
+@pytest.mark.parametrize("failing", [False, True])
+def test_scores_do_not_depend_on_the_order_of_a_rows_terms(semifield, bound,
+                                                           n_rows, failing):
+    # A row's delta is a max over the samples of mins over its terms, so
+    # the unsorted classes of a block draw score as their sorted rows do.
+    if failing:
+        # Coefficients underflow to 0 in max-times, and designs overflow
+        # the floats in max-plus, as in the batched-search tests above.
+        samples = (SampleSet(((1e-300, 1.0), (1e-200, 2.0), (0.5, 3.0)),
+                             MAX_TIMES) if semifield == "max-times"
+                   else SampleSet(((1e308, 0.0), (2.0, 1.0)), MAX_PLUS))
+    else:
+        samples = convex_samples()
+        if semifield == "max-times":
+            samples = _max_times(samples)
+    rng = np.random.default_rng(bound)
+    drawn = np.array([rng.choice(2 * bound + 1, size=5, replace=False)
+                      for _ in range(n_rows)]) - bound
+    rows = np.sort(drawn, axis=1)
+    span = rows.max() - rows.min() + 1
+    assert (span > rows.size) == (bound == 150)
+    expected = _scoring_outcome(samples, rows)
+    assert isinstance(expected, str) == failing
+    for permuted in (drawn, rows[:, ::-1], rng.permuted(rows, axis=1)):
+        assert (permuted != rows).any(axis=1).mean() > 0.9
+        assert _scoring_outcome(samples, permuted) == expected
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-10.0, 10.0)),
                 min_size=2, max_size=15, unique_by=lambda p: p[0])
@@ -494,9 +537,12 @@ def _assert_same_stream(width, counts, n, seed, bit_generator=np.random.PCG64,
     expected = _choice_rounds(choice_rng, width, counts, n)
     assert len(blocks) == len(expected)
     for block, reference in zip(blocks, expected):
+        # Terms x draws, each draw's terms unsorted.
         assert block.dtype == np.int64
-        assert block.shape == reference.shape
-        assert (block == reference).all()
+        assert block.flags.c_contiguous
+        rows = np.sort(block.T, axis=1)
+        assert rows.shape == reference.shape
+        assert (rows == reference).all()
     # MT19937's state holds an array, so the states are compared deeply.
     np.testing.assert_equal(block_rng.bit_generator.state,
                             choice_rng.bit_generator.state)
@@ -597,6 +643,31 @@ def test_sample_degree_rows_edge_sizes():
         with pytest.raises(ValueError):
             sample_degree_rows(-15, 5, count, n, rng)
     assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("low, high, n_terms, n, seed", [
+    (-15, 5, 5, 500, 1),
+    (-15, 5, 3, 200, 7),
+    (-10**9, 10**9, 4, 100, 3),     # np.unique path
+    (-6000, 6001, 300, 5, 2),       # tail shuffle
+])
+def test_search_scores_the_rows_of_sample_degree_rows(low, high, n_terms, n,
+                                                      seed):
+    # random_search scores its unsorted block draw; the public draw of
+    # the same stream gives sorted rows with the same trace and winner.
+    samples = convex_samples()
+    report = random_search(samples, SearchConfig(
+        n_terms_numerator=n_terms, degree_min=low, degree_max=high,
+        n_samples=n, rng_seed=seed))
+    rows = tropfit.search.sample_degree_rows(low, high, n_terms, n,
+                                             np.random.default_rng(seed))
+    assert rows.shape == (n, n_terms)
+    assert (np.diff(rows, axis=1) > 0).all()
+    assert rows.min() >= low and rows.max() <= high
+    trace, best = score_polynomials(samples, rows)
+    assert report.error_trace == tuple(enumerate(trace.tolist()))
+    assert report.best == best
+    assert report.best_degrees == best.model.degrees
 
 
 def test_rational_search_draws_follow_rng_choice():
