@@ -1,8 +1,9 @@
 """Command line interface: fit models, evaluate them, regenerate datasets.
 
 Exit codes are part of the contract: 0 on success, 2 on malformed
-input (CSV, flags, degrees, model files) and on a failed post-fit
-check, 3 when a solver rejects non-regular data.
+input (CSV, flags, degrees, model files), on a failed post-fit check
+and on a request too large to allocate, 3 when a solver rejects
+non-regular data.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -111,28 +112,24 @@ def parse_samples(path: str, semifield: Semifield = MAX_PLUS) -> SampleSet:
 # Model documents
 
 @dataclass(frozen=True)
-class PolynomialDoc:
-    degrees: tuple[Fraction, ...]
-    coefficients: tuple[float, ...]
-
-
-@dataclass(frozen=True, eq=True)
 class ModelDocument:
-    """Serializable form of a fitted model plus its provenance."""
+    """A fitted model with its errors and provenance, as files hold it."""
 
-    semifield: str
-    kind: str
-    numerator: PolynomialDoc
-    denominator: Optional[PolynomialDoc]
+    model: Union[PolynomialModel, RationalModel]
     delta_star: float
     error: float
     provenance: dict
 
+    @property
+    def kind(self) -> str:
+        return ("rational" if isinstance(self.model, RationalModel)
+                else "polynomial")
 
-def _poly_payload(doc: PolynomialDoc) -> dict:
+
+def _poly_payload(model: PolynomialModel) -> dict:
     return {
-        "degrees": [str(d) for d in doc.degrees],
-        "coefficients": list(doc.coefficients),
+        "degrees": [str(d) for d in model.degrees],
+        "coefficients": list(model.coefficients),
     }
 
 
@@ -141,15 +138,17 @@ def serialize_model(doc: ModelDocument) -> str:
 
     Two-space indented JSON with an LF after the closing brace. Floats
     are written as their shortest round-trip repr, as eval and datasets
-    write them, so parsing and re-serializing reproduces the text. JSON
-    has no inf or nan: a non-finite float raises ValueError.
+    write them, so parsing and re-serializing a file tropfit wrote
+    reproduces the text. JSON has no inf or nan: a non-finite float
+    raises ValueError.
     """
+    model = doc.model
+    rational = isinstance(model, RationalModel)
     payload = {
-        "semifield": doc.semifield,
+        "semifield": model.semifield.name,
         "kind": doc.kind,
-        "numerator": _poly_payload(doc.numerator),
-        "denominator": (None if doc.denominator is None
-                        else _poly_payload(doc.denominator)),
+        "numerator": _poly_payload(model.numerator if rational else model),
+        "denominator": _poly_payload(model.denominator) if rational else None,
         "delta_star": doc.delta_star,
         "error": doc.error,
         "provenance": doc.provenance,
@@ -184,21 +183,30 @@ def _array(data: dict, key: str) -> list:
     return data[key]
 
 
-def _parse_poly_doc(data) -> PolynomialDoc:
+def _parse_polynomial(data, semifield: Semifield) -> PolynomialModel:
+    """A polynomial part of a model document as a model. Its terms may
+    come in any order: sorting them in pairs keeps each coefficient with
+    its own degree."""
     if not isinstance(data, dict):
         raise MalformedModel("polynomial part must be an object")
     degrees = _array(data, "degrees")
     if not all(isinstance(d, str) or _is_json_number(d) for d in degrees):
         raise MalformedModel("degrees must be strings or numbers")
-    coefficients = tuple(_number(c, "a coefficient")
-                         for c in _array(data, "coefficients"))
+    coefficients = [_number(c, "a coefficient")
+                    for c in _array(data, "coefficients")]
     try:
-        degrees = tuple(Fraction(str(d)) for d in degrees)
+        degrees = [Fraction(str(d)) for d in degrees]
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedModel(f"bad polynomial part: {exc}") from None
     if len(degrees) != len(coefficients):
         raise MalformedModel("degrees and coefficients differ in length")
-    return PolynomialDoc(degrees, coefficients)
+    terms = sorted(zip(degrees, coefficients), key=lambda term: term[0])
+    try:
+        return PolynomialModel(
+            DegreeVector(d for d, _ in terms),
+            TropicalVector(tuple(c for _, c in terms), semifield))
+    except ValueError as exc:
+        raise MalformedModel(str(exc)) from None
 
 
 def parse_model(text: str) -> ModelDocument:
@@ -210,66 +218,31 @@ def parse_model(text: str) -> ModelDocument:
     if not isinstance(data, dict):
         raise MalformedModel("top level must be an object")
     try:
-        semifield = str(data["semifield"])
+        name = str(data["semifield"])
         kind = str(data["kind"])
-        numerator = _parse_poly_doc(data["numerator"])
-        denominator_data = data.get("denominator")
+        numerator = data["numerator"]
+        denominator = data.get("denominator")
         delta_star = _number(data["delta_star"], "delta_star")
         error = _number(data["error"], "error")
         provenance = data.get("provenance", {})
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedModel(f"bad model document: {exc}") from None
     try:
-        by_name(semifield)
+        semifield = by_name(name)
     except ValueError as exc:
         raise MalformedModel(str(exc)) from None
     if kind not in ("polynomial", "rational"):
         raise MalformedModel(f"unknown kind {kind!r}")
+    model = _parse_polynomial(numerator, semifield)
     if kind == "rational":
-        if denominator_data is None:
+        if denominator is None:
             raise MalformedModel("rational models need a denominator")
-        denominator = _parse_poly_doc(denominator_data)
-    else:
-        if denominator_data is not None:
-            raise MalformedModel("polynomial models take no denominator")
-        denominator = None
+        model = RationalModel(model, _parse_polynomial(denominator, semifield))
+    elif denominator is not None:
+        raise MalformedModel("polynomial models take no denominator")
     if not isinstance(provenance, dict):
         raise MalformedModel("provenance must be an object")
-    return ModelDocument(semifield=semifield, kind=kind, numerator=numerator,
-                         denominator=denominator, delta_star=delta_star,
-                         error=error, provenance=provenance)
-
-
-def _poly_doc(model: PolynomialModel) -> PolynomialDoc:
-    return PolynomialDoc(tuple(model.degrees),
-                         tuple(float(c) for c in model.coefficients))
-
-
-def document_from_report(report: FitReport, semifield_name: str,
-                         provenance: dict) -> ModelDocument:
-    model = report.model
-    rational = isinstance(model, RationalModel)
-    return ModelDocument(
-        semifield_name, "rational" if rational else "polynomial",
-        _poly_doc(model.numerator if rational else model),
-        _poly_doc(model.denominator) if rational else None,
-        float(report.delta_star), float(report.error), provenance)
-
-
-def model_from_document(doc: ModelDocument):
-    sf = by_name(doc.semifield)
-    try:
-        numerator = PolynomialModel(
-            DegreeVector(doc.numerator.degrees),
-            TropicalVector(doc.numerator.coefficients, sf))
-        if doc.kind == "polynomial":
-            return numerator
-        denominator = PolynomialModel(
-            DegreeVector(doc.denominator.degrees),
-            TropicalVector(doc.denominator.coefficients, sf))
-        return RationalModel(numerator, denominator)
-    except (ValueError, TropicalError) as exc:
-        raise MalformedModel(str(exc)) from None
+    return ModelDocument(model, delta_star, error, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +432,8 @@ def cmd_fit(args) -> int:
         "config": config,
         "tool_version": __version__,
     }
-    doc = document_from_report(report, args.semifield, provenance)
+    doc = ModelDocument(report.model, report.delta_star, report.error,
+                        provenance)
     _write_output(serialize_model(doc), args.output)
     print(f"delta_star = {report.delta_star:.4f}", file=sys.stderr)
     print(f"error = {report.error:.4f}", file=sys.stderr)
@@ -468,14 +442,12 @@ def cmd_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     with open(args.model, encoding="utf-8") as handle:
-        doc = parse_model(handle.read())
-    model = model_from_document(doc)
-    semifield = by_name(doc.semifield)
+        model = parse_model(handle.read()).model
     if (args.grid is None) == (args.input is None):
         raise ValueError("give exactly one of --grid or --input")
     # Values go out as Python floats: repr of a numpy float is not a number.
     if args.input is not None:
-        samples = parse_samples(args.input, semifield)
+        samples = parse_samples(args.input, model.semifield)
         values = evaluate(model, samples.x).tolist()
         lines = [f"{x!r}\t{value!r}\t{y!r}\t{value - y!r}"
                  for x, y, value in zip(samples.x.tolist(),
@@ -573,7 +545,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NonRegularInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (TropicalError, ValueError, OSError) as exc:
+    except (TropicalError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ goes through the checked map-out, from_max_plus with a name, which
 raises ValueError for the first reading out of range.
 
 The array core (residuate, one_sided, alternate) takes every matrix
-transposed, as (..., n_terms, n_samples) C-contiguous arrays. Designs
+transposed, as (n_terms, n_samples) C-contiguous arrays. Designs
 have many samples and few terms, so with terms on the leading axis a
 reduction over terms is an elementwise max of a few contiguous sample
 rows, and a reduction over samples runs along one contiguous row,
@@ -241,8 +241,7 @@ def scaled_tolerance(base: float, *arrays: np.ndarray) -> float:
 def residuate(at: np.ndarray, b: np.ndarray, *,
               scratch: Optional[np.ndarray] = None,
               r: Optional[np.ndarray] = None,
-              image: Optional[np.ndarray] = None) -> tuple[
-        np.ndarray, float | np.ndarray]:
+              image: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
     """Greatest r with a r <= b, and the squared distance of a r to b.
 
     at is the transposed matrix a, terms by samples:
@@ -252,46 +251,38 @@ def residuate(at: np.ndarray, b: np.ndarray, *,
     by the square root delta / 2 balances the one-sided slack into the
     metric-best solution.
 
-    Leading axes of at are a batch of independent systems, each solved
-    against b: at of shape (..., n, m) gives r of shape (..., n) and an
-    array of deltas of shape (...). A single system gives a float delta.
-
     The keyword buffers, when given, receive the intermediate results so
     that a caller in a loop allocates nothing: scratch the shape of at,
     r the shape of r, image the shape of b (it ends up holding the
     slack b - a r). The arithmetic is the same either way.
     """
-    scratch = np.subtract(b[..., None, :], at, out=scratch)
-    r = np.minimum.reduce(scratch, axis=-1, out=r)
-    scratch = np.add(at, r[..., None], out=scratch)
-    image = np.maximum.reduce(scratch, axis=-2, out=image)
-    delta = np.maximum.reduce(np.subtract(b, image, out=image), axis=-1)
-    return r, (float(delta) if at.ndim == 2 else delta)
+    scratch = np.subtract(b, at, out=scratch)
+    r = np.minimum.reduce(scratch, axis=1, out=r)
+    scratch = np.add(at, r[:, None], out=scratch)
+    image = np.maximum.reduce(scratch, axis=0, out=image)
+    return r, float(np.maximum.reduce(np.subtract(b, image, out=image)))
 
 
-def one_sided(at: np.ndarray, b: np.ndarray) -> tuple[
-        np.ndarray, float | np.ndarray, bool | np.ndarray]:
+def one_sided(at: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Array form of one_sided_solve: (x_star, delta, exact) in max-plus.
 
-    at is the transposed matrix a (terms by samples), as for residuate,
-    and so are leading batch axes: a single system gives a float delta
-    and a bool exact, a batch arrays of them. Data outside
-    residuation_in_range raise ValueError.
+    at is the transposed matrix a (terms by samples), as for residuate.
+    Data outside residuation_in_range raise ValueError.
     """
     check_residuation(at, b)
     r, delta = residuate(at, b)
     x_star, exact = balance(r, delta)
-    return x_star, delta, (bool(exact) if at.ndim == 2 else exact)
+    return x_star, delta, bool(exact)
 
 
 def balance(r: np.ndarray, delta: float | np.ndarray) -> tuple[
         np.ndarray, bool | np.ndarray]:
     """Best solution (x_star, exact) from the residuation r and its delta.
 
-    r has one row of coefficients per delta (leading axes as in
-    residuate). x_star is r scaled by sqrt(delta), that is r + delta / 2
-    in max-plus, for every delta, so the pointwise error of x_star is
-    the reported one. exact labels a delta at the unit within
+    r has one row of coefficients per delta, any leading axes being a
+    batch of systems. x_star is r scaled by sqrt(delta), that is
+    r + delta / 2 in max-plus, for every delta, so the pointwise error
+    of x_star is the reported one. exact labels a delta at the unit within
     DELTA_UNIT_TOL, a consistent system.
     """
     exact = np.abs(delta) <= DELTA_UNIT_TOL

@@ -222,10 +222,9 @@ def rational_system(samples, num_degrees, den_degrees):
 # --- the plain array loop of alternate --------------------------------------
 
 def _residuate_reference(at: np.ndarray, b: np.ndarray):
-    r = np.minimum.reduce(b[..., None, :] - at, axis=-1)
-    image = np.maximum.reduce(at + r[..., None], axis=-2)
-    delta = np.maximum.reduce(b - image, axis=-1)
-    return r, (float(delta) if at.ndim == 2 else delta)
+    r = np.minimum.reduce(b - at, axis=1)
+    image = np.maximum.reduce(at + r[:, None], axis=0)
+    return r, float(np.maximum.reduce(b - image))
 
 
 def alternate_reference(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,

@@ -15,17 +15,38 @@ from tropfit.cli import (
     MalformedModel,
     MalformedRow,
     ModelDocument,
-    PolynomialDoc,
     main,
     parse_grid,
     parse_model,
     parse_samples,
     serialize_model,
 )
-from tropfit.approx import ZeroAbscissa
+from tropfit.approx import (
+    DegreeVector,
+    PolynomialModel,
+    RationalModel,
+    ZeroAbscissa,
+)
 from tropfit.datasets import GRID, convex_curve, dataset_csv, nonconvex_curve
-from tropfit.semifield import MAX_TIMES
+from tropfit.linalg import TropicalVector
+from tropfit.semifield import MAX_TIMES, by_name
 from tropfit.solvers import NonRegularInput
+
+
+def document(semifield, numerator, denominator=None, delta_star=0.0,
+             error=0.0, provenance=None):
+    """A model document from (degrees, coefficients) parts."""
+    sf = by_name(semifield)
+
+    def part(degrees, coefficients):
+        return PolynomialModel(DegreeVector(degrees),
+                               TropicalVector(tuple(coefficients), sf))
+
+    model = part(*numerator)
+    if denominator is not None:
+        model = RationalModel(model, part(*denominator))
+    return ModelDocument(model, delta_star, error,
+                         {} if provenance is None else provenance)
 
 
 @pytest.fixture
@@ -164,10 +185,7 @@ def test_parse_grid_rejects_non_finite_parts(spec):
 
 @pytest.mark.parametrize("spec", NON_FINITE_GRIDS)
 def test_eval_non_finite_grid_exits_2(spec, tmp_path, capsys):
-    model = ModelDocument(
-        semifield="max-plus", kind="polynomial",
-        numerator=PolynomialDoc((Fraction(0),), (0.0,)),
-        denominator=None, delta_star=0.0, error=0.0, provenance={})
+    model = document("max-plus", ([0], [0.0]))
     path = tmp_path / "unit.json"
     path.write_text(serialize_model(model), encoding="utf-8")
     assert main(["eval", "--model", str(path), f"--grid={spec}"]) == 2
@@ -181,10 +199,7 @@ def test_eval_non_finite_grid_exits_2(spec, tmp_path, capsys):
 def test_eval_grid_with_too_many_points_exits_2(spec, tmp_path, capsys):
     # The point count is inf: (stop - start) / step overflows, or
     # stop - start already does.
-    model = ModelDocument(
-        semifield="max-plus", kind="polynomial",
-        numerator=PolynomialDoc((Fraction(0),), (0.0,)),
-        denominator=None, delta_star=0.0, error=0.0, provenance={})
+    model = document("max-plus", ([0], [0.0]))
     path = tmp_path / "unit.json"
     path.write_text(serialize_model(model), encoding="utf-8")
     assert main(["eval", "--model", str(path), "--grid", spec]) == 2
@@ -198,10 +213,7 @@ def test_eval_grid_point_past_the_float_range_exits_2(tmp_path, capsys):
     # semifield holds; the points overflow without a numpy warning.
     assert parse_grid("0:1.7976931348623157e308:1e308") == [
         0.0, 1e308, math.inf]
-    model = ModelDocument(
-        semifield="max-plus", kind="polynomial",
-        numerator=PolynomialDoc((Fraction(0),), (0.0,)),
-        denominator=None, delta_star=0.0, error=0.0, provenance={})
+    model = document("max-plus", ([0], [0.0]))
     path = tmp_path / "unit.json"
     path.write_text(serialize_model(model), encoding="utf-8")
     assert main(["eval", "--model", str(path), "--grid",
@@ -215,16 +227,11 @@ def test_eval_grid_point_past_the_float_range_exits_2(tmp_path, capsys):
 # --- model documents ---------------------------------------------------------
 
 def sample_document():
-    return ModelDocument(
-        semifield="max-plus",
-        kind="rational",
-        numerator=PolynomialDoc((Fraction(-3), Fraction(1, 2)), (1.25, -0.5)),
-        denominator=PolynomialDoc((Fraction(0),), (3.0,)),
-        delta_star=0.25,
-        error=0.125,
+    return document(
+        "max-plus", ([-3, Fraction(1, 2)], [1.25, -0.5]), ([0], [3.0]),
+        delta_star=0.25, error=0.125,
         provenance={"seed": 7, "config": {"kind": "rational"},
-                    "tool_version": "0.1.0"},
-    )
+                    "tool_version": "0.1.0"})
 
 
 def test_model_document_round_trip():
@@ -289,7 +296,7 @@ def test_old_model_documents_read_back_as_shortest_floats():
     assert shortest != OLD_README_FIT
     doc = parse_model(OLD_README_FIT)
     assert doc == parse_model(shortest)
-    assert doc.numerator.coefficients[1] == 0.9175852289440244
+    assert doc.model.coefficients[1] == 0.9175852289440244
     assert doc.error == 0.06800412812825596
     assert serialize_model(doc) == shortest
 
@@ -385,7 +392,7 @@ def test_fit_polynomial_command(f_csv, tmp_path, capsys):
     assert doc.kind == "polynomial"
     assert doc.delta_star == pytest.approx(0.1360, abs=1e-3)
     assert doc.provenance["seed"] is None
-    assert [str(d) for d in doc.numerator.degrees] == \
+    assert [str(d) for d in doc.model.degrees] == \
         ["-14", "-1", "1", "2", "3"]
 
 
@@ -397,7 +404,7 @@ def test_fit_rational_command(g_csv, capsys):
     doc = parse_model(captured.out)
     assert doc.kind == "rational"
     assert doc.delta_star == pytest.approx(0.1395, abs=2e-3)
-    assert doc.denominator is not None
+    assert doc.model.denominator is not None
 
 
 def test_fit_search_command_is_reproducible(f_csv, capsys):
@@ -558,13 +565,10 @@ def test_exact_fit_of_cancelling_large_terms_passes_the_self_check(
 
 
 def test_eval_grid(tmp_path, capsys):
-    model = ModelDocument(
-        semifield="max-plus", kind="polynomial",
-        numerator=PolynomialDoc(
-            tuple(Fraction(d) for d in (-14, -1, 1, 2, 3)),
-            (2.5680, 0.9176, -0.4320, -1.6281, -3.2413)),
-        denominator=None, delta_star=0.1360, error=0.0680,
-        provenance={})
+    model = document(
+        "max-plus", ([-14, -1, 1, 2, 3],
+                     [2.5680, 0.9176, -0.4320, -1.6281, -3.2413]),
+        delta_star=0.1360, error=0.0680)
     path = tmp_path / "model.json"
     path.write_text(serialize_model(model), encoding="utf-8")
     assert main(["eval", "--model", str(path), "--grid", "0:2:0.1"]) == 0
@@ -577,10 +581,7 @@ def test_eval_grid(tmp_path, capsys):
 
 
 def test_eval_constant_model(tmp_path, capsys):
-    model = ModelDocument(
-        semifield="max-plus", kind="polynomial",
-        numerator=PolynomialDoc((Fraction(0),), (0.0,)),
-        denominator=None, delta_star=0.0, error=0.0, provenance={})
+    model = document("max-plus", ([0], [0.0]))
     path = tmp_path / "unit.json"
     path.write_text(serialize_model(model), encoding="utf-8")
     assert main(["eval", "--model", str(path), "--grid", "-1:1:0.5"]) == 0
@@ -589,10 +590,8 @@ def test_eval_constant_model(tmp_path, capsys):
 
 
 def test_eval_self_quotient_is_unit(tmp_path, capsys):
-    part = PolynomialDoc((Fraction(-1), Fraction(2)), (1.0, -0.5))
-    model = ModelDocument(
-        semifield="max-plus", kind="rational", numerator=part,
-        denominator=part, delta_star=0.0, error=0.0, provenance={})
+    part = ([-1, 2], [1.0, -0.5])
+    model = document("max-plus", part, part)
     path = tmp_path / "selfq.json"
     path.write_text(serialize_model(model), encoding="utf-8")
     assert main(["eval", "--model", str(path), "--grid", "0:2:0.5"]) == 0
@@ -601,10 +600,8 @@ def test_eval_self_quotient_is_unit(tmp_path, capsys):
 
 
 def test_eval_max_times_grid_at_zero_exits_2(tmp_path, capsys):
-    model = ModelDocument(
-        semifield="max-times", kind="polynomial",
-        numerator=PolynomialDoc((Fraction(-1), Fraction(2)), (1.0, 0.5)),
-        denominator=None, delta_star=1.0, error=1.0, provenance={})
+    model = document("max-times", ([-1, 2], [1.0, 0.5]), delta_star=1.0,
+                     error=1.0)
     path = tmp_path / "mt.json"
     path.write_text(serialize_model(model), encoding="utf-8")
     assert main(["eval", "--model", str(path), "--grid", "0:2:1"]) == 2
@@ -632,10 +629,7 @@ def test_eval_with_samples_reproduces_fit_error(g_csv, tmp_path, capsys):
 
 
 def test_eval_needs_exactly_one_point_source(tmp_path, capsys, f_csv):
-    model = ModelDocument(
-        semifield="max-plus", kind="polynomial",
-        numerator=PolynomialDoc((Fraction(0),), (0.0,)),
-        denominator=None, delta_star=0.0, error=0.0, provenance={})
+    model = document("max-plus", ([0], [0.0]))
     path = tmp_path / "m.json"
     path.write_text(serialize_model(model), encoding="utf-8")
     assert main(["eval", "--model", str(path)]) == 2
@@ -649,6 +643,79 @@ def test_eval_malformed_model(tmp_path, capsys):
     path.write_text("{broken", encoding="utf-8")
     assert main(["eval", "--model", str(path), "--grid", "0:1:1"]) == 2
     capsys.readouterr()
+
+
+def write_reversed(path, doc):
+    """Write doc with the terms of each polynomial part in reverse order."""
+    data = json.loads(serialize_model(doc))
+    for part in (data["numerator"], data["denominator"]):
+        if part is not None:
+            part["degrees"].reverse()
+            part["coefficients"].reverse()
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def test_eval_unsorted_polynomial_file_keeps_each_coefficient(tmp_path,
+                                                              capsys):
+    # max(2x, 5), its terms listed from the highest degree down.
+    path = write_reversed(tmp_path / "m.json",
+                          document("max-plus", ([0, 2], [5.0, 0.0])))
+    assert main(["eval", "--model", path, "--grid", "0:4:2"]) == 0
+    assert capsys.readouterr().out == "0.0\t5.0\n2.0\t5.0\n4.0\t8.0\n"
+
+
+def test_eval_unsorted_rational_file_equals_its_sorted_twin(tmp_path,
+                                                            capsys):
+    doc = document("max-plus", ([-1, 1], [2.0, 0.5]), ([0, 3], [0.25, -1.0]))
+    twin = tmp_path / "sorted.json"
+    twin.write_text(serialize_model(doc), encoding="utf-8")
+    unsorted = write_reversed(tmp_path / "unsorted.json", doc)
+    assert main(["eval", "--model", str(twin), "--grid", "-2:2:0.5"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["eval", "--model", unsorted, "--grid", "-2:2:0.5"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_reserializing_an_unsorted_file_sorts_its_terms(tmp_path):
+    doc = sample_document()
+    path = write_reversed(tmp_path / "m.json", doc)
+    text = serialize_model(parse_model(open(path, encoding="utf-8").read()))
+    assert text == serialize_model(doc)
+    assert json.loads(text)["numerator"] == {
+        "degrees": ["-3", "1/2"], "coefficients": [1.25, -0.5]}
+
+
+def test_eval_model_with_a_repeated_degree_exits_2(tmp_path, capsys):
+    text = serialize_model(sample_document()).replace('"1/2"', '"-3"')
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["eval", "--model", str(path), "--grid", "0:4:2"]) == 2
+    assert capsys.readouterr() == ("", "error: duplicate degree -3\n")
+
+
+# These requests exceed any address space, so numpy refuses them before
+# allocating anything.
+def test_eval_grid_too_large_to_allocate_exits_2(tmp_path, capsys):
+    path = tmp_path / "unit.json"
+    path.write_text(serialize_model(document("max-plus", ([0], [0.0]))),
+                    encoding="utf-8")
+    assert main(["eval", "--model", str(path), "--grid", "0:1e15:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: Unable to allocate 7.11 PiB for an array with shape "
+        "(1000000000000001,) and data type int64\n")
+
+
+def test_search_too_large_to_allocate_exits_2(f_csv, capsys):
+    assert main(["fit", "--terms", "5", "--range", "-15:5", "--samples",
+                 "1000000000000000", "--seed", "7", "--input", f_csv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: Unable to allocate 63.9 PiB for an array with shape "
+        "(1000000000000000, 9) and data type int64\n")
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -669,7 +736,7 @@ def test_eval_model_with_an_overflowing_degree_exits_2(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(MalformedModel):
-        tropfit.cli.model_from_document(parse_model(text))
+        parse_model(text)
     assert main(["eval", "--model", str(path), "--grid", "0:1:1"]) == 2
     assert capsys.readouterr().err == \
         "error: a degree overflows the float range\n"
@@ -678,7 +745,7 @@ def test_eval_model_with_an_overflowing_degree_exits_2(tmp_path, capsys):
 def test_degree_flags_accept_fractions(f_csv, capsys):
     assert main(["fit", "--degrees", "-1/2,1/3,2", "--input", f_csv]) == 0
     doc = parse_model(capsys.readouterr().out)
-    assert [str(d) for d in doc.numerator.degrees] == ["-1/2", "1/3", "2"]
+    assert [str(d) for d in doc.model.degrees] == ["-1/2", "1/3", "2"]
 
 
 def test_fit_rational_search_command(g_csv, capsys):
@@ -703,7 +770,7 @@ def test_fit_max_times_command(tmp_path, capsys):
     assert main(["fit", "--semifield", "max-times", "--degrees", "0,2",
                  "--input", str(path)]) == 0
     doc = parse_model(capsys.readouterr().out)
-    assert doc.semifield == "max-times"
+    assert doc.model.semifield is MAX_TIMES
     assert doc.delta_star >= 1.0 - 1e-12
     assert doc.error == pytest.approx(doc.delta_star ** 0.5, rel=1e-12)
 
@@ -838,10 +905,7 @@ def test_delta_star_overflow_prints_only_the_error_line(tmp_path, rows, argv,
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
 def test_model_documents_reject_non_finite_numbers(value):
-    doc = ModelDocument(semifield="max-plus", kind="polynomial",
-                        numerator=PolynomialDoc((Fraction(1),), (1.0,)),
-                        denominator=None, delta_star=value, error=1.0,
-                        provenance={})
+    doc = document("max-plus", ([1], [1.0]), delta_star=value, error=1.0)
     with pytest.raises(ValueError, match="Out of range float values are not "
                                          "JSON compliant"):
         serialize_model(doc)
@@ -865,10 +929,7 @@ def test_eval_overflow_prints_only_the_error_line(tmp_path):
 
 def test_eval_underflow_prints_only_the_error_line(tmp_path):
     # 1e-9 ** 40 underflows to 0, the semifield zero, which is no value.
-    doc = ModelDocument(semifield="max-times", kind="polynomial",
-                        numerator=PolynomialDoc((Fraction(40),), (1.0,)),
-                        denominator=None, delta_star=1.0, error=1.0,
-                        provenance={})
+    doc = document("max-times", ([40], [1.0]), delta_star=1.0, error=1.0)
     model = tmp_path / "model.json"
     model.write_text(serialize_model(doc), encoding="utf-8")
     done = run_fresh(["eval", "--model", str(model),

@@ -350,29 +350,23 @@ def test_two_sided_matches_per_scalar_reference_on_tall_systems():
     assert longest > 2 * 32
 
 
-def test_residuate_of_a_stack_equals_single_calls():
+def test_residuate_of_one_system_gives_a_float_and_a_bool():
     rng = np.random.default_rng(15)
     for n, m in ((1, 1), (3, 7), (5, 21)):
-        stack = rng.uniform(-5.0, 5.0, size=(9, n, m))
         b = rng.uniform(-5.0, 5.0, size=m)
-        # System 0 is consistent: each term row is b shifted down.
-        stack[0] = b - rng.uniform(0.0, 3.0, size=(n, 1))
-        r, deltas = residuate(stack, b)
-        assert r.shape == (9, n) and deltas.shape == (9,)
-        x, one_deltas, exact = one_sided(stack, b)
-        assert x.shape == (9, n) and exact.shape == (9,)
+        # The first system is consistent: each term row is b shifted down.
+        consistent = b - rng.uniform(0.0, 3.0, size=(n, 1))
+        drawn = rng.uniform(-5.0, 5.0, size=(n, m))
         # A single sample is always matched; more, drawn at random, are not.
-        assert exact[0] and (m == 1 or not exact[1:].any())
-        assert np.array_equal(one_deltas, deltas)
-        for k in range(9):
-            r_k, delta_k = residuate(stack[k], b)
-            assert type(delta_k) is float
-            assert np.array_equal(r[k], r_k)
-            assert deltas[k] == delta_k
-            x_k, one_delta_k, exact_k = one_sided(stack[k], b)
-            assert type(one_delta_k) is float and type(exact_k) is bool
-            assert np.array_equal(x[k], x_k)
-            assert one_delta_k == delta_k and exact[k] == exact_k
+        for at, solvable in ((consistent, True), (drawn, m == 1)):
+            r, delta = residuate(at, b)
+            assert type(delta) is float
+            assert np.array_equal(r, np.minimum.reduce(b - at, axis=1))
+            assert delta == np.max(b - np.maximum.reduce(at + r[:, None]))
+            x, one_delta, exact = one_sided(at, b)
+            assert type(one_delta) is float and type(exact) is bool
+            assert one_delta == delta and exact is solvable
+            assert np.array_equal(x, r + 0.5 * delta)
 
 
 @pytest.mark.parametrize("readings, message", [
