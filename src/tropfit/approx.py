@@ -429,6 +429,8 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> tuple[
             mins = np.minimum.reduce(gather, axis=0)
             np.maximum.reduce(mins.T.copy(), axis=0,
                               out=delta[start:start + step])
+        # The clamp of solvers.residuate: no delta below the unit.
+        np.maximum(delta, 0.0, out=delta)
         theta, exact = balance(r[index], delta)
         scores = from_max_plus(delta, sf)
         y_lo, y_hi = y.min(), y.max()

@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -511,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--seed", type=int, help="search RNG seed (PCG64)")
     fit.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                      help="two-sided solver iteration cap")
-    fit.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    fit.add_argument("--threads", type=int, default=1,
                      help="accepted for compatibility and has no effect: "
                           "searches score polynomial draws in array blocks "
                           "and fit rational draws one at a time, on one "

@@ -52,6 +52,13 @@ class RangeTooNarrow(TropicalError):
     """The integer degree range cannot supply enough distinct values."""
 
 
+def _check_width(low: int, high: int, needed: int) -> None:
+    width = high - low + 1
+    if width < needed:
+        raise RangeTooNarrow(f"range [{low}, {high}] holds {width} integers, "
+                             f"fewer than the {needed} required")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Settings for one random search run.
@@ -83,11 +90,8 @@ class SearchConfig:
                    for v in (self.degree_min, self.degree_max, width)):
             raise ValueError("the degree bounds and the range width must "
                              "lie within the int64 range")
-        needed = max(self.n_terms_numerator, self.n_terms_denominator or 1)
-        if width < needed:
-            raise RangeTooNarrow(
-                f"range [{self.degree_min}, {self.degree_max}] holds {width} "
-                f"integers, fewer than the {needed} required")
+        _check_width(self.degree_min, self.degree_max,
+                     max(self.n_terms_numerator, self.n_terms_denominator or 1))
 
     @property
     def is_rational(self) -> bool:
@@ -150,35 +154,20 @@ def _choice_block(rng: np.random.Generator, width: int,
     return blocks
 
 
-def sample_degree_rows(low: int, high: int, count: int, n: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """n draws of sample_degree_vector, as the rows of an int array.
-
-    Row i holds the values of the i-th of n rng.choice(width, size=count,
-    replace=False) calls, sorted and shifted by low, and rng ends where
-    those calls leave it, so the stream is that of n sample_degree_vector
-    calls. The rows are the sorted columns of one block draw
-    (_choice_block).
-    A negative count or n raises ValueError before anything is drawn.
-    """
-    if count < 0 or n < 0:
-        raise ValueError("count and n must not be negative")
-    width = high - low + 1
-    if width < count:
-        raise RangeTooNarrow(
-            f"range [{low}, {high}] holds {width} integers, "
-            f"fewer than the {count} required")
-    block, = _choice_block(rng, width, (count,), n)
-    rows = block.T + low
-    rows.sort(axis=1)
-    return rows
-
-
 def sample_degree_vector(low: int, high: int, count: int,
                          rng: np.random.Generator) -> DegreeVector:
-    """Draw count distinct integers uniformly from [low, high], sorted."""
-    row = sample_degree_rows(low, high, count, 1, rng)[0]
-    return DegreeVector(row.tolist())
+    """Draw count distinct integers uniformly from [low, high], sorted.
+
+    The draw is that of rng.choice(high - low + 1, size=count,
+    replace=False), so n calls consume the stream of a search's n-class
+    block (_choice_block). A negative count raises ValueError before
+    anything is drawn.
+    """
+    if count < 0:
+        raise ValueError("count must not be negative")
+    _check_width(low, high, count)
+    column, = _choice_block(rng, high - low + 1, (count,), 1)
+    return DegreeVector((column[:, 0] + low).tolist())
 
 
 def random_search(samples: SampleSet, config: SearchConfig,
@@ -195,45 +184,37 @@ def random_search(samples: SampleSet, config: SearchConfig,
     """
     rng = np.random.default_rng(config.rng_seed)
     low = config.degree_min
-    width = config.degree_max - low + 1
+    counts = (config.n_terms_numerator,)
+    if config.is_rational:
+        counts += (config.n_terms_denominator,)
+    blocks = [block.T + low for block in _choice_block(
+        rng, config.degree_max - low + 1, counts, config.n_samples)]
     if not config.is_rational:
-        block, = _choice_block(rng, width, (config.n_terms_numerator,),
-                               config.n_samples)
         # A class's delta is a max of mins over its terms, so its draws
         # score unsorted; the winner's DegreeVector sorts them.
-        trace, best = score_polynomials(samples, block.T + low)
-        return SearchReport(
-            best=best,
-            best_degrees=best.model.degrees,
-            best_denominator_degrees=None,
-            samples_evaluated=config.n_samples,
-            error_trace=tuple(enumerate(trace.tolist())),
-        )
-    nums, dens = _choice_block(
-        rng, width, (config.n_terms_numerator, config.n_terms_denominator),
-        config.n_samples)
-    draws = [(DegreeVector(num), DegreeVector(den))
-             for num, den in zip((nums.T + low).tolist(),
-                                 (dens.T + low).tolist())]
-
-    trace: list[tuple[int, float]] = []
-    best: Optional[FitReport] = None
-    for index, (num, den) in enumerate(draws):
-        try:
-            report = fit_rational(samples, num, den,
-                                  max_iter=config.max_iter_two_sided)
-        except TropicalError:
-            trace.append((index, math.inf))
-            continue
-        trace.append((index, report.delta_star))
-        if best is None or report.delta_star < best.delta_star:
-            best = report
-    if best is None:
-        raise TropicalError("every sampled degree class failed to fit")
+        scores, best = score_polynomials(samples, blocks[0])
+        trace = scores.tolist()
+    else:
+        trace, best = [], None
+        for num, den in zip(*(rows.tolist() for rows in blocks)):
+            try:
+                report = fit_rational(samples, DegreeVector(num),
+                                      DegreeVector(den),
+                                      max_iter=config.max_iter_two_sided)
+            except TropicalError:
+                trace.append(math.inf)
+                continue
+            trace.append(report.delta_star)
+            if best is None or report.delta_star < best.delta_star:
+                best = report
+        if best is None:
+            raise TropicalError("every sampled degree class failed to fit")
+    num, den = ((best.model.numerator, best.model.denominator)
+                if config.is_rational else (best.model, None))
     return SearchReport(
         best=best,
-        best_degrees=best.model.numerator.degrees,
-        best_denominator_degrees=best.model.denominator.degrees,
-        samples_evaluated=len(draws),
-        error_trace=tuple(trace),
+        best_degrees=num.degrees,
+        best_denominator_degrees=None if den is None else den.degrees,
+        samples_evaluated=len(trace),
+        error_trace=tuple(enumerate(trace)),
     )

@@ -47,6 +47,7 @@ from .linalg import (  # noqa: F401
     SemifieldMismatch,
     TropicalMatrix,
     TropicalVector,
+    _same_semifield,
     conjugate,
     dot,
     mat_vec_mul,
@@ -255,12 +256,17 @@ def residuate(at: np.ndarray, b: np.ndarray, *,
     that a caller in a loop allocates nothing: scratch the shape of at,
     r the shape of r, image the shape of b (it ends up holding the
     slack b - a r). The arithmetic is the same either way.
+
+    delta is never below the unit 0: rounding can leave a consistent
+    system's slack a few ulps negative, and such a delta (or -0.0) is
+    read as 0.0. A nan is kept, for alternate's range check to see.
     """
     scratch = np.subtract(b, at, out=scratch)
     r = np.minimum.reduce(scratch, axis=1, out=r)
     scratch = np.add(at, r[:, None], out=scratch)
     image = np.maximum.reduce(scratch, axis=0, out=image)
-    return r, float(np.maximum.reduce(np.subtract(b, image, out=image)))
+    delta = float(np.maximum.reduce(np.subtract(b, image, out=image)))
+    return r, 0.0 if delta <= 0.0 else delta
 
 
 def one_sided(at: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -456,10 +462,7 @@ def one_sided_solve(a: TropicalMatrix, b: TropicalVector) -> OneSidedSolution:
 
     Requires a and b regular with matching row counts.
     """
-    sf = a.semifield
-    if sf is not b.semifield:
-        raise SemifieldMismatch(
-            f"cannot mix {sf.name} and {b.semifield.name} values")
+    sf = _same_semifield(a, b)
     if a.rows != len(b):
         raise DimensionMismatch(
             f"matrix has {a.rows} rows, vector has {len(b)} elements")
@@ -492,10 +495,7 @@ def two_sided_solve(a: TropicalMatrix,
     is the best one observed, which for a non-increasing sequence is
     the last one up to floating point noise.
     """
-    sf = a.semifield
-    if sf is not b.semifield:
-        raise SemifieldMismatch(
-            f"cannot mix {sf.name} and {b.semifield.name} values")
+    sf = _same_semifield(a, b)
     if a.rows != b.rows:
         raise DimensionMismatch(
             f"matrices have {a.rows} and {b.rows} rows")

@@ -775,6 +775,28 @@ def test_fit_max_times_command(tmp_path, capsys):
     assert doc.error == pytest.approx(doc.delta_star ** 0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("semifield, row, unit", [
+    ("max-plus", "0.6104583053465538,1.641833221386215", "0.0"),
+    # The same sample mapped through exp.
+    ("max-times", "1.8412750716467896,5.164628747020688", "1.0"),
+])
+def test_consistent_data_report_the_unit(semifield, row, unit, tmp_path,
+                                         capsys):
+    # Rounding leaves this one-sample fit's slack an ulp below the unit;
+    # the reported delta_star and error are the unit itself.
+    path = tmp_path / "one.csv"
+    path.write_text(f"x,y\n{row}\n", encoding="utf-8")
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--semifield", semifield, "--degrees", "-5,0,4",
+                 "--input", str(path), "--output", str(model_path)]) == 0
+    shown = f"{float(unit):.4f}"
+    assert capsys.readouterr().err == (f"delta_star = {shown}\n"
+                                       f"error = {shown}\n")
+    text = model_path.read_text(encoding="utf-8")
+    assert f'"delta_star": {unit},' in text
+    assert f'"error": {unit},' in text
+
+
 # --- fresh processes ---------------------------------------------------------
 
 SRC_DIR = os.path.dirname(os.path.dirname(tropfit.__file__))

@@ -621,27 +621,29 @@ def test_block_draw_calls_rng_choice_only_for_a_tail_shuffle(monkeypatch):
         choice_block(Refusing(np.random.PCG64(0)), 10**6, (4, 20001), 1)
 
 
-def test_sample_degree_rows_pinned_for_one_seed():
+def test_sample_degree_vector_pinned_for_one_seed():
     rng = np.random.default_rng(2026)
-    rows = tropfit.search.sample_degree_rows(-15, 5, 5, 4, rng)
-    assert rows.tolist() == [[-15, -12, -8, -3, -1], [-9, -1, 0, 4, 5],
-                             [-14, -12, -10, 0, 4], [-13, -6, -3, 2, 4]]
+    rows = [[int(d) for d in sample_degree_vector(-15, 5, 5, rng)]
+            for _ in range(4)]
+    assert rows == [[-15, -12, -8, -3, -1], [-9, -1, 0, 4, 5],
+                    [-14, -12, -10, 0, 4], [-13, -6, -3, 2, 4]]
     assert rng.integers(0, 100, size=3).tolist() == [15, 27, 14]
     rng = np.random.default_rng(2026)
-    rows = tropfit.search.sample_degree_rows(0, 2**31, 3, 2, rng)
-    assert rows.tolist() == [[56731231, 384259586, 1829338324],
-                             [171429433, 795643823, 1003451250]]
+    rows = [[int(d) for d in sample_degree_vector(0, 2**31, 3, rng)]
+            for _ in range(2)]
+    assert rows == [[56731231, 384259586, 1829338324],
+                    [171429433, 795643823, 1003451250]]
 
 
-def test_sample_degree_rows_edge_sizes():
-    sample_degree_rows = tropfit.search.sample_degree_rows
+def test_sample_degree_vector_edge_sizes():
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
-    assert sample_degree_rows(-15, 5, 5, 0, rng).shape == (0, 5)
-    assert sample_degree_rows(-15, 5, 0, 4, rng).shape == (4, 0)
-    for count, n in ((-1, 3), (3, -1)):
-        with pytest.raises(ValueError):
-            sample_degree_rows(-15, 5, count, n, rng)
+    assert tropfit.search._choice_block(rng, 21, (5,), 0)[0].shape == (5, 0)
+    assert tropfit.search._choice_block(rng, 21, (0,), 4)[0].shape == (0, 4)
+    with pytest.raises(ValueError, match="at least one degree is required"):
+        sample_degree_vector(-15, 5, 0, rng)
+    with pytest.raises(ValueError, match="count must not be negative"):
+        sample_degree_vector(-15, 5, -1, rng)
     assert rng.bit_generator.state == before
 
 
@@ -651,16 +653,18 @@ def test_sample_degree_rows_edge_sizes():
     (-10**9, 10**9, 4, 100, 3),     # np.unique path
     (-6000, 6001, 300, 5, 2),       # tail shuffle
 ])
-def test_search_scores_the_rows_of_sample_degree_rows(low, high, n_terms, n,
-                                                      seed):
-    # random_search scores its unsorted block draw; the public draw of
-    # the same stream gives sorted rows with the same trace and winner.
+def test_search_scores_the_draws_of_sample_degree_vector(low, high, n_terms,
+                                                         n, seed):
+    # random_search scores its unsorted block draw; n public draws of
+    # the same stream give sorted rows with the same trace and winner.
     samples = convex_samples()
     report = random_search(samples, SearchConfig(
         n_terms_numerator=n_terms, degree_min=low, degree_max=high,
         n_samples=n, rng_seed=seed))
-    rows = tropfit.search.sample_degree_rows(low, high, n_terms, n,
-                                             np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    rows = np.array([[int(d) for d in sample_degree_vector(low, high,
+                                                           n_terms, rng)]
+                     for _ in range(n)])
     assert rows.shape == (n, n_terms)
     assert (np.diff(rows, axis=1) > 0).all()
     assert rows.min() >= low and rows.max() <= high
@@ -684,3 +688,49 @@ def test_rational_search_draws_follow_rng_choice():
     assert [delta for _, delta in report.error_trace] == trace
     winner = draws[trace.index(min(trace))]
     assert (report.best_degrees, report.best_denominator_degrees) == winner
+
+
+@st.composite
+def _consistent_cases(draw):
+    """Samples of a max-plus polynomial, read in either semifield.
+
+    The model has 1-3 integer degrees in [-5, 5]; its values at 1-7
+    abscissas are the ordinates, so the class fits with no error. In
+    max-times the samples are the exponentials of the same reals, and
+    exp(y) is the max-times model at exp(x) up to rounding.
+    """
+    degrees = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3,
+                            unique=True))
+    coefficients = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(degrees),
+                                 max_size=len(degrees)))
+    xs = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=7,
+                       unique=True))
+    pairs = [(x, max(c + p * x for p, c in zip(degrees, coefficients)))
+             for x in xs]
+    if draw(st.booleans()):
+        return SampleSet.from_reals(pairs, MAX_PLUS), degrees
+    return SampleSet.from_reals([(math.exp(x), math.exp(y))
+                                 for x, y in pairs], MAX_TIMES), degrees
+
+
+@settings(max_examples=300, deadline=None)
+@given(_consistent_cases())
+def test_consistent_data_report_no_error_below_the_unit(case):
+    # Rounding can leave a consistent system's slack a few ulps below
+    # the unit; no fit, search trace entry or rational fit reports it.
+    samples, degrees = case
+    unit = samples.semifield.one
+    fit = fit_polynomial(samples, DegreeVector(degrees))
+    assert fit.delta_star >= unit and fit.error >= unit
+    assert fit.delta_star == pytest.approx(unit, abs=1e-9)
+    rational = fit_rational(samples, DegreeVector(degrees), DegreeVector([0]))
+    assert rational.delta_star >= unit and rational.error >= unit
+    report = random_search(samples, SearchConfig(
+        n_terms_numerator=len(degrees), degree_min=-5, degree_max=5,
+        n_samples=40, rng_seed=len(samples)))
+    assert all(delta >= unit for _, delta in report.error_trace)
+
+
+def test_every_public_name_resolves():
+    for name in tropfit.__all__:
+        assert getattr(tropfit, name) is not None, name
