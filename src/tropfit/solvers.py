@@ -23,8 +23,11 @@ have many samples and few terms, so with terms on the leading axis a
 reduction over terms is an elementwise max of a few contiguous sample
 rows, and a reduction over samples runs along one contiguous row,
 instead of either one reducing many short inner rows of 4 to 6 terms.
-alternate reuses its buffers in every half step and prefilters its
-repeat test, without changing a floating-point operation or a verdict.
+alternate spends nearly all of a rational fit in its half steps, so each
+one makes its nine numpy calls into buffers allocated once per call and
+little else: its iterates are kept as the columns the next image adds,
+and its repeat test looks only near the new iterate's first coordinate.
+Neither changes a floating-point operation or a verdict.
 
 The tuple API (one_sided_solve, two_sided_solve) keeps the usual
 samples x terms orientation and transposes once at its boundary.
@@ -32,9 +35,9 @@ samples x terms orientation and transposes once at its boundary.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -71,6 +74,11 @@ ITERATE_MATCH_TOL = 1e-9
 TOL_ULPS = 16
 
 DEFAULT_MAX_ITER = 1000
+
+# The ufuncs of a half step, bound once: every lookup of a reduce method
+# makes a new bound method object.
+_add, _subtract = np.add, np.subtract
+_max_reduce, _min_reduce = np.maximum.reduce, np.minimum.reduce
 
 
 class NonRegularInput(TropicalError):
@@ -199,10 +207,14 @@ def residuation_in_range(a_lo, a_hi, b_lo, b_hi) -> bool | np.ndarray:
     return np.isfinite(low) & np.isfinite(high)
 
 
-def check_residuation(at: np.ndarray, b: np.ndarray) -> None:
-    """Raise ValueError unless residuation_in_range holds for at and b."""
-    if not residuation_in_range(float(at.min()), float(at.max()),
-                                float(b.min()), float(b.max())):
+def _extremes(array: np.ndarray) -> tuple[float, float]:
+    """The smallest and the largest entry of array, as floats."""
+    return float(array.min()), float(array.max())
+
+
+def check_residuation(a: tuple[float, float], b: tuple[float, float]) -> None:
+    """Raise ValueError unless residuation_in_range holds for extremes a, b."""
+    if not residuation_in_range(*a, *b):
         raise ValueError(
             "the data leave the float range: their differences overflow")
 
@@ -239,10 +251,22 @@ def scaled_tolerance(base: float, *arrays: np.ndarray) -> float:
 # Max-plus array core
 
 
-def residuate(at: np.ndarray, b: np.ndarray, *,
-              scratch: Optional[np.ndarray] = None,
-              r: Optional[np.ndarray] = None,
-              image: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
+def _residuate_into(at: np.ndarray, b: np.ndarray, scratch: np.ndarray,
+                    r: np.ndarray, slack: np.ndarray) -> float:
+    """The arithmetic of residuate, into buffers; returns delta.
+
+    scratch has the shape of at, r is an (n_terms, 1) column and slack
+    has the shape of b; slack ends up holding b - a r. The out buffers
+    go positionally, which numpy parses faster than keywords.
+    """
+    _subtract(b, at, scratch)
+    _min_reduce(scratch, 1, None, r, True)
+    _max_reduce(_add(at, r, scratch), 0, None, slack)
+    delta = float(_max_reduce(_subtract(b, slack, slack)))
+    return 0.0 if delta <= 0.0 else delta
+
+
+def residuate(at: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Greatest r with a r <= b, and the squared distance of a r to b.
 
     at is the transposed matrix a, terms by samples:
@@ -252,21 +276,13 @@ def residuate(at: np.ndarray, b: np.ndarray, *,
     by the square root delta / 2 balances the one-sided slack into the
     metric-best solution.
 
-    The keyword buffers, when given, receive the intermediate results so
-    that a caller in a loop allocates nothing: scratch the shape of at,
-    r the shape of r, image the shape of b (it ends up holding the
-    slack b - a r). The arithmetic is the same either way.
-
     delta is never below the unit 0: rounding can leave a consistent
     system's slack a few ulps negative, and such a delta (or -0.0) is
     read as 0.0. A nan is kept, for alternate's range check to see.
     """
-    scratch = np.subtract(b, at, out=scratch)
-    r = np.minimum.reduce(scratch, axis=1, out=r)
-    scratch = np.add(at, r[:, None], out=scratch)
-    image = np.maximum.reduce(scratch, axis=0, out=image)
-    delta = float(np.maximum.reduce(np.subtract(b, image, out=image)))
-    return r, 0.0 if delta <= 0.0 else delta
+    r = np.empty((len(at), 1))
+    delta = _residuate_into(at, b, np.empty(at.shape), r, np.empty(b.shape))
+    return r[:, 0], delta
 
 
 def one_sided(at: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -275,7 +291,7 @@ def one_sided(at: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
     at is the transposed matrix a (terms by samples), as for residuate.
     Data outside residuation_in_range raise ValueError.
     """
-    check_residuation(at, b)
+    check_residuation(_extremes(at), _extremes(b))
     r, delta = residuate(at, b)
     x_star, exact = balance(r, delta)
     return x_star, delta, bool(exact)
@@ -295,68 +311,34 @@ def balance(r: np.ndarray, delta: float | np.ndarray) -> tuple[
     return r + 0.5 * np.asarray(delta)[..., None], exact
 
 
-class _History:
-    """Earlier iterates of one side of alternate, and their repeat test.
+def _repeats(v: np.ndarray, rows: np.ndarray, count: int,
+             firsts: list[float], order: list[int], tol: float) -> bool:
+    """Whether v = rows[count] repeats an earlier row; if not, index it.
 
-    The iterates are the first count columns of an (n, capacity) array
-    that doubles when full; alternate computes each new iterate straight
-    into the free column (free_column) and keeps it with store. Beside
-    the array, firsts is the sorted list of the stored iterates' first
-    coordinates and order the column of each, so the repeat test only
-    looks at the columns whose first coordinate is near.
+    rows holds one side's iterates, each an (n, 1) column; firsts is the
+    sorted list of the finite first coordinates among rows[:count], and
+    order the row of each. A repeat is a row h among them with
+    max_j |h_j - v_j| <= tol. Only the rows whose first coordinate lies
+    in the window [v_0 - 2 tol, v_0 + 2 tol] are tested, and the verdict
+    is that of testing them all: a match needs fl(|h_0 - v_0|) <= tol,
+    so |h_0 - v_0| is at most tol plus half an ulp of tol, and since
+    rounding is monotone, h_0 lies inside the rounded window. The same
+    window holds the insertion point of v_0. A gap of nan or inf never
+    passes (inf - inf elsewhere in a row is a nan gap), so a non-finite
+    v_0 matches nothing and is not indexed.
     """
-
-    __slots__ = ("columns", "count", "firsts", "order", "tol")
-
-    def __init__(self, n: int, tol: float):
-        self.columns = np.empty((n, 32))
-        self.count = 0
-        self.firsts: list[float] = []
-        self.order: list[int] = []
-        self.tol = tol
-
-    def free_column(self) -> np.ndarray:
-        """The column the next iterate goes into; grows the array if full."""
-        if self.count == self.columns.shape[1]:
-            self.columns = np.concatenate(
-                [self.columns, np.empty_like(self.columns)], axis=1)
-        return self.columns[:, self.count]
-
-    def repeats(self, v: np.ndarray) -> bool:
-        """Whether a stored column h has max_j |h_j - v_j| <= tol.
-
-        Only the columns whose first coordinate lies in
-        [v_0 - 2 tol, v_0 + 2 tol] are tested, and the verdict is that
-        of testing them all: a match needs fl(|h_0 - v_0|) <= tol, so
-        |h_0 - v_0| is at most tol plus half an ulp of tol, and since
-        rounding is monotone, h_0 lies inside the rounded window. A gap
-        of nan or inf never passes, so a non-finite v_0 matches nothing.
-        """
-        first = float(v[0])
-        if not math.isfinite(first):
-            return False
-        low = bisect.bisect_left(self.firsts, first - 2 * self.tol)
-        high = bisect.bisect_right(self.firsts, first + 2 * self.tol, low)
-        if low == high:
-            return False
-        near = self.columns[:, self.order[low:high]]
-        # inf - inf elsewhere in a column is a nan gap, which fails.
-        with np.errstate(invalid="ignore"):
-            gaps = np.maximum.reduce(np.abs(near - v[:, None]), axis=0)
-        return bool((gaps <= self.tol).any())
-
-    def store(self) -> None:
-        """Keep the iterate in the free column.
-
-        An iterate with a non-finite first coordinate never matches, so
-        it is kept in the array but not in firsts.
-        """
-        first = float(self.columns[0, self.count])
-        if math.isfinite(first):
-            at = bisect.bisect_right(self.firsts, first)
-            self.firsts.insert(at, first)
-            self.order.insert(at, self.count)
-        self.count += 1
+    first = v.item(0)
+    if not math.isfinite(first):
+        return False
+    low = bisect_left(firsts, first - 2 * tol)
+    high = bisect_right(firsts, first + 2 * tol, low)
+    if low < high and (_max_reduce(
+            np.abs(rows[order[low:high]] - v), 1) <= tol).any():
+        return True
+    at = bisect_right(firsts, first, low, high)
+    firsts.insert(at, first)
+    order.insert(at, count)
+    return False
 
 
 def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
@@ -374,65 +356,71 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     whose delta is not finite raises the same ValueError, and numpy's
     overflow warnings are muted in the loop.
 
-    Every buffer is allocated once per call: per side an (n, m) scratch
-    and the residuation r, plus the image and the second image (m). A
-    half step writes into them with out=, in the same floating-point
-    operations as residuate without buffers, and adds delta / 2 to r
-    straight into the free column of its side's history (_History),
-    where earlier iterates are kept. The repeat test looks only at the
-    stored iterates whose first coordinate is within 2 match_tol of the
-    new one's, which gives the verdict of testing them all.
+    Every buffer is allocated once per call: per side an (n, m) scratch,
+    the residuation r as an (n, 1) column and the iterates as the rows of
+    a (capacity, n, 1) array that doubles when full, plus the image and
+    the slack (m). A half step makes nine numpy calls, with their out
+    buffers passed positionally, in the same floating-point operations
+    as residuate; it adds delta / 2 to r straight into the next free row
+    of its side, which is then the column operand of the next image. The
+    repeat test (_repeats) looks only at the stored iterates whose first
+    coordinate is within 2 match_tol of the new one's, which gives the
+    verdict of testing them all. The best pair is tracked by row.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     # Each span is residuated against images of the other.
-    check_residuation(at, bt)
-    check_residuation(bt, at)
-    match_tol = scaled_tolerance(ITERATE_MATCH_TOL, at, bt)
+    a, b = _extremes(at), _extremes(bt)
+    check_residuation(a, b)
+    check_residuation(b, a)
+    match_tol = scaled_tolerance(ITERATE_MATCH_TOL, np.array(a + b))
     spans = (at, bt)
-    histories = (_History(len(at), match_tol), _History(len(bt), match_tol))
     scratch = (np.empty(at.shape), np.empty(bt.shape))
-    reached = (np.empty(len(at)), np.empty(len(bt)))
-    image, projection = np.empty(at.shape[1]), np.empty(at.shape[1])
-    current = [histories[0].free_column(), None]
-    current[0][:] = x0
-    histories[0].store()
-    # The column of each side's current iterate, in its history.
-    columns = [0, None]
+    reached = (np.empty((len(at), 1)), np.empty((len(bt), 1)))
+    rows = [np.empty((32, len(at), 1)), np.empty((32, len(bt), 1))]
+    firsts, order = ([], []), ([], [])
+    image, slack = np.empty(at.shape[1]), np.empty(at.shape[1])
+    x = rows[0][0]
+    x[:, 0] = x0
+    _repeats(x, rows[0], 0, firsts[0], order[0], match_tol)
+    counts = [1, 0]
+    # The row of each side's current iterate.
+    current = [0, 0]
     deltas: list[float] = []
-    best = None
-    side = 0
+    best = math.inf
+    side, other = 0, 1
+    add, max_reduce, isfinite = _add, _max_reduce, math.isfinite
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            other = 1 - side
-            np.maximum.reduce(
-                np.add(spans[side], current[side][:, None], out=scratch[side]),
-                axis=0, out=image)
-            _, delta = residuate(spans[other], image, scratch=scratch[other],
-                                 r=reached[other], image=projection)
-            if not math.isfinite(delta):
+            max_reduce(add(spans[side], x, scratch[side]), 0, None, image)
+            delta = _residuate_into(spans[other], image, scratch[other],
+                                    reached[other], slack)
+            if not isfinite(delta):
                 raise ValueError("the data leave the float range: "
                                  "their differences overflow")
-            history = histories[other]
-            current[other] = np.add(reached[other], 0.5 * delta,
-                                    out=history.free_column())
-            columns[other] = history.count
+            count = counts[other]
+            if count == len(rows[other]):
+                rows[other] = np.concatenate(
+                    (rows[other], np.empty_like(rows[other])))
+            x = add(reached[other], 0.5 * delta, rows[other][count])
+            current[other] = count
             deltas.append(delta)
-            if best is None or delta < best[0]:
-                best = (delta, columns[0], columns[1])
-            if abs(delta) <= DELTA_UNIT_TOL:
+            if delta < best:
+                best, best_rows = delta, tuple(current)
+            if delta <= DELTA_UNIT_TOL:  # delta is finite and >= 0 here
                 termination = Termination.EXACT_SOLUTION
                 break
-            if history.repeats(current[other]):
+            if _repeats(x, rows[other], count, firsts[other], order[other],
+                        match_tol):
                 termination = Termination.CYCLE_DETECTED
                 break
-            history.store()
+            counts[other] = count + 1
             if len(deltas) >= max_iter:
                 termination = Termination.ITERATION_CAP
                 break
-            side = other
-    return (deltas, histories[0].columns[:, best[1]].copy(),
-            histories[1].columns[:, best[2]].copy(), termination)
+            side, other = other, side
+    return (deltas, rows[0][best_rows[0], :, 0].copy(),
+            rows[1][best_rows[1], :, 0].copy(), termination)
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +469,16 @@ def two_sided_solve(a: TropicalMatrix,
                     max_iter: int = DEFAULT_MAX_ITER) -> TwoSidedSolution:
     """Best approximate solution of the two-sided equation a x = b y.
 
-    Starting from x0 (all units by default, which is as good as any
-    start since the achieved distances are invariant under common
-    scaling of the iterate), the solver alternates one-sided projections
-    between the column spans of a and b. Each half step computes the
-    squared distance delta from the current image to the other span and
-    the coefficient vector of the projection, scaled by sqrt(delta).
+    Starting from x0 (all units by default), the solver alternates
+    one-sided projections between the column spans of a and b. Each half
+    step computes the squared distance delta from the current image to
+    the other span and the coefficient vector of the projection, scaled
+    by sqrt(delta). The achieved distances are invariant under common
+    scaling of the iterate, but at a large scale (1e17 in max-plus) a x0
+    absorbs the data and the first half step reads a false exact
+    solution. So the solver runs from x0 scaled to a largest entry of
+    the unit, and any common scaling of the units gives the default
+    start's run bit for bit.
 
     Stopping follows three rules, checked in order after every half
     step: the unit delta (exact solution found), a repeat of an earlier
@@ -510,7 +502,11 @@ def two_sided_solve(a: TropicalMatrix,
             raise DimensionMismatch(
                 f"x0 has {len(x0)} elements, left matrix has {a.cols} columns")
         _require_regular(x0, "x0")
+        # An entry more than the float range below the largest maps to
+        # the zero, -inf.
         start = to_max_plus(x0.elements, sf)
+        with np.errstate(over="ignore"):
+            start = start - start.max()
 
     deltas, x_star, y_star, termination = alternate(
         _transposed(a), _transposed(b), start, max_iter)

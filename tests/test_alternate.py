@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropfit import (
     MAX_PLUS,
@@ -24,7 +25,7 @@ from tropfit.approx import _design
 from tropfit.datasets import nonconvex_curve, nonconvex_samples
 from tropfit.solvers import (
     ITERATE_MATCH_TOL,
-    _History,
+    _repeats,
     alternate,
     scaled_tolerance,
     to_max_plus,
@@ -104,28 +105,70 @@ def test_two_sided_solve_from_a_large_start_matches_the_reference():
     a, b = rational_system(nonconvex_samples(), NUM_4, DEN_2)
     x0 = TropicalVector([1e20, -3e19, 7e19, -1e20], MAX_PLUS)
     solution = two_sided_solve(a, b, x0=x0)
+    # two_sided_solve runs from the scaling of x0 whose largest entry is 0.
+    start = to_max_plus(x0.elements, MAX_PLUS)
     deltas, x_star, y_star, termination = alternate_reference(
         np.ascontiguousarray(np.array(a.entries).T),
-        np.ascontiguousarray(np.array(b.entries).T),
-        to_max_plus(x0.elements, MAX_PLUS), 1000)
+        np.ascontiguousarray(np.array(b.entries).T), start - start.max(), 1000)
     assert list(solution.deltas) == deltas
     assert solution.x_star.elements == tuple(x_star.tolist())
     assert solution.y_star.elements == tuple(y_star.tolist())
     assert solution.termination is termination
 
 
-# --- the history's prefiltered repeat test ----------------------------------
+@pytest.mark.parametrize("start", [(1e15,) * 4, (1e17,) * 4, (1e20,) * 4,
+                                   (1e20, -3e19, 7e19, -1e20)])
+def test_a_large_start_does_not_absorb_the_data(start):
+    # From these starts a x0 once swallowed the data: delta_star read 0.0
+    # (an exact solution after one half step) or 0.125, below the optimum.
+    a, b = rational_system(nonconvex_samples(), NUM_4, DEN_2)
+    solution = two_sided_solve(a, b, x0=TropicalVector(start, MAX_PLUS))
+    default = two_sided_solve(a, b)
+    assert default.delta_star == 0.1395240717620072
+    if len(set(start)) == 1:
+        # A common scaling of the units is the default start, bit for bit.
+        assert solution == default
+    else:
+        assert abs(solution.delta_star - default.delta_star) <= 1e-15
+        assert solution.termination is Termination.CYCLE_DETECTED
+
+
+# --- the folded history and its prefiltered repeat test ---------------------
+
+class History:
+    """One side's history as alternate keeps it, for probing _repeats.
+
+    The rows grow as alternate grows them; the loop's own growth is
+    checked by the property below, at caps around 64 half steps.
+    """
+
+    def __init__(self, n, tol):
+        self.rows = np.empty((32, n, 1))
+        self.count = 0
+        self.firsts, self.order = [], []
+        self.tol = tol
+
+    def repeats(self, v):
+        """The verdict of _repeats on v, leaving the history unchanged."""
+        return _repeats(v[:, None], self.rows, self.count, list(self.firsts),
+                        list(self.order), self.tol)
+
+    def store(self, v):
+        if self.count == len(self.rows):
+            self.rows = np.concatenate((self.rows, np.empty_like(self.rows)))
+        self.rows[self.count, :, 0] = v
+        assert not _repeats(self.rows[self.count], self.rows, self.count,
+                            self.firsts, self.order, self.tol)
+        self.count += 1
+        assert self.firsts == sorted(self.firsts)
+        assert self.rows[self.order, 0, 0].tolist() == self.firsts
+
 
 def brute_repeats(history, v):
-    stored = history.columns[:, :history.count]
+    stored = history.rows[:history.count, :, 0]
     with np.errstate(invalid="ignore"):
-        gaps = np.maximum.reduce(np.abs(stored - v[:, None]), axis=0)
+        gaps = np.maximum.reduce(np.abs(stored - v), axis=1)
     return bool((gaps <= history.tol).any())
-
-
-def store(history, v):
-    history.free_column()[:] = v
-    history.store()
 
 
 def probes(v, tol, rng):
@@ -151,7 +194,7 @@ def probes(v, tol, rng):
 @pytest.mark.parametrize("tol", [1e-9, 6e-8])
 def test_history_repeat_test_equals_the_full_scan(tol):
     rng = np.random.default_rng(5)
-    history = _History(4, tol)
+    history = History(4, tol)
     checked = matched = 0
     for scale in (1e-3, 1.0, 1e6, 1e20):
         for _ in range(12):
@@ -160,35 +203,68 @@ def test_history_repeat_test_equals_the_full_scan(tol):
                 # Reuse the first coordinate of a stored iterate half the
                 # time, so the prefilter window is not empty.
                 if rng.integers(2):
-                    v[0] = history.columns[0, rng.integers(history.count)]
+                    v[0] = history.rows[rng.integers(history.count), 0, 0]
             for probe in probes(v, tol, rng):
                 verdict = history.repeats(probe)
                 assert verdict == brute_repeats(history, probe)
                 checked += 1
                 matched += verdict
-            store(history, v)
+            history.store(v)
             for probe in probes(v, tol, rng):
                 verdict = history.repeats(probe)
                 assert verdict == brute_repeats(history, probe)
                 checked += 1
                 matched += verdict
     # Non-finite iterates are stored too and never match.
-    for bad in (math.nan, math.inf, -math.inf):
-        v = np.array([bad, 1.0, 2.0, 3.0])
-        store(history, v)
-        assert not history.repeats(v)
-        w = np.array([1.0, 2.0, bad, 3.0])
-        store(history, w)
-        assert not history.repeats(w)
-    assert history.count == 54 and history.columns.shape[1] == 64
+    with np.errstate(invalid="ignore"):
+        for bad in (math.nan, math.inf, -math.inf):
+            v = np.array([bad, 1.0, 2.0, 3.0])
+            history.store(v)
+            assert not history.repeats(v)
+            w = np.array([1.0, 2.0, bad, 3.0])
+            history.store(w)
+            assert not history.repeats(w)
+    assert history.count == 54 and history.rows.shape == (64, 4, 1)
     assert 0 < matched < checked
 
 
 def test_history_keeps_columns_when_it_grows():
-    history = _History(2, 1e-9)
+    history = History(2, 1e-9)
     for k in range(70):
-        store(history, np.array([float(k), -float(k)]))
-    assert history.count == 70 and history.columns.shape[1] == 128
-    assert np.array_equal(history.columns[0, :70], np.arange(70.0))
+        history.store(np.array([float(k), -float(k)]))
+    assert history.count == 70 and history.rows.shape == (128, 2, 1)
+    assert np.array_equal(history.rows[:70, 0, 0], np.arange(70.0))
     assert history.repeats(np.array([33.0, -33.0]))
     assert not history.repeats(np.array([33.0, -34.0]))
+    # Row 0 is (0, -0): a gap of exactly tol matches, the next float not.
+    assert history.repeats(np.array([0.0, 1e-9]))
+    assert not history.repeats(np.array([0.0, math.nextafter(1e-9, 1.0)]))
+
+
+# --- alternate against its plain form on random systems ---------------------
+
+@st.composite
+def systems(draw):
+    """A random system at, bt and start: uniform or small-integer entries.
+
+    Small integers give ties, exact solutions and short cycles.
+    """
+    m, n, l = draw(st.integers(2, 29)), draw(st.integers(1, 6)), draw(
+        st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        at, bt, x0 = (rng.integers(-3, 4, shape).astype(float)
+                      for shape in ((n, m), (l, m), n))
+    else:
+        at, bt, x0 = (rng.uniform(-5.0, 5.0, shape)
+                      for shape in ((n, m), (l, m), n))
+    return at, bt, x0 if draw(st.booleans()) else np.zeros(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_alternate_equals_the_reference_on_random_systems(system):
+    # Caps 63, 64 and 65 stop before, at and after the first growth of
+    # each side's rows past 32.
+    for max_iter in (1, 2, 63, 64, 65, 1000):
+        assert_same_run(*system, max_iter)

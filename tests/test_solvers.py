@@ -185,8 +185,10 @@ def test_two_sided_identical_spans():
     left = mat_vec_mul(a, sol.x_star)
     right = mat_vec_mul(a, sol.y_star)
     assert max(abs(p - q) for p, q in zip(left, right)) <= 1e-9
-    # y_star is the projection coefficients, up to the solver's scaling
-    expected = conjugate(vec_mat_mul(conjugate(mat_vec_mul(a, x0)), a))
+    # y_star is the projection coefficients, up to the solver's scaling,
+    # from the start scaled to a largest entry of 0.
+    start = TropicalVector([v - max(x0) for v in x0], MAX_PLUS)
+    expected = conjugate(vec_mat_mul(conjugate(mat_vec_mul(a, start)), a))
     assert max(abs(p - q) for p, q in zip(sol.y_star, expected)) <= 1e-9
 
 
@@ -293,8 +295,11 @@ def test_two_sided_matches_per_scalar_reference_in_max_plus():
     for a, b, x0 in reference_cases(MAX_PLUS, 40, 12):
         for max_iter in (7, 1000):
             sol = two_sided_solve(a, b, x0=x0, max_iter=max_iter)
+            # two_sided_solve runs from x0 scaled to a largest entry of 0.
+            start = None if x0 is None else TropicalVector(
+                [v - max(x0) for v in x0], MAX_PLUS)
             deltas, x_star, y_star, termination = two_sided_reference(
-                a, b, x0=x0, max_iter=max_iter)
+                a, b, x0=start, max_iter=max_iter)
             assert sol.deltas == tuple(deltas)
             assert sol.delta_star == min(deltas)
             assert sol.x_star == x_star
