@@ -399,16 +399,15 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> tuple[
     the slack s_pi = y_i - (p x_i + r_p). The delta
     of a row is max_i min_{p in row} s_pi: the same float as the
     residuation of the row's design, since y - v rounds monotonically in
-    v, and the same for every order of the row's terms. Rows are gathered
-    SCORE_ELEMENTS floats at a time.
+    v, and the same for every order of the row's terms. The per-degree
+    tables share one distinct degrees x samples buffer, and rows are
+    gathered from it SCORE_ELEMENTS floats at a time.
 
-    Where fit_polynomial would raise for some row (its design overflows
-    or fails solvers.residuation_in_range, or a coefficient or delta_star
-    is out of range by solvers.out_of_range), the error of the first such
-    row is raised. The range rule is checked once, on the extremes of all
-    drawn degrees' terms, which enclose every row's bounds; only when that
-    or the range check of all coefficients and deltas fails are the rows
-    checked one by one.
+    The range rule is checked once, on the extremes of all drawn
+    degrees' terms, which enclose every row's bounds, with the range
+    check of all coefficients and deltas. Only when that fails are the
+    rows refitted with fit_polynomial, in order, so the first row whose
+    fit raises raises its own error; if none does, the scores stand.
     """
     sf = samples.semifield
     x, y = samples.xs, samples.ys
@@ -417,10 +416,16 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> tuple[
     degrees, index = _degree_index(rows)
     delta = np.empty(len(rows))
     step = max(1, SCORE_ELEMENTS // (index.shape[1] * len(x)))
+    table = np.empty((len(degrees), len(x)))
     with np.errstate(all="ignore"):
-        terms = degrees[:, None] * x
-        r = np.minimum.reduce(y - terms, axis=1)
-        slack = y - (terms + r[:, None])
+        # One table holds the terms p x_i, then y - terms (reduced to r),
+        # then the terms again and the slack.
+        np.multiply(degrees[:, None], x, out=table)
+        t_lo, t_hi = table.min(), table.max()
+        r = np.minimum.reduce(np.subtract(y, table, out=table), axis=1)
+        np.multiply(degrees[:, None], x, out=table)
+        slack = np.subtract(y, np.add(table, r[:, None], out=table),
+                            out=table)
         for start in range(0, len(rows), step):
             # Terms x rows x samples: the min over a row's terms is an
             # elementwise min of contiguous sample rows, and the max over
@@ -429,28 +434,16 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> tuple[
             mins = np.minimum.reduce(gather, axis=0)
             np.maximum.reduce(mins.T.copy(), axis=0,
                               out=delta[start:start + step])
-        # The clamp of solvers.residuate: no delta below the unit.
+        # The clamp of solvers._residuate_into: no delta below the unit.
         np.maximum(delta, 0.0, out=delta)
         theta, exact = balance(r[index], delta)
         scores = from_max_plus(delta, sf)
-        y_lo, y_hi = y.min(), y.max()
-        fits = (residuation_in_range(terms.min(), terms.max(), y_lo, y_hi)
+        fits = (residuation_in_range(t_lo, t_hi, y.min(), y.max())
                 and not out_of_range(theta, sf).any()
                 and not out_of_range(delta, sf).any())
-        if not fits:
-            # Terms x rows: the extremes of each row's terms reduce rows.
-            columns = np.ascontiguousarray(index.T)
-            row_fits = (residuation_in_range(
-                            np.minimum.reduce(terms.min(axis=1)[columns]),
-                            np.maximum.reduce(terms.max(axis=1)[columns]),
-                            y_lo, y_hi)
-                        & ~out_of_range(theta, sf).any(axis=1)
-                        & ~out_of_range(delta, sf))
-            fits = row_fits.all()
     if not fits:
-        # Fitting the first failing row on its own raises its error.
-        fit_polynomial(samples,
-                       DegreeVector(rows[np.argmin(row_fits)].tolist()))
+        for row in rows.tolist():
+            fit_polynomial(samples, DegreeVector(row))
     # argmin takes the first smallest delta_star, as the strict < of a
     # row-by-row search does.
     best = int(np.argmin(scores))

@@ -1,11 +1,12 @@
 """Monte Carlo search over integer degree classes.
 
 Degree vectors are drawn without replacement from a discrete uniform
-range using a seeded numpy Generator, each draw is fitted, and the
-class with the smallest squared error wins. Draws are generated up
-front from a single stream in step order, so run i of a longer search
-sees exactly the draws of a shorter one (prefix stability), and ties
-are broken by draw index.
+range using a seeded numpy Generator. Polynomial draws are scored all
+at once (approx.score_polynomials), rational draws are fitted one at a
+time, and the class with the smallest squared error wins. Draws are
+generated up front from a single stream in step order, so run i of a
+longer search sees exactly the draws of a shorter one (prefix
+stability), and ties are broken by draw index.
 
 The stream is that of one rng.choice(width, size=count, replace=False)
 call per draw (numerator, then denominator, for rational classes), but
@@ -54,6 +55,9 @@ class RangeTooNarrow(TropicalError):
 
 def _check_width(low: int, high: int, needed: int) -> None:
     width = high - low + 1
+    if not all(_INT64.min <= v <= _INT64.max for v in (low, high, width)):
+        raise ValueError("the degree bounds and the range width must "
+                         "lie within the int64 range")
     if width < needed:
         raise RangeTooNarrow(f"range [{low}, {high}] holds {width} integers, "
                              f"fewer than the {needed} required")
@@ -85,11 +89,6 @@ class SearchConfig:
             raise ValueError("n_samples must be at least 1")
         if self.max_iter_two_sided < 1:
             raise ValueError("max_iter_two_sided must be at least 1")
-        width = self.degree_max - self.degree_min + 1
-        if not all(_INT64.min <= v <= _INT64.max
-                   for v in (self.degree_min, self.degree_max, width)):
-            raise ValueError("the degree bounds and the range width must "
-                             "lie within the int64 range")
         _check_width(self.degree_min, self.degree_max,
                      max(self.n_terms_numerator, self.n_terms_denominator or 1))
 
@@ -160,8 +159,8 @@ def sample_degree_vector(low: int, high: int, count: int,
 
     The draw is that of rng.choice(high - low + 1, size=count,
     replace=False), so n calls consume the stream of a search's n-class
-    block (_choice_block). A negative count raises ValueError before
-    anything is drawn.
+    block (_choice_block). A negative count, or bounds or a width outside
+    the int64 range, raise ValueError before anything is drawn.
     """
     if count < 0:
         raise ValueError("count must not be negative")

@@ -17,17 +17,19 @@ finite and, in max-times, its exponential is a normal float: not inf,
 goes through the checked map-out, from_max_plus with a name, which
 raises ValueError for the first reading out of range.
 
-The array core (residuate, one_sided, alternate) takes every matrix
-transposed, as (n_terms, n_samples) C-contiguous arrays. Designs
-have many samples and few terms, so with terms on the leading axis a
-reduction over terms is an elementwise max of a few contiguous sample
-rows, and a reduction over samples runs along one contiguous row,
-instead of either one reducing many short inner rows of 4 to 6 terms.
-alternate spends nearly all of a rational fit in its half steps, so each
-one makes its nine numpy calls into buffers allocated once per call and
-little else: its iterates are kept as the columns the next image adds,
-and its repeat test looks only near the new iterate's first coordinate.
-Neither changes a floating-point operation or a verdict.
+The array core (_residuate_into, one_sided, alternate) takes every
+matrix transposed, as (n_terms, n_samples) C-contiguous arrays.
+_residuate_into is its one projection, and one_sided and alternate both
+call it. Designs have many samples and few terms, so with terms on the
+leading axis a reduction over terms is an elementwise max of a few
+contiguous sample rows, and a reduction over samples runs along one
+contiguous row, instead of either one reducing many short inner rows of
+4 to 6 terms. alternate spends nearly all of a rational fit in its half
+steps, so each one makes its nine numpy calls into buffers allocated
+once per call and little else: its iterates are kept as the columns the
+next image adds, and its repeat test looks only near the new iterate's
+first coordinate. Neither changes a floating-point operation or a
+verdict.
 
 The tuple API (one_sided_solve, two_sided_solve) keeps the usual
 samples x terms orientation and transposes once at its boundary.
@@ -195,7 +197,7 @@ def residuation_in_range(a_lo, a_hi, b_lo, b_hi) -> bool | np.ndarray:
     in [a_lo, a_hi] and [b_lo, b_hi], every entry of b - a, r, a r, the
     slack b - a r and the balanced r + delta / 2 lies between bounds
     computed from the extremes in the same rounded operations, which are
-    monotone. Finite bounds so mean a finite residuate and balance.
+    monotone. Finite bounds so mean a finite residuation and balance.
     Broadcasts over arrays of extremes, which overflow with numpy's
     warning unless the caller mutes it; Python floats never warn.
     """
@@ -253,11 +255,22 @@ def scaled_tolerance(base: float, *arrays: np.ndarray) -> float:
 
 def _residuate_into(at: np.ndarray, b: np.ndarray, scratch: np.ndarray,
                     r: np.ndarray, slack: np.ndarray) -> float:
-    """The arithmetic of residuate, into buffers; returns delta.
+    """Greatest r with a r <= b, into r; returns the squared distance delta.
+
+    at is the transposed matrix a, terms by samples:
+    r_j = min_i (b_i - at_ji) and delta = max_i (b_i - max_j (at_ji + r_j)),
+    all in max-plus. The min runs along the contiguous sample row of each
+    term, the inner max is an elementwise max of the term rows. Scaling r
+    by the square root delta / 2 balances the one-sided slack into the
+    metric-best solution (balance).
 
     scratch has the shape of at, r is an (n_terms, 1) column and slack
     has the shape of b; slack ends up holding b - a r. The out buffers
     go positionally, which numpy parses faster than keywords.
+
+    delta is never below the unit 0: rounding can leave a consistent
+    system's slack a few ulps negative, and such a delta (or -0.0) is
+    read as 0.0. A nan is kept, for alternate's range check to see.
     """
     _subtract(b, at, scratch)
     _min_reduce(scratch, 1, None, r, True)
@@ -266,34 +279,16 @@ def _residuate_into(at: np.ndarray, b: np.ndarray, scratch: np.ndarray,
     return 0.0 if delta <= 0.0 else delta
 
 
-def residuate(at: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Greatest r with a r <= b, and the squared distance of a r to b.
-
-    at is the transposed matrix a, terms by samples:
-    r_j = min_i (b_i - at_ji) and delta = max_i (b_i - max_j (at_ji + r_j)),
-    all in max-plus. The min runs along the contiguous sample row of each
-    term, the inner max is an elementwise max of the term rows. Scaling r
-    by the square root delta / 2 balances the one-sided slack into the
-    metric-best solution.
-
-    delta is never below the unit 0: rounding can leave a consistent
-    system's slack a few ulps negative, and such a delta (or -0.0) is
-    read as 0.0. A nan is kept, for alternate's range check to see.
-    """
-    r = np.empty((len(at), 1))
-    delta = _residuate_into(at, b, np.empty(at.shape), r, np.empty(b.shape))
-    return r[:, 0], delta
-
-
 def one_sided(at: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Array form of one_sided_solve: (x_star, delta, exact) in max-plus.
 
-    at is the transposed matrix a (terms by samples), as for residuate.
-    Data outside residuation_in_range raise ValueError.
+    at is the transposed matrix a (terms by samples), as for
+    _residuate_into. Data outside residuation_in_range raise ValueError.
     """
     check_residuation(_extremes(at), _extremes(b))
-    r, delta = residuate(at, b)
-    x_star, exact = balance(r, delta)
+    r = np.empty((len(at), 1))
+    delta = _residuate_into(at, b, np.empty(at.shape), r, np.empty(b.shape))
+    x_star, exact = balance(r[:, 0], delta)
     return x_star, delta, bool(exact)
 
 
@@ -348,8 +343,8 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
 
     at and bt are a and b transposed, terms by samples, so the image of
     an iterate is an elementwise max of its term rows and the projection
-    back (residuate) reduces along contiguous sample rows. Returns the
-    delta of every half step, the pair (x, y) that first reached the
+    back (_residuate_into) reduces along contiguous sample rows. Returns
+    the delta of every half step, the pair (x, y) that first reached the
     smallest delta, and the reason for stopping. The rules are those of
     two_sided_solve. The entry check (check_residuation) bounds the spans,
     not the iterates, which can drift out of the float range: a half step
@@ -360,12 +355,13 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     the residuation r as an (n, 1) column and the iterates as the rows of
     a (capacity, n, 1) array that doubles when full, plus the image and
     the slack (m). A half step makes nine numpy calls, with their out
-    buffers passed positionally, in the same floating-point operations
-    as residuate; it adds delta / 2 to r straight into the next free row
-    of its side, which is then the column operand of the next image. The
-    repeat test (_repeats) looks only at the stored iterates whose first
-    coordinate is within 2 match_tol of the new one's, which gives the
-    verdict of testing them all. The best pair is tracked by row.
+    buffers passed positionally, six of them in _residuate_into, the
+    projection of one_sided too; it adds delta / 2 to r straight into
+    the next free row of its side, which is then the column operand of
+    the next image. The repeat test (_repeats) looks only at the stored
+    iterates whose first coordinate is within 2 match_tol of the new
+    one's, which gives the verdict of testing them all. The best pair is
+    tracked by row.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

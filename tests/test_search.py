@@ -1,5 +1,6 @@
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,20 @@ def test_sample_degree_vector_range_too_narrow():
     rng = np.random.default_rng(2)
     with pytest.raises(RangeTooNarrow):
         sample_degree_vector(0, 0, 2, rng)
+
+
+@pytest.mark.parametrize("low, high", [
+    (2**63 - 2, 2**63 + 5),     # numpy would wrap the drawn degrees
+    (2**63, 2**63 + 5),
+    (-2**63 - 3, -2**63 + 5),
+])
+def test_sample_degree_vector_rejects_bounds_past_int64(low, high):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="the degree bounds and the range "
+                                         "width must lie within the int64"):
+        sample_degree_vector(low, high, 3, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_config_validation():
@@ -276,7 +291,8 @@ def test_batched_search_unrepresentable_coefficients_raise_value_error():
                                   "exp(-2302.2) underflows to 0")
 
 
-def test_first_failing_row_past_the_first_block_raises_its_error():
+def test_first_failing_row_past_the_first_block_raises_its_error(
+        monkeypatch):
     samples = SampleSet(((1e-300, 1.0), (1e-200, 2.0), (0.5, 3.0)),
                         MAX_TIMES)
     fitting = [[-1, 0], [0, 1], [0, 2], [-1, 1], [1, 2]]
@@ -288,9 +304,34 @@ def test_first_failing_row_past_the_first_block_raises_its_error():
     with pytest.raises(ValueError) as later:
         fit_polynomial(samples, DegreeVector([3, 4]))
     assert str(first.value) != str(later.value)
+    # The failing whole-array check refits rows 0 to BLOCK + 6, no more.
+    calls = []
+    monkeypatch.setattr(tropfit.approx, "fit_polynomial",
+                        lambda *a: calls.append(a) or fit_polynomial(*a))
     with pytest.raises(ValueError) as scored, _gathers_of(BLOCK, 2, 3):
         score_polynomials(samples, rows)
     assert str(scored.value) == str(first.value)
+    assert len(calls) == BLOCK + 7
+
+
+def test_scoring_holds_one_degrees_by_samples_table():
+    # 2000 rows of 3 degrees over +-10^6 hold about 6000 distinct
+    # degrees; the per-degree tables share one buffer of that many rows.
+    rng = np.random.default_rng(19)
+    x = rng.uniform(-1.0, 1.0, 400)
+    samples = SampleSet.from_columns(x, x**2 + rng.normal(0.0, 0.05, 400),
+                                     MAX_PLUS)
+    rows = np.array([rng.choice(2 * 10**6 + 1, 3, replace=False) - 10**6
+                     for _ in range(2000)])
+    table = 8 * len(np.unique(rows)) * len(samples)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        score_polynomials(samples, rows)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table
 
 
 def test_scoring_no_rows_gives_an_empty_array():
