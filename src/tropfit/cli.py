@@ -23,7 +23,6 @@ from . import __version__
 # perfbench/tracer.py wraps eval_polynomial and eval_rational here.
 from .approx import (  # noqa: F401
     DegreeVector,
-    FitReport,
     MalformedRow,
     PolynomialModel,
     RationalModel,
@@ -62,17 +61,6 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _malformed(lineno: int, fields: list[str]) -> MalformedRow:
-    """The error of a stripped data line that is not two numbers."""
-    if len(fields) != 2:
-        return MalformedRow(lineno, "expected two comma-separated values")
-    try:
-        float(fields[0]), float(fields[1])
-    except ValueError as exc:
-        return MalformedRow(lineno, str(exc))
-    raise AssertionError(f"line {lineno} parses")
-
-
 def parse_samples(path: str, semifield: Semifield = MAX_PLUS) -> SampleSet:
     """Read a two-column CSV of (x, y) rows.
 
@@ -92,13 +80,13 @@ def parse_samples(path: str, semifield: Semifield = MAX_PLUS) -> SampleSet:
             # float() ignores surrounding whitespace, as strip() would.
             first, second = fields
             pair = float(first), float(second)
-        except ValueError:
-            fields = [f.strip() for f in fields]
-            if fields == [""] or (lineno == 1 and not _is_number(fields[0])):
+        except ValueError as exc:
+            if not line.strip() or (lineno == 1 and not _is_number(fields[0])):
                 continue  # a blank line or the header
             # A value the semifield rejects on an earlier line comes first.
             check_reals(x, y, semifield, lines)
-            raise _malformed(lineno, fields) from None
+            raise MalformedRow(lineno, "expected two comma-separated values"
+                               if len(fields) != 2 else str(exc)) from None
         x.append(pair[0])
         y.append(pair[1])
         lines.append(lineno)
@@ -142,7 +130,7 @@ def serialize_model(doc: ModelDocument) -> str:
     raises ValueError.
     """
     model = doc.model
-    rational = isinstance(model, RationalModel)
+    rational = doc.kind == "rational"
     payload = {
         "semifield": model.semifield.name,
         "kind": doc.kind,
@@ -331,103 +319,90 @@ def _write_output(text: str, path: Optional[str]) -> None:
 # Subcommands
 
 
-def _fit_direct(args, samples: SampleSet) -> tuple[FitReport, dict]:
-    if args.kind == "rational":
-        if not (args.num_degrees and args.den_degrees):
-            raise ValueError(
-                "rational fits need both --num-degrees and --den-degrees")
-        if args.degrees:
-            raise ValueError("--degrees applies to polynomial fits only")
-        num = _parse_degree_list(args.num_degrees, "--num-degrees")
-        den = _parse_degree_list(args.den_degrees, "--den-degrees")
-        report = fit_rational(samples, num, den, max_iter=args.max_iter)
-        config = {
-            "kind": "rational",
-            "semifield": args.semifield,
-            "num_degrees": [str(d) for d in num],
-            "den_degrees": [str(d) for d in den],
-            "max_iter": args.max_iter,
-        }
-    else:
-        if not args.degrees:
-            raise ValueError("polynomial fits need --degrees")
-        if args.num_degrees or args.den_degrees:
-            raise ValueError(
-                "--num-degrees/--den-degrees apply to rational fits only")
-        degrees = _parse_degree_list(args.degrees, "--degrees")
-        report = fit_polynomial(samples, degrees)
-        config = {
-            "kind": "polynomial",
-            "semifield": args.semifield,
-            "degrees": [str(d) for d in degrees],
-        }
-    return report, config
+# The flags each mode of `tropfit fit` takes, keyed by (kind, searched).
+_FIT_FLAGS = {
+    ("polynomial", False): ("degrees",),
+    ("rational", False): ("num_degrees", "den_degrees"),
+    ("polynomial", True): ("terms", "range", "samples", "seed"),
+    ("rational", True): ("num_terms", "den_terms", "range", "samples", "seed"),
+}
+_SEARCH_FLAGS = set(_FIT_FLAGS["polynomial", True]
+                    + _FIT_FLAGS["rational", True])
 
 
-def _fit_search(args, samples: SampleSet) -> tuple[FitReport, dict]:
-    if args.range is None or args.samples is None or args.seed is None:
-        raise ValueError("search fits need --range, --samples and --seed")
-    low, high = _parse_range(args.range)
-    if args.kind == "rational":
-        if args.terms is not None:
-            raise ValueError(
-                "rational searches use --num-terms/--den-terms, not --terms")
-        if args.num_terms is None or args.den_terms is None:
-            raise ValueError(
-                "rational searches need --num-terms and --den-terms")
-        n_num, n_den = args.num_terms, args.den_terms
-    else:
-        if args.num_terms is not None or args.den_terms is not None:
-            raise ValueError("--num-terms and --den-terms apply to "
-                             "rational searches only")
-        if args.terms is None:
-            raise ValueError("polynomial searches need --terms")
-        n_num, n_den = args.terms, None
-    config = SearchConfig(
-        n_terms_numerator=n_num,
-        degree_min=low,
-        degree_max=high,
-        n_samples=args.samples,
-        rng_seed=args.seed,
-        n_terms_denominator=n_den,
-        max_iter_two_sided=args.max_iter,
-    )
-    result = random_search(samples, config, threads=args.threads)
-    echo = {
-        "kind": args.kind,
-        "semifield": args.semifield,
-        "terms": n_num if n_den is None else [n_num, n_den],
-        "range": f"{low}:{high}",
-        "samples": args.samples,
-        "max_iter": args.max_iter,
-        "best_degrees": [str(d) for d in result.best_degrees],
-    }
-    if result.best_denominator_degrees is not None:
-        echo["best_den_degrees"] = [
-            str(d) for d in result.best_denominator_degrees]
-    return result.best, echo
+def _flag_names(flags) -> str:
+    *names, last = ["--" + flag.replace("_", "-") for flag in flags]
+    return f"{', '.join(names)} and {last}" if names else last
+
+
+def _fit_mode(args) -> bool:
+    """Check the fit flags against _FIT_FLAGS; True for a search.
+
+    A flag counts as given when it is on the command line at all, even
+    with an empty value, which its own parser then rejects.
+    """
+    given = {flag for flags in _FIT_FLAGS.values() for flag in flags
+             if getattr(args, flag) is not None}
+    if not given:
+        raise ValueError("nothing to fit: give degrees or search flags")
+    searched = bool(given & _SEARCH_FLAGS)
+    if searched and not given <= _SEARCH_FLAGS:
+        raise ValueError(
+            "give either explicit degrees or search flags, not both")
+    mode = "searches" if searched else "fits"
+    flags = _FIT_FLAGS[args.kind, searched]
+    if not given <= set(flags):
+        other = "rational" if args.kind == "polynomial" else "polynomial"
+        foreign = [f for f in _FIT_FLAGS[other, searched] if f not in flags]
+        verb = "apply" if foreign[1:] else "applies"
+        raise ValueError(
+            f"{_flag_names(foreign)} {verb} to {other} {mode} only")
+    missing = [flag for flag in flags if flag not in given]
+    if missing:
+        raise ValueError(f"{args.kind} {mode} need {_flag_names(missing)}")
+    return searched
+
+
+def _strs(degrees) -> list[str]:
+    return [str(d) for d in degrees]
 
 
 def cmd_fit(args) -> int:
-    semifield = by_name(args.semifield)
-    samples = parse_samples(args.input, semifield)
-    direct = bool(args.degrees or args.num_degrees or args.den_degrees)
-    searching = (args.terms is not None or args.num_terms is not None
-                 or args.den_terms is not None or args.range is not None
-                 or args.samples is not None or args.seed is not None)
-    if direct and searching:
-        raise ValueError(
-            "give either explicit degrees or search flags, not both")
-    if not direct and not searching:
-        raise ValueError("nothing to fit: give degrees or search flags")
-    if direct:
-        report, config = _fit_direct(args, samples)
-        seed = None
+    samples = parse_samples(args.input, by_name(args.semifield))
+    searched = _fit_mode(args)
+    config = {"kind": args.kind, "semifield": args.semifield}
+    if searched:
+        low, high = _parse_range(args.range)
+        n_num, n_den = ((args.num_terms, args.den_terms)
+                        if args.kind == "rational" else (args.terms, None))
+        result = random_search(samples, SearchConfig(
+            n_terms_numerator=n_num,
+            degree_min=low,
+            degree_max=high,
+            n_samples=args.samples,
+            rng_seed=args.seed,
+            n_terms_denominator=n_den,
+            max_iter_two_sided=args.max_iter,
+        ), threads=args.threads)
+        report = result.best
+        config.update(terms=n_num if n_den is None else [n_num, n_den],
+                      range=f"{low}:{high}", samples=args.samples,
+                      max_iter=args.max_iter,
+                      best_degrees=_strs(result.best_degrees))
+        if result.best_denominator_degrees is not None:
+            config["best_den_degrees"] = _strs(result.best_denominator_degrees)
+    elif args.kind == "rational":
+        num = _parse_degree_list(args.num_degrees, "--num-degrees")
+        den = _parse_degree_list(args.den_degrees, "--den-degrees")
+        report = fit_rational(samples, num, den, max_iter=args.max_iter)
+        config.update(num_degrees=_strs(num), den_degrees=_strs(den),
+                      max_iter=args.max_iter)
     else:
-        report, config = _fit_search(args, samples)
-        seed = args.seed
+        degrees = _parse_degree_list(args.degrees, "--degrees")
+        report = fit_polynomial(samples, degrees)
+        config["degrees"] = _strs(degrees)
     provenance = {
-        "seed": seed,
+        "seed": args.seed,
         "config": config,
         "tool_version": __version__,
     }

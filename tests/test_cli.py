@@ -135,6 +135,8 @@ def test_parse_samples_max_times_negative(tmp_path):
      "line 2: max-times scalars must be finite and >= 0, got -1.0"),
     ("1,0\n2,abc\n", MalformedRow, 2,
      "line 2: could not convert string to float: 'abc'"),
+    ("1,0\n2, abc\n", MalformedRow, 2,
+     "line 2: could not convert string to float: ' abc'"),
     ("1,-1\n2,abc\n", MalformedRow, 2,
      "line 1: max-times scalars must be finite and >= 0, got -1.0"),
     ("1,0\n3\n", MalformedRow, 2,
@@ -505,6 +507,65 @@ def test_polynomial_search_rejects_rational_term_flags(flags, f_csv, capsys):
     assert captured.out == ""
     assert captured.err == ("error: --num-terms and --den-terms apply to "
                             "rational searches only\n")
+
+
+FIT_FLAG_VALUES = {"--degrees": "0,1", "--num-degrees": "0,1",
+                   "--den-degrees": "0", "--terms": "3", "--num-terms": "2",
+                   "--den-terms": "1", "--range": "-5:5", "--samples": "5",
+                   "--seed": "1"}
+# The four modes of `tropfit fit`: fixed or searched degrees of each kind.
+# Index ^ 1 is the same class of the other kind, index ^ 2 the other class
+# of the same kind.
+FIT_MODES = [
+    ("polynomial", ["--degrees"]),
+    ("rational", ["--num-degrees", "--den-degrees"]),
+    ("polynomial", ["--terms", "--range", "--samples", "--seed"]),
+    ("rational", ["--num-terms", "--den-terms", "--range", "--samples",
+                  "--seed"]),
+]
+
+
+def fit_flag_cases():
+    """(flags, exit code, texts the one error line must hold)."""
+    def argv(kind, flags):
+        return ["--kind", kind] + [f"{f}={FIT_FLAG_VALUES[f]}" for f in flags]
+
+    yield [], 2, ["nothing to fit"]
+    for i, (kind, flags) in enumerate(FIT_MODES):
+        yield argv(kind, flags), 0, []
+        for left_out in flags:
+            rest = [f for f in flags if f != left_out]
+            if rest:
+                yield argv(kind, rest), 2, [left_out]
+        other_kind = FIT_MODES[i ^ 1][1]
+        for stray in other_kind:
+            if stray not in flags:
+                yield argv(kind, flags + [stray]), 2, [stray]
+        other_class = FIT_MODES[i ^ 2][1]
+        yield argv(kind, flags + other_class), 2, ["not both"]
+    # An empty degree flag is given: its parser reports it.
+    yield ["--degrees="], 2, ["--degrees: Invalid literal"]
+    yield (["--kind=rational", "--num-degrees=", "--den-degrees=1"], 2,
+           ["--num-degrees: Invalid literal"])
+
+
+FIT_FLAG_CASES = list(fit_flag_cases())
+
+
+@pytest.mark.parametrize("flags, code, named", FIT_FLAG_CASES,
+                         ids=[" ".join(flags) or "no fit flag"
+                              for flags, _, _ in FIT_FLAG_CASES])
+def test_fit_flag_combinations(flags, code, named, f_csv, capsys):
+    assert main(["fit", "--input", f_csv, *flags]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert parse_model(captured.out).kind == flags[1]
+        return
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    for text in named:
+        assert text in captured.err
 
 
 def test_fit_exit_codes(tmp_path, capsys):
