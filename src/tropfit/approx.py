@@ -79,17 +79,20 @@ class DegreeVector:
     __slots__ = ("degrees", "exponents")
 
     def __init__(self, degrees: Iterable[Union[Rational, float, str]]):
-        normalized = tuple(sorted(Fraction(d) for d in degrees))
-        if not normalized:
+        values = list(degrees)
+        # Python ints sort and compare natively, far faster than Fractions.
+        ints = all(type(d) is int for d in values)
+        values = sorted(values if ints else map(Fraction, values))
+        if not values:
             raise ValueError("at least one degree is required")
-        for left, right in zip(normalized, normalized[1:]):
+        for left, right in zip(values, values[1:]):
             if left == right:
                 raise ValueError(f"duplicate degree {left}")
         try:
-            exponents = np.array([float(d) for d in normalized])
+            exponents = np.array([float(d) for d in values])
         except OverflowError:
             raise ValueError("a degree overflows the float range") from None
-        self.degrees = normalized
+        self.degrees = tuple(map(Fraction, values)) if ints else tuple(values)
         self.exponents = _read_only(exponents)
 
     def __len__(self) -> int:
@@ -364,26 +367,29 @@ def _polynomial_report(sf: Semifield, degrees: DegreeVector,
 SCORE_ELEMENTS = 1 << 16
 
 
-def _degree_index(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(rows, return_inverse=True), the inverse shaped as rows.
-
-    When the rows span no more integers than they hold entries, an offset
-    table over the span replaces np.unique's sort; the distinct degrees
-    and the index are the same. rows must not be empty.
+def _degree_index(terms: np.ndarray,
+                  low: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(terms, return_inverse=True) shifted by low, the index
+    shaped as terms (nonempty). A span no wider than terms is indexed by
+    an offset table instead of a sort, and with four or more terms per
+    integer (about e**-4 of it undrawn, for uniform draws) the degrees
+    are the whole span and the index the offsets.
     """
-    low = int(rows.min())
-    span = int(rows.max()) - low + 1
-    if span > rows.size:
-        degrees, index = np.unique(rows, return_inverse=True)
+    first = int(terms.min())
+    span = int(terms.max()) - first + 1
+    if span > terms.size:
+        degrees, index = np.unique(terms, return_inverse=True)
         # numpy versions differ in the shape of the inverse.
-        return degrees, index.reshape(rows.shape)
-    offsets = rows - low
+        return degrees + low, index.reshape(terms.shape)
+    offsets = terms - first
+    if 4 * span <= terms.size:
+        return np.arange(first + low, first + low + span), offsets
     drawn = np.zeros(span, bool)
     drawn[offsets] = True
     present = np.flatnonzero(drawn)
     table = np.empty(span, np.intp)
     table[present] = np.arange(len(present))
-    return present + low, table[offsets]
+    return present + (first + low), table[offsets]
 
 
 def score_polynomials(samples: SampleSet, rows: np.ndarray) -> tuple[
@@ -393,29 +399,39 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> tuple[
     rows is an int array with one degree class per row, in any order
     within the row. Returns the delta_star of every row, and the
     FitReport of the first row with the smallest one (None without rows),
-    equal to fit_polynomial's for that row. The residual
-    r_p = min_i (y_i - p x_i) of a degree p does not depend on the row it
-    is drawn into, so it is computed once for each distinct degree, with
-    the slack s_pi = y_i - (p x_i + r_p). The delta
-    of a row is max_i min_{p in row} s_pi: the same float as the
-    residuation of the row's design, since y - v rounds monotonically in
-    v, and the same for every order of the row's terms. The per-degree
-    tables share one distinct degrees x samples buffer, and rows are
-    gathered from it SCORE_ELEMENTS floats at a time.
+    equal to fit_polynomial's for that row. When a row repeats a degree or
+    the range check of _score_terms fails, the rows are fitted in order,
+    and the first row whose fit raises raises its own error.
+    """
+    if (np.diff(np.sort(rows, axis=1), axis=1) == 0).any():
+        for row in rows.tolist():
+            fit_polynomial(samples, DegreeVector(row))
+    return _score_terms(samples, rows.T)
 
-    The range rule is checked once, on the extremes of all drawn
-    degrees' terms, which enclose every row's bounds, with the range
-    check of all coefficients and deltas. Only when that fails are the
-    rows refitted with fit_polynomial, in order, so the first row whose
-    fit raises raises its own error; if none does, the scores stand.
+
+def _score_terms(samples: SampleSet, terms: np.ndarray,
+                 low: int = 0) -> tuple[np.ndarray, Optional[FitReport]]:
+    """score_polynomials of the classes low + terms[:, j], which must not
+    repeat a degree (search draws do not); terms x draws.
+
+    The residual r_p = min_i (y_i - p x_i) of a degree p does not depend
+    on its class, so it is computed once per degree, with the slack
+    s_pi = y_i - (p x_i + r_p). A class's delta is max_i min_{p in class}
+    s_pi: the same float as the residuation of its design, since y - v
+    rounds monotonically in v, for any order of its terms. The tables
+    share one degrees x samples buffer, gathered SCORE_ELEMENTS floats
+    at a time. The range rule is checked once, on the extremes of all
+    terms, which enclose every class's bounds, and of all coefficients
+    and deltas; only when that fails are the classes refitted in order.
     """
     sf = samples.semifield
     x, y = samples.xs, samples.ys
-    if not len(rows):
+    n_rows = terms.shape[1]
+    if not n_rows:
         return np.empty(0), None
-    degrees, index = _degree_index(rows)
-    delta = np.empty(len(rows))
-    step = max(1, SCORE_ELEMENTS // (index.shape[1] * len(x)))
+    degrees, index = _degree_index(terms, low)
+    delta = np.empty(n_rows)
+    step = max(1, SCORE_ELEMENTS // (len(terms) * len(x)))
     table = np.empty((len(degrees), len(x)))
     with np.errstate(all="ignore"):
         # One table holds the terms p x_i, then y - terms (reduced to r),
@@ -426,31 +442,32 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> tuple[
         np.multiply(degrees[:, None], x, out=table)
         slack = np.subtract(y, np.add(table, r[:, None], out=table),
                             out=table)
-        for start in range(0, len(rows), step):
-            # Terms x rows x samples: the min over a row's terms is an
+        for start in range(0, n_rows, step):
+            # Terms x classes x samples: a min over a class's terms is an
             # elementwise min of contiguous sample rows, and the max over
-            # samples one of contiguous rows of its samples x rows copy.
-            gather = np.take(slack, index[start:start + step].T, axis=0)
+            # samples one of contiguous rows of a samples x classes copy.
+            gather = np.take(slack, index[:, start:start + step], axis=0)
             mins = np.minimum.reduce(gather, axis=0)
             np.maximum.reduce(mins.T.copy(), axis=0,
                               out=delta[start:start + step])
         # The clamp of solvers._residuate_into: no delta below the unit.
         np.maximum(delta, 0.0, out=delta)
-        theta, exact = balance(r[index], delta)
+        theta, exact = balance(r[index.T], delta)
         scores = from_max_plus(delta, sf)
         fits = (residuation_in_range(t_lo, t_hi, y.min(), y.max())
                 and not out_of_range(theta, sf).any()
                 and not out_of_range(delta, sf).any())
     if not fits:
-        for row in rows.tolist():
+        for row in (terms.T + low).tolist():
             fit_polynomial(samples, DegreeVector(row))
     # argmin takes the first smallest delta_star, as the strict < of a
     # row-by-row search does.
     best = int(np.argmin(scores))
+    row = terms[:, best] + low
     # DegreeVector sorts the degrees; the coefficients follow them.
-    order = np.argsort(rows[best], kind="stable")
+    order = np.argsort(row, kind="stable")
     return scores, _polynomial_report(
-        sf, DegreeVector(rows[best].tolist()), theta[best][order],
+        sf, DegreeVector(row.tolist()), theta[best][order],
         float(delta[best]), bool(exact[best]))
 
 

@@ -2,23 +2,23 @@
 
 Degree vectors are drawn without replacement from a discrete uniform
 range using a seeded numpy Generator. Polynomial draws are scored all
-at once (approx.score_polynomials), rational draws are fitted one at a
-time, and the class with the smallest squared error wins. Draws are
-generated up front from a single stream in step order, so run i of a
-longer search sees exactly the draws of a shorter one (prefix
-stability), and ties are broken by draw index.
+at once (as approx.score_polynomials scores rows), rational draws are
+fitted one at a time, and the class with the smallest error wins.
+Draws are generated up front from a single stream in step order, so
+run i of a longer search sees exactly the draws of a shorter one
+(prefix stability), and ties are broken by draw index.
 
 The stream is that of one rng.choice(width, size=count, replace=False)
 call per draw (numerator, then denominator, for rational classes), but
 a search computes all of its draws in one block (_choice_block): one
-rng.integers call makes the bounded draws of every call, in the order
-and with the routine Generator.choice uses, and Floyd's algorithm then
+_bounded call makes the bounded draws of every call, in the order and
+with the routine Generator.choice uses, and Floyd's algorithm then
 runs step by step on a terms x draws block, each step on one row of it
 for every draw at once. The generator ends where the per-draw calls
 would leave it, for any bit generator and width. Only where numpy
 shuffles a tail of arange(width) instead (widths above 10000 with more
-than width // 50 values) is each draw an rng.choice call.
-The tests compare the block with rng.choice itself.
+than width // 50 values) is each draw an rng.choice call. The tests
+compare the block with rng.choice itself.
 
 A block's classes are not sorted: a polynomial class's delta is a max
 of mins over its terms, so the scorer takes its terms in any order, and
@@ -38,9 +38,9 @@ from .approx import (  # noqa: F401
     DegreeVector,
     FitReport,
     SampleSet,
+    _score_terms,
     fit_polynomial,
     fit_rational,
-    score_polynomials,
 )
 from .semifield import TropicalError
 from .solvers import DEFAULT_MAX_ITER
@@ -101,8 +101,9 @@ class SearchConfig:
 class SearchReport:
     """Winner of a search plus the per-draw error trace.
 
-    error_trace holds one (draw index, squared error) pair per draw,
-    with math.inf marking draws whose fit failed and was skipped.
+    error_trace holds one (draw index, delta_star) pair per draw. A
+    rational draw whose fit raises a TropicalError is skipped as
+    math.inf; any other failed draw ends the search with its error.
     """
 
     best: FitReport
@@ -121,9 +122,9 @@ def _choice_block(rng: np.random.Generator, width: int,
     unsorted, and rng is left as those calls would leave it. Each call
     draws Floyd's values, then shuffles them, with numpy's bounded
     integers (Lemire's method), the same routine that rng.integers uses
-    for an int64 array of bounds. So all rounds take one rng.integers
-    call, and Floyd's steps then run one block row at a time over every
-    draw; only a tail shuffle is drawn one rng.choice call at a time.
+    for an int64 array of bounds. So all rounds take one _bounded call,
+    and Floyd's steps then run one block row at a time over every draw;
+    only a tail shuffle is drawn one rng.choice call at a time.
     """
     # Above width 10000, a count over width // 50 makes rng.choice
     # shuffle a tail of arange(width) instead of running Floyd's algorithm.
@@ -139,7 +140,7 @@ def _choice_block(rng: np.random.Generator, width: int,
     bounds = np.concatenate([
         part for c in counts
         for part in (np.arange(width - c, width), np.arange(c - 1, 0, -1))])
-    draws = rng.integers(0, bounds, size=(n, len(bounds)), endpoint=True)
+    draws = _bounded(rng, bounds, n)
     blocks, start = [], 0
     for c in counts:
         block = draws[:, start:start + c].T.copy()
@@ -151,6 +152,32 @@ def _choice_block(rng: np.random.Generator, width: int,
             step[(block[:t] == step).any(axis=0)] = width - c + t
         blocks.append(block)
     return blocks
+
+
+def _bounded(rng: np.random.Generator, bounds: np.ndarray,
+             n: int) -> np.ndarray:
+    """rng.integers(0, bounds, size=(n, len(bounds)), endpoint=True).
+
+    numpy maps a 32-bit word w to (w s) >> 32, s = bound + 1 (Lemire's
+    method), and redraws when (w s) mod 2**32 < (2**32 - s) mod s. For
+    bounds 1 to 2**32 - 1, unless a rejected word is expected, one fill
+    draws the words (one 32-bit output each, for any bit generator). A
+    rejected word rewinds rng to the broadcast call, as other bounds take.
+    """
+    size = (n, len(bounds))
+    if len(bounds) and 0 < bounds.min() and bounds.max() < 2**32:
+        s = (bounds + 1).astype(np.uint64)
+        floor = (2**32 - s) % s
+        if n * int(floor.sum()) < 2**32:
+            state = rng.bit_generator.state
+            words = rng.integers(2**32, size=size, dtype=np.int64)
+            scaled = words.view(np.uint64)
+            scaled *= s
+            if not ((scaled & 0xFFFFFFFF) < floor).any():
+                scaled >>= 32
+                return words
+            rng.bit_generator.state = state
+    return rng.integers(0, bounds, size=size, endpoint=True)
 
 
 def sample_degree_vector(low: int, high: int, count: int,
@@ -175,8 +202,8 @@ def random_search(samples: SampleSet, config: SearchConfig,
 
     Deterministic for a fixed config: the winner depends only on the
     seed and the samples. Every class is drawn up front in one block.
-    Polynomial draws are scored from per-degree residuals
-    (score_polynomials), whose tables also give the winner's FitReport;
+    Polynomial draws are scored from per-degree residuals, as drawn
+    (approx._score_terms), whose tables also give the winner's FitReport;
     rational draws are fitted one at a time. Everything runs on the
     calling thread; threads is accepted for compatibility and has no
     effect.
@@ -186,16 +213,16 @@ def random_search(samples: SampleSet, config: SearchConfig,
     counts = (config.n_terms_numerator,)
     if config.is_rational:
         counts += (config.n_terms_denominator,)
-    blocks = [block.T + low for block in _choice_block(
-        rng, config.degree_max - low + 1, counts, config.n_samples)]
+    blocks = _choice_block(rng, config.degree_max - low + 1, counts,
+                           config.n_samples)
     if not config.is_rational:
         # A class's delta is a max of mins over its terms, so its draws
         # score unsorted; the winner's DegreeVector sorts them.
-        scores, best = score_polynomials(samples, blocks[0])
+        scores, best = _score_terms(samples, blocks[0], low)
         trace = scores.tolist()
     else:
         trace, best = [], None
-        for num, den in zip(*(rows.tolist() for rows in blocks)):
+        for num, den in zip(*((block.T + low).tolist() for block in blocks)):
             try:
                 report = fit_rational(samples, DegreeVector(num),
                                       DegreeVector(den),

@@ -157,12 +157,17 @@ def out_of_range(readings, semifield: Semifield) -> np.ndarray:
     one), so a model written with it no longer has the error it
     reports. In max-plus 0.0 is the unit, a value like any other.
     """
+    return _map_out(readings, semifield)[1]
+
+
+def _map_out(readings, semifield: Semifield) -> tuple[np.ndarray, np.ndarray]:
+    """from_max_plus of readings and out_of_range's mask, from one exp."""
     readings = np.asarray(readings, dtype=float)
     if not isinstance(semifield, MaxTimes):
-        return ~np.isfinite(readings)
+        return readings, ~np.isfinite(readings)
     with np.errstate(over="ignore"):
         values = np.exp(readings)
-    return ~((values >= sys.float_info.min) & (values < math.inf))
+    return values, ~((values >= sys.float_info.min) & (values < math.inf))
 
 
 def from_max_plus(values, semifield: Semifield,
@@ -177,8 +182,11 @@ def from_max_plus(values, semifield: Semifield,
     """
     array = np.asarray(values, dtype=float)
     max_times = isinstance(semifield, MaxTimes)
-    if what is not None and out_of_range(array, semifield).any():
-        i = int(np.argmax(out_of_range(array, semifield)))
+    if what is None:
+        return np.exp(array) if max_times else array
+    mapped, outside = _map_out(array, semifield)
+    if outside.any():
+        i = int(np.argmax(outside))
         reading = float(array.flat[i])
         cause = (f"{reading:.1f} is not finite" if not max_times
                  else f"exp({reading:.1f}) " + (
@@ -187,7 +195,7 @@ def from_max_plus(values, semifield: Semifield,
                      "underflows to 0" if math.exp(reading) == 0 else
                      "underflows to a subnormal"))
         raise ValueError(f"{what.format(i)} leaves the float range: {cause}")
-    return np.exp(array) if max_times else array
+    return mapped
 
 
 def residuation_in_range(a_lo, a_hi, b_lo, b_hi) -> bool | np.ndarray:

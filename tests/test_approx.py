@@ -68,6 +68,43 @@ def test_degree_vector_accepts_fraction_strings():
     assert list(dv) == [Fraction(-14), Fraction(1, 3)]
 
 
+def _degree_vector_outcome(degrees):
+    """Degrees, exponents and hash of DegreeVector(degrees), or its error."""
+    try:
+        dv = DegreeVector(degrees)
+    except ValueError as exc:
+        return str(exc)
+    assert all(type(d) is Fraction for d in dv.degrees)
+    return dv.degrees, dv.exponents.tolist(), hash(dv)
+
+
+@pytest.mark.parametrize("degrees", [
+    [3, -2, 0], [-15, -12, -8, -3, -1], [5, -1, 4, -14, 0], [-7],
+    [2**80, -2**80], [2, -1, 2], [-3, 0, -3], [10**400], [],
+])
+def test_degree_vector_of_ints_equals_the_fraction_path(degrees):
+    # Python ints sort and are checked as ints; every other input,
+    # bools and numpy ints included, goes through Fraction first.
+    expected = _degree_vector_outcome([Fraction(d) for d in degrees])
+    assert _degree_vector_outcome(degrees) == expected
+    assert _degree_vector_outcome(iter(degrees)) == expected
+    if all(abs(d) < 2**63 for d in degrees):
+        assert _degree_vector_outcome(
+            [np.int64(d) for d in degrees]) == expected
+        assert _degree_vector_outcome(
+            np.array(degrees, dtype=np.int64)) == expected
+
+
+def test_degree_vector_of_bools_and_mixed_ints_takes_the_fraction_path():
+    assert DegreeVector([True, 0, -2]) == DegreeVector([1, 0, -2])
+    assert DegreeVector([np.int64(3), -1]) == DegreeVector([3, -1])
+    for degrees in ([True, 1], [1, np.int64(1)], [np.int32(-4), -4]):
+        with pytest.raises(ValueError) as raised:
+            DegreeVector(degrees)
+        assert str(raised.value) == (
+            f"duplicate degree {int(min(degrees))}")
+
+
 def test_sample_set_validation():
     with pytest.raises(ZeroAbscissa):
         SampleSet(((ZERO, 1.0),), MAX_PLUS)

@@ -496,6 +496,51 @@ def test_degree_index_equals_np_unique(rows, sorted_out, monkeypatch):
     _check_scores_equal_per_row_fits(convex_samples(), rows.tolist(), BLOCK)
 
 
+def test_degree_index_covers_a_narrow_span_with_a_gap():
+    # A span of 4 integers in 16 entries: the table is the whole span,
+    # undrawn degree 1 included, and the index holds the offsets.
+    rows = np.tile(np.array([[0, 2], [2, 3]], dtype=np.int64), (4, 1))
+    degrees, index = tropfit.approx._degree_index(rows)
+    assert degrees.tolist() == [0, 1, 2, 3]
+    assert index.tolist() == rows.tolist()
+    degrees, index = tropfit.approx._degree_index(rows + 7, -9)
+    assert degrees.tolist() == [-2, -1, 0, 1]
+    assert index.tolist() == rows.tolist()
+    _check_scores_equal_per_row_fits(convex_samples(), rows.tolist(), BLOCK)
+    # In 4 entries the offset table leaves the undrawn degree out.
+    degrees, index = tropfit.approx._degree_index(rows[:2] - 5, 5)
+    assert degrees.tolist() == [0, 2, 3]
+    assert index.tolist() == [[0, 1], [1, 2]]
+    _check_scores_equal_per_row_fits(convex_samples(), rows[:2].tolist(),
+                                     BLOCK)
+
+
+def test_scoring_rows_that_repeat_a_degree_raises_as_fits_do():
+    samples = convex_samples()
+    with pytest.raises(ValueError, match="^duplicate degree 1$"):
+        fit_polynomial(samples, DegreeVector([1, 1]))
+    with pytest.raises(ValueError, match="^duplicate degree 1$"):
+        score_polynomials(samples, np.array([[1, 1], [0, 2]]))
+    with pytest.raises(ValueError, match="^duplicate degree -4$"):
+        score_polynomials(samples, np.array([[0, 2], [-4, -4]]))
+    _check_scores_equal_per_row_fits(samples, [[0, 2], [3, 3], [1, 2]],
+                                     BLOCK)
+
+
+def test_an_earlier_failing_row_raises_before_a_later_duplicate():
+    # Row 1 underflows in max-times, row 2 repeats a degree.
+    samples = SampleSet(((1e-300, 1.0), (1e-200, 2.0), (0.5, 3.0)),
+                        MAX_TIMES)
+    rows = [[-1, 0], [-3, -2], [1, 1]]
+    with pytest.raises(ValueError) as first:
+        fit_polynomial(samples, DegreeVector(rows[1]))
+    assert "duplicate" not in str(first.value)
+    with pytest.raises(ValueError) as scored:
+        score_polynomials(samples, np.array(rows))
+    assert str(scored.value) == str(first.value)
+    _check_scores_equal_per_row_fits(samples, rows, BLOCK)
+
+
 def _scoring_outcome(samples, rows):
     """float.hex scores and best report of score_polynomials, or its error."""
     try:
@@ -660,6 +705,43 @@ def test_block_draw_calls_rng_choice_only_for_a_tail_shuffle(monkeypatch):
         choice_block(Refusing(np.random.PCG64(0)), 10001, (201,), 1)
     with pytest.raises(AssertionError, match="rng.choice was called"):
         choice_block(Refusing(np.random.PCG64(0)), 10**6, (4, 20001), 1)
+
+
+def test_block_draw_takes_the_broadcast_call_only_where_it_must():
+    # Bounds 1 to 2**32 - 1 map one fill of 32-bit words while fewer than
+    # one rejected word is expected; rng.integers sees an array of bounds
+    # only for a zero bound (width = count), a 64-bit bound, a likely
+    # rejection, or the redraw after a rejected word.
+    class Recording(np.random.Generator):
+        def integers(self, low, high=None, *args, **kwargs):
+            if np.ndim(low) or np.ndim(high):
+                calls.append("broadcast")
+            elif low == 2**32 and high is None:
+                calls.append("fill")
+            return super().integers(low, high, *args, **kwargs)
+
+    for width, counts, n, seed, expected in (
+            (21, (5,), 500, 2026, ["fill"]),
+            (21, (4, 2), 500, 2026, ["fill"]),
+            (5, (5,), 40, 2026, ["broadcast"]),
+            (2**32 + 1, (3,), 20, 2026, ["broadcast"]),
+            # One word of bound 2**31 is rejected about half the time:
+            # seed 1 keeps it, seed 0 rejects it and redraws.
+            (2**31 + 1, (1,), 1, 1, ["fill"]),
+            (2**31 + 1, (1,), 1, 0, ["fill", "broadcast"]),
+            # Nearly every round of these widths would reject a word.
+            (2**31 + 1, (6,), 300, 2026, ["broadcast"]),
+            (3_000_000_000, (4, 2), 150, 2026, ["broadcast"])):
+        calls = []
+        rng = Recording(np.random.PCG64(seed))
+        blocks = tropfit.search._choice_block(rng, width, counts, n)
+        assert calls == expected, (width, counts, seed)
+        reference = np.random.default_rng(seed)
+        rounds = _choice_rounds(reference, width, counts, n)
+        for block, rows in zip(blocks, rounds):
+            assert (np.sort(block.T, axis=1) == rows).all()
+        np.testing.assert_equal(rng.bit_generator.state,
+                                reference.bit_generator.state)
 
 
 def test_sample_degree_vector_pinned_for_one_seed():
