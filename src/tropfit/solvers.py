@@ -25,11 +25,13 @@ leading axis a reduction over terms is an elementwise max of a few
 contiguous sample rows, and a reduction over samples runs along one
 contiguous row, instead of either one reducing many short inner rows of
 4 to 6 terms. alternate spends nearly all of a rational fit in its half
-steps, so each one makes its nine numpy calls into buffers allocated
-once per call and little else: its iterates are kept as the columns the
-next image adds, and its repeat test looks only near the new iterate's
-first coordinate. Neither changes a floating-point operation or a
-verdict.
+steps, so each one makes its eight numpy calls into buffers allocated
+once per call and little else. It takes the next image from the
+projection that measured delta, scaled by sqrt(delta) as the iterate
+is, instead of multiplying by the new iterate: the two are equal in
+exact arithmetic and differ by rounding in the last bits. Its repeat
+test looks only near the new iterate's first coordinate, which changes
+no floating-point operation.
 
 The tuple API (one_sided_solve, two_sided_solve) keeps the usual
 samples x terms orientation and transposes once at its boundary.
@@ -262,7 +264,8 @@ def scaled_tolerance(base: float, *arrays: np.ndarray) -> float:
 
 
 def _residuate_into(at: np.ndarray, b: np.ndarray, scratch: np.ndarray,
-                    r: np.ndarray, slack: np.ndarray) -> float:
+                    r: np.ndarray, under: np.ndarray,
+                    slack: np.ndarray) -> float:
     """Greatest r with a r <= b, into r; returns the squared distance delta.
 
     at is the transposed matrix a, terms by samples:
@@ -272,9 +275,10 @@ def _residuate_into(at: np.ndarray, b: np.ndarray, scratch: np.ndarray,
     by the square root delta / 2 balances the one-sided slack into the
     metric-best solution (balance).
 
-    scratch has the shape of at, r is an (n_terms, 1) column and slack
-    has the shape of b; slack ends up holding b - a r. The out buffers
-    go positionally, which numpy parses faster than keywords.
+    scratch has the shape of at, r is an (n_terms, 1) column, and under
+    and slack have the shape of b. under ends up holding the projection
+    a r and slack the slack b - a r; slack may be under or b itself. The
+    out buffers go positionally, which numpy parses faster than keywords.
 
     delta is never below the unit 0: rounding can leave a consistent
     system's slack a few ulps negative, and such a delta (or -0.0) is
@@ -282,8 +286,8 @@ def _residuate_into(at: np.ndarray, b: np.ndarray, scratch: np.ndarray,
     """
     _subtract(b, at, scratch)
     _min_reduce(scratch, 1, None, r, True)
-    _max_reduce(_add(at, r, scratch), 0, None, slack)
-    delta = float(_max_reduce(_subtract(b, slack, slack)))
+    _max_reduce(_add(at, r, scratch), 0, None, under)
+    delta = float(_max_reduce(_subtract(b, under, slack)))
     return 0.0 if delta <= 0.0 else delta
 
 
@@ -294,8 +298,8 @@ def one_sided(at: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
     _residuate_into. Data outside residuation_in_range raise ValueError.
     """
     check_residuation(_extremes(at), _extremes(b))
-    r = np.empty((len(at), 1))
-    delta = _residuate_into(at, b, np.empty(at.shape), r, np.empty(b.shape))
+    r, slack = np.empty((len(at), 1)), np.empty(b.shape)
+    delta = _residuate_into(at, b, np.empty(at.shape), r, slack, slack)
     x_star, exact = balance(r[:, 0], delta)
     return x_star, delta, bool(exact)
 
@@ -362,14 +366,14 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     Every buffer is allocated once per call: per side an (n, m) scratch,
     the residuation r as an (n, 1) column and the iterates as the rows of
     a (capacity, n, 1) array that doubles when full, plus the image and
-    the slack (m). A half step makes nine numpy calls, with their out
-    buffers passed positionally, six of them in _residuate_into, the
-    projection of one_sided too; it adds delta / 2 to r straight into
-    the next free row of its side, which is then the column operand of
-    the next image. The repeat test (_repeats) looks only at the stored
-    iterates whose first coordinate is within 2 match_tol of the new
-    one's, which gives the verdict of testing them all. The best pair is
-    tracked by row.
+    the projection (m). After the image a x0, a half step makes eight
+    numpy calls, out buffers positional, six of them in _residuate_into.
+    It adds delta / 2 to r, into the next free row of its side, and to
+    the projection of r, over the consumed image: the image of the new
+    iterate r + delta / 2 is the projection plus delta / 2. The repeat test
+    (_repeats) looks only at the stored iterates whose first coordinate
+    is within 2 match_tol of the new one's, which gives the verdict of
+    testing them all. The best pair is tracked by row.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -383,7 +387,7 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     reached = (np.empty((len(at), 1)), np.empty((len(bt), 1)))
     rows = [np.empty((32, len(at), 1)), np.empty((32, len(bt), 1))]
     firsts, order = ([], []), ([], [])
-    image, slack = np.empty(at.shape[1]), np.empty(at.shape[1])
+    image, under = np.empty(at.shape[1]), np.empty(at.shape[1])
     x = rows[0][0]
     x[:, 0] = x0
     _repeats(x, rows[0], 0, firsts[0], order[0], match_tol)
@@ -392,21 +396,23 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     current = [0, 0]
     deltas: list[float] = []
     best = math.inf
-    side, other = 0, 1
-    add, max_reduce, isfinite = _add, _max_reduce, math.isfinite
+    other = 1
+    add, isfinite = _add, math.isfinite
     with np.errstate(over="ignore", invalid="ignore"):
+        _max_reduce(add(at, x, scratch[0]), 0, None, image)
         while True:
-            max_reduce(add(spans[side], x, scratch[side]), 0, None, image)
+            # The slack goes over the image, which is not read again.
             delta = _residuate_into(spans[other], image, scratch[other],
-                                    reached[other], slack)
+                                    reached[other], under, image)
             if not isfinite(delta):
                 raise ValueError("the data leave the float range: "
                                  "their differences overflow")
+            half = 0.5 * delta
             count = counts[other]
             if count == len(rows[other]):
                 rows[other] = np.concatenate(
                     (rows[other], np.empty_like(rows[other])))
-            x = add(reached[other], 0.5 * delta, rows[other][count])
+            x = add(reached[other], half, rows[other][count])
             current[other] = count
             deltas.append(delta)
             if delta < best:
@@ -422,7 +428,8 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
             if len(deltas) >= max_iter:
                 termination = Termination.ITERATION_CAP
                 break
-            side, other = other, side
+            add(under, half, image)
+            other = 1 - other
     return (deltas, rows[0][best_rows[0], :, 0].copy(),
             rows[1][best_rows[1], :, 0].copy(), termination)
 

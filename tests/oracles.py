@@ -9,9 +9,11 @@ package's max-plus float-array core is compared against them.
 
 alternate_reference is the plain form of solvers.alternate: fresh
 arrays every half step and a repeat test that scans every stored
-iterate; alternate must match it bit for bit. milp_rational computes the
-exact Chebyshev optimum of a small rational fit as a mixed-integer
-program (it needs scipy).
+iterate; alternate must match it bit for bit. Both references, like
+alternate, take the next image from the projection that measured
+delta, scaled by sqrt(delta), not from the new iterate. milp_rational
+computes the exact Chebyshev optimum of a small rational fit as a
+mixed-integer program (it needs scipy).
 """
 
 from __future__ import annotations
@@ -151,10 +153,14 @@ def two_sided_reference(a: TropicalMatrix, b: TropicalMatrix,
     x0 = full(a.cols, sf.one, sf) if x0 is None else x0
 
     def half_step(image: TropicalVector, target: TropicalMatrix):
+        """(delta, next iterate, next image): the iterate is the
+        residuation scaled by sqrt(delta), and its image the projection
+        scaled alike, target (s r) = s (target r)."""
         reached = conjugate(vec_mat_mul(conjugate(image), target))
         projection = mat_vec_mul(target, reached)
         delta = dot(conjugate(projection), image)
-        return delta, scale(sf.sqrt(delta), reached)
+        root = sf.sqrt(delta)
+        return delta, scale(root, reached), scale(root, projection)
 
     seen_x = [x0]
     seen_y: list[TropicalVector] = []
@@ -162,8 +168,9 @@ def two_sided_reference(a: TropicalMatrix, b: TropicalMatrix,
     best_delta = None
     best_x = best_y = None
     x_current = x0
+    image = mat_vec_mul(a, x0)
     while True:
-        delta, y_next = half_step(mat_vec_mul(a, x_current), b)
+        delta, y_next, image = half_step(image, b)
         deltas.append(delta)
         if best_delta is None or delta < best_delta:
             best_delta, best_x, best_y = delta, x_current, y_next
@@ -175,7 +182,7 @@ def two_sided_reference(a: TropicalMatrix, b: TropicalMatrix,
         if len(deltas) >= max_iter:
             return deltas, best_x, best_y, Termination.ITERATION_CAP
 
-        delta, x_next = half_step(mat_vec_mul(b, y_next), a)
+        delta, x_next, image = half_step(image, a)
         deltas.append(delta)
         if delta < best_delta:
             best_delta, best_x, best_y = delta, x_next, y_next
@@ -222,9 +229,10 @@ def rational_system(samples, num_degrees, den_degrees):
 # --- the plain array loop of alternate --------------------------------------
 
 def _residuate_reference(at: np.ndarray, b: np.ndarray):
+    """(r, a r, delta): the residuation, its projection and delta."""
     r = np.minimum.reduce(b - at, axis=1)
-    image = np.maximum.reduce(at + r[:, None], axis=0)
-    return r, float(np.maximum.reduce(b - image))
+    projection = np.maximum.reduce(at + r[:, None], axis=0)
+    return r, projection, float(np.maximum.reduce(b - projection))
 
 
 def alternate_reference(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
@@ -242,12 +250,13 @@ def alternate_reference(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     deltas: list[float] = []
     best = None
     side = 0
+    image = np.maximum.reduce(at + x0[:, None], axis=0)
     while True:
         other = 1 - side
-        image = np.maximum.reduce(spans[side] + current[side][:, None],
-                                  axis=0)
-        reached, delta = _residuate_reference(spans[other], image)
+        reached, projection, delta = _residuate_reference(spans[other], image)
         current[other] = reached + 0.5 * delta
+        # The image of r + delta / 2 is the projection plus delta / 2.
+        image = projection + 0.5 * delta
         deltas.append(delta)
         if best is None or delta < best[0]:
             best = (delta, current[0], current[1])

@@ -1,9 +1,11 @@
-"""solvers.alternate against its plain form, and its repeat test.
+"""solvers.alternate against its plain form, its repeat test and its pair.
 
 alternate reuses its buffers and prefilters its repeat test by the
 first coordinate; neither may move a result. Every case compares the
 delta list, the returned pair and the termination exactly with
-oracles.alternate_reference.
+oracles.alternate_reference. That reference takes each image from the
+last projection, as alternate does, so a last group of cases checks
+the returned pair against images recomputed from the designs.
 """
 
 import math
@@ -268,3 +270,31 @@ def test_alternate_equals_the_reference_on_random_systems(system):
     # each side's rows past 32.
     for max_iter in (1, 2, 63, 64, 65, 1000):
         assert_same_run(*system, max_iter)
+
+
+# --- the returned pair achieves the reported delta --------------------------
+
+def assert_pair_achieves_its_delta(at, bt, x0, max_iter):
+    """max_i |(a x)_i - (b y)_i| of the returned pair is delta_star / 2.
+
+    The images are recomputed here from the designs, so this check does
+    not share alternate's reuse of the projection as the next image.
+    """
+    deltas, x, y, _ = alternate(at, bt, x0, max_iter)
+    gap = np.max(np.abs(np.maximum.reduce(at + x[:, None], axis=0)
+                        - np.maximum.reduce(bt + y[:, None], axis=0)))
+    tol = scaled_tolerance(ITERATE_MATCH_TOL, at, bt, x, y)
+    assert abs(gap - 0.5 * min(deltas)) <= tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_the_returned_pair_achieves_its_delta_on_random_systems(system):
+    for max_iter in (1, 2, 63, 64, 65, 1000):
+        assert_pair_achieves_its_delta(*system, max_iter)
+
+
+@pytest.mark.parametrize("max_iter", [150, 1000])
+def test_the_returned_pair_achieves_its_delta_on_tall_systems(max_iter):
+    for at, bt in RATIONAL_FIT_CASES:
+        assert_pair_achieves_its_delta(at, bt, np.zeros(6), max_iter)

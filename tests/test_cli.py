@@ -390,7 +390,8 @@ def test_fit_polynomial_command(f_csv, tmp_path, capsys):
     assert code == 0
     assert "delta_star = 0.1360" in captured.err
     assert "error = 0.0680" in captured.err
-    doc = parse_model(open(model_path, encoding="utf-8").read())
+    with open(model_path, encoding="utf-8") as f:
+        doc = parse_model(f.read())
     assert doc.kind == "polynomial"
     assert doc.delta_star == pytest.approx(0.1360, abs=1e-3)
     assert doc.provenance["seed"] is None
@@ -679,7 +680,8 @@ def test_eval_with_samples_reproduces_fit_error(g_csv, tmp_path, capsys):
                  "--den-degrees", "-5,-2", "--input", g_csv,
                  "--output", model_path]) == 0
     capsys.readouterr()
-    doc = parse_model(open(model_path, encoding="utf-8").read())
+    with open(model_path, encoding="utf-8") as f:
+        doc = parse_model(f.read())
 
     assert main(["eval", "--model", model_path, "--input", g_csv]) == 0
     out = capsys.readouterr().out
@@ -741,7 +743,8 @@ def test_eval_unsorted_rational_file_equals_its_sorted_twin(tmp_path,
 def test_reserializing_an_unsorted_file_sorts_its_terms(tmp_path):
     doc = sample_document()
     path = write_reversed(tmp_path / "m.json", doc)
-    text = serialize_model(parse_model(open(path, encoding="utf-8").read()))
+    with open(path, encoding="utf-8") as f:
+        text = serialize_model(parse_model(f.read()))
     assert text == serialize_model(doc)
     assert json.loads(text)["numerator"] == {
         "degrees": ["-3", "1/2"], "coefficients": [1.25, -0.5]}

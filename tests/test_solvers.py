@@ -364,9 +364,9 @@ def test_residuate_of_one_system_gives_a_float_and_a_bool():
         drawn = rng.uniform(-5.0, 5.0, size=(n, m))
         # A single sample is always matched; more, drawn at random, are not.
         for at, solvable in ((consistent, True), (drawn, m == 1)):
-            r = np.empty((n, 1))
-            delta = _residuate_into(at, b, np.empty(at.shape), r,
-                                    np.empty(m))
+            r, slack = np.empty((n, 1)), np.empty(m)
+            delta = _residuate_into(at, b, np.empty(at.shape), r, slack,
+                                    slack)
             r = r[:, 0]
             assert type(delta) is float
             assert np.array_equal(r, np.minimum.reduce(b - at, axis=1))
@@ -543,8 +543,8 @@ def test_residuation_in_range_bounds_every_step(case):
     if not in_range:
         return
     assert rows.all()
-    r = np.empty((len(at), 1))
-    delta = _residuate_into(at, b, np.empty(at.shape), r, np.empty(b.shape))
+    r, slack = np.empty((len(at), 1)), np.empty(b.shape)
+    delta = _residuate_into(at, b, np.empty(at.shape), r, slack, slack)
     r = r[:, 0]
     x_star, _ = balance(r, delta)
     assert np.isfinite(r).all() and math.isfinite(delta)
