@@ -82,13 +82,15 @@ class DegreeVector:
         values = list(degrees)
         # Python ints sort and compare natively, far faster than Fractions.
         ints = all(type(d) is int for d in values)
-        values = sorted(values if ints else map(Fraction, values))
-        if not values:
-            raise ValueError("at least one degree is required")
-        for left, right in zip(values, values[1:]):
-            if left == right:
-                raise ValueError(f"duplicate degree {left}")
+        # Fraction(inf) and float() of a degree beyond the float range
+        # raise OverflowError.
         try:
+            values = sorted(values if ints else map(Fraction, values))
+            if not values:
+                raise ValueError("at least one degree is required")
+            for left, right in zip(values, values[1:]):
+                if left == right:
+                    raise ValueError(f"duplicate degree {left}")
             exponents = np.array([float(d) for d in values])
         except OverflowError:
             raise ValueError("a degree overflows the float range") from None

@@ -1,10 +1,12 @@
 """Dense vectors and matrices over an idempotent semifield.
 
 All values are immutable and every operation returns a fresh value, so
-concurrent reads are always safe. Storage is nested tuples and every
-product works one scalar at a time through the semifield's methods.
-This is the public tuple form of the algebra and the reference that
-the tests compare the max-plus float-array core in solvers against;
+concurrent reads are always safe. Storage is nested tuples, and every
+product is made of one inner product (_inner), which works one scalar
+at a time through the semifield's methods: each entry of mat_vec_mul,
+vec_mat_mul and mat_mul is one, dot is one, and distance is two. This
+is the public tuple form of the algebra and the reference that the
+tests compare the max-plus float-array core in solvers against;
 fitting and evaluation run on that core, not on these products.
 """
 
@@ -154,19 +156,23 @@ def scale(factor: Scalar, vec: TropicalVector) -> TropicalVector:
     return TropicalVector(tuple(sf.mul(factor, e) for e in vec.elements), sf)
 
 
+def _inner(sf: Semifield, left: Iterable[Scalar],
+           right: Iterable[Scalar]) -> Scalar:
+    """Semifield sum of the pairwise products, in order, from ZERO."""
+    acc: Scalar = ZERO
+    for a, b in zip(left, right):
+        acc = sf.add(acc, sf.mul(a, b))
+    return acc
+
+
 def mat_vec_mul(matrix: TropicalMatrix, vec: TropicalVector) -> TropicalVector:
     """Matrix times column vector under the semifield operations."""
     sf = _same_semifield(matrix, vec)
     if matrix.cols != len(vec):
         raise DimensionMismatch(
             f"matrix has {matrix.cols} columns, vector has {len(vec)} elements")
-    out = []
-    for row in matrix.entries:
-        acc: Scalar = ZERO
-        for a, x in zip(row, vec.elements):
-            acc = sf.add(acc, sf.mul(a, x))
-        out.append(acc)
-    return TropicalVector(tuple(out), sf)
+    return TropicalVector(
+        tuple(_inner(sf, row, vec.elements) for row in matrix.entries), sf)
 
 
 def vec_mat_mul(vec: TropicalVector, matrix: TropicalMatrix) -> TropicalVector:
@@ -175,13 +181,9 @@ def vec_mat_mul(vec: TropicalVector, matrix: TropicalMatrix) -> TropicalVector:
     if len(vec) != matrix.rows:
         raise DimensionMismatch(
             f"vector has {len(vec)} elements, matrix has {matrix.rows} rows")
-    out = []
-    for j in range(matrix.cols):
-        acc: Scalar = ZERO
-        for i in range(matrix.rows):
-            acc = sf.add(acc, sf.mul(vec.elements[i], matrix.entries[i][j]))
-        out.append(acc)
-    return TropicalVector(tuple(out), sf)
+    return TropicalVector(
+        tuple(_inner(sf, vec.elements, col) for col in zip(*matrix.entries)),
+        sf)
 
 
 def dot(row: TropicalVector, col: TropicalVector) -> Scalar:
@@ -190,10 +192,7 @@ def dot(row: TropicalVector, col: TropicalVector) -> Scalar:
     if len(row) != len(col):
         raise DimensionMismatch(
             f"vectors have lengths {len(row)} and {len(col)}")
-    acc: Scalar = ZERO
-    for a, b in zip(row.elements, col.elements):
-        acc = sf.add(acc, sf.mul(a, b))
-    return acc
+    return _inner(sf, row.elements, col.elements)
 
 
 def mat_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
@@ -202,16 +201,10 @@ def mat_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     if a.cols != b.rows:
         raise DimensionMismatch(
             f"left has {a.cols} columns, right has {b.rows} rows")
-    rows = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc: Scalar = ZERO
-            for k in range(a.cols):
-                acc = sf.add(acc, sf.mul(a.entries[i][k], b.entries[k][j]))
-            row.append(acc)
-        rows.append(tuple(row))
-    return TropicalMatrix(tuple(rows), sf)
+    cols = tuple(zip(*b.entries))
+    return TropicalMatrix(
+        tuple(tuple(_inner(sf, row, col) for col in cols)
+              for row in a.entries), sf)
 
 
 @dataclass(frozen=True)
@@ -251,9 +244,7 @@ def distance(a: TropicalVector, b: TropicalVector) -> Distance:
         return Distance.infinite()
     if not supp:
         return Distance(sf.one)
-    acc: Scalar = ZERO
-    for i in supp:
-        ai, bi = a.elements[i], b.elements[i]
-        term = sf.add(sf.mul(ai, sf.inv(bi)), sf.mul(sf.inv(ai), bi))
-        acc = sf.add(acc, term)
-    return Distance(acc)
+    # The supports are equal, so off them every product is ZERO.
+    conj_a, conj_b = ([ZERO if e is ZERO else sf.inv(e) for e in v]
+                      for v in (a, b))
+    return Distance(sf.add(_inner(sf, conj_b, a), _inner(sf, conj_a, b)))

@@ -363,17 +363,20 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     whose delta is not finite raises the same ValueError, and numpy's
     overflow warnings are muted in the loop.
 
-    Every buffer is allocated once per call: per side an (n, m) scratch,
-    the residuation r as an (n, 1) column and the iterates as the rows of
-    a (capacity, n, 1) array that doubles when full, plus the image and
-    the projection (m). After the image a x0, a half step makes eight
+    Every buffer is allocated once per call: per side an (n, m) scratch
+    and the iterates as the rows of a (capacity, n, 1) array that
+    doubles when full, plus the image and the projection (m). Half step
+    k (from 0) writes row (k + 1) // 2 of side (k + 1) % 2, side 0 being
+    x with x0 in its row 0. After the image a x0, a half step makes eight
     numpy calls, out buffers positional, six of them in _residuate_into.
-    It adds delta / 2 to r, into the next free row of its side, and to
-    the projection of r, over the consumed image: the image of the new
-    iterate r + delta / 2 is the projection plus delta / 2. The repeat test
-    (_repeats) looks only at the stored iterates whose first coordinate
-    is within 2 match_tol of the new one's, which gives the verdict of
-    testing them all. The best pair is tracked by row.
+    That writes r straight into the half step's row, and delta / 2 is
+    added to r there in place and to the projection of r over the
+    consumed image: the image of the new iterate r + delta / 2 is the
+    projection plus delta / 2. The repeat test (_repeats) looks only at
+    the stored iterates whose first coordinate is within 2 match_tol of
+    the new one's, which gives the verdict of testing them all. The
+    returned pair is that of the first half step k* at the smallest
+    delta: row (k* + 1) // 2 of side 0 and row k* // 2 of side 1.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -384,54 +387,46 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     match_tol = scaled_tolerance(ITERATE_MATCH_TOL, np.array(a + b))
     spans = (at, bt)
     scratch = (np.empty(at.shape), np.empty(bt.shape))
-    reached = (np.empty((len(at), 1)), np.empty((len(bt), 1)))
     rows = [np.empty((32, len(at), 1)), np.empty((32, len(bt), 1))]
     firsts, order = ([], []), ([], [])
     image, under = np.empty(at.shape[1]), np.empty(at.shape[1])
     x = rows[0][0]
     x[:, 0] = x0
     _repeats(x, rows[0], 0, firsts[0], order[0], match_tol)
-    counts = [1, 0]
-    # The row of each side's current iterate.
-    current = [0, 0]
     deltas: list[float] = []
-    best = math.inf
-    other = 1
     add, isfinite = _add, math.isfinite
     with np.errstate(over="ignore", invalid="ignore"):
         _max_reduce(add(at, x, scratch[0]), 0, None, image)
         while True:
+            # Half step k writes row (k + 1) // 2 of side (k + 1) % 2.
+            count, side = divmod(len(deltas) + 1, 2)
+            if count == len(rows[side]):
+                rows[side] = np.concatenate(
+                    (rows[side], np.empty_like(rows[side])))
+            x = rows[side][count]
             # The slack goes over the image, which is not read again.
-            delta = _residuate_into(spans[other], image, scratch[other],
-                                    reached[other], under, image)
+            delta = _residuate_into(spans[side], image, scratch[side], x,
+                                    under, image)
             if not isfinite(delta):
                 raise ValueError("the data leave the float range: "
                                  "their differences overflow")
             half = 0.5 * delta
-            count = counts[other]
-            if count == len(rows[other]):
-                rows[other] = np.concatenate(
-                    (rows[other], np.empty_like(rows[other])))
-            x = add(reached[other], half, rows[other][count])
-            current[other] = count
+            add(x, half, x)
             deltas.append(delta)
-            if delta < best:
-                best, best_rows = delta, tuple(current)
             if delta <= DELTA_UNIT_TOL:  # delta is finite and >= 0 here
                 termination = Termination.EXACT_SOLUTION
                 break
-            if _repeats(x, rows[other], count, firsts[other], order[other],
+            if _repeats(x, rows[side], count, firsts[side], order[side],
                         match_tol):
                 termination = Termination.CYCLE_DETECTED
                 break
-            counts[other] = count + 1
             if len(deltas) >= max_iter:
                 termination = Termination.ITERATION_CAP
                 break
             add(under, half, image)
-            other = 1 - other
-    return (deltas, rows[0][best_rows[0], :, 0].copy(),
-            rows[1][best_rows[1], :, 0].copy(), termination)
+    best = deltas.index(min(deltas))
+    return (deltas, rows[0][(best + 1) // 2, :, 0].copy(),
+            rows[1][best // 2, :, 0].copy(), termination)
 
 
 # ---------------------------------------------------------------------------

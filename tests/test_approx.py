@@ -95,6 +95,17 @@ def test_degree_vector_of_ints_equals_the_fraction_path(degrees):
             np.array(degrees, dtype=np.int64)) == expected
 
 
+@pytest.mark.parametrize("degree", [
+    math.inf, -math.inf, np.float64("inf"), np.float64("-inf"), math.nan,
+])
+def test_degree_vector_outside_the_floats_raises_value_error(degree):
+    message = ("NaN" if math.isnan(degree)
+               else "a degree overflows the float range")
+    for degrees in ([degree], [degree, 1]):
+        with pytest.raises(ValueError, match=message):
+            DegreeVector(degrees)
+
+
 def test_degree_vector_of_bools_and_mixed_ints_takes_the_fraction_path():
     assert DegreeVector([True, 0, -2]) == DegreeVector([1, 0, -2])
     assert DegreeVector([np.int64(3), -1]) == DegreeVector([3, -1])

@@ -1,7 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropfit import (
     MAX_PLUS,
@@ -199,3 +201,77 @@ def test_mat_vec_mul_is_linear():
         rescaled = scale(lam, mat_vec_mul(a, u))
         for p, q in zip(scaled, rescaled):
             assert p == pytest.approx(q, abs=1e-12)
+
+
+# --- the products against a numpy semiring reference ------------------------
+
+@st.composite
+def product_operands(draw):
+    """A semifield, A (m x n), B (n x p), u, v (n) and w (m), with ZEROs.
+
+    Values lie within e^+-5: [-5, 5] in max-plus, exp of that in
+    max-times. v shares u's support in about half of the draws, so
+    distance often has a common support to measure.
+    """
+    sf = draw(st.sampled_from([MAX_PLUS, MAX_TIMES]))
+    m, n, p = (draw(st.integers(1, 4)) for _ in range(3))
+    value = st.floats(-5.0, 5.0)
+    if sf is MAX_TIMES:
+        value = value.map(math.exp)
+    entry = st.one_of(st.just(ZERO), value)
+
+    def entries(size):
+        return draw(st.lists(entry, min_size=size, max_size=size))
+
+    u = entries(n)
+    if draw(st.booleans()):
+        v = [ZERO if e is ZERO else draw(value) for e in u]
+    else:
+        v = entries(n)
+    return (sf, [entries(n) for _ in range(m)], [entries(p) for _ in range(n)],
+            u, v, entries(m))
+
+
+def _reading(values, zero):
+    """A float array of nested scalars, ZERO read as zero."""
+    array = np.array(values, dtype=object)
+    array[array == ZERO] = zero
+    return array.astype(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_operands())
+def test_products_equal_a_numpy_semiring_reference(operands):
+    # Max-plus: max of sums, ZERO read as -inf. Max-times: max of
+    # products, ZERO read as 0.0. Both sides round the same operations
+    # and max is exact, so equality is exact.
+    sf, a, b, u, v, w = operands
+    if sf is MAX_PLUS:
+        zero, mul, inv = -np.inf, np.add, np.negative
+    else:
+        zero, mul, inv = 0.0, np.multiply, np.reciprocal
+    ar, br, ur, vr, wr = (_reading(x, zero) for x in (a, b, u, v, w))
+    am, bm = TropicalMatrix(a, sf), TropicalMatrix(b, sf)
+    uv, vv, wv = (TropicalVector(x, sf) for x in (u, v, w))
+
+    def read(scalars):
+        return _reading(scalars, zero).tolist()
+
+    assert read(mat_vec_mul(am, uv).elements) == (
+        np.max(mul(ar, ur), axis=1).tolist())
+    assert read(vec_mat_mul(wv, am).elements) == (
+        np.max(mul(wr[:, None], ar), axis=0).tolist())
+    assert read([dot(uv, vv)]) == [np.max(mul(ur, vr))]
+    assert read(mat_mul(am, bm).entries) == (
+        np.max(mul(ar[:, :, None], br[None, :, :]), axis=1).tolist())
+
+    d = distance(uv, vv)
+    if not np.array_equal(ur == zero, vr == zero):
+        assert d.is_infinite
+    elif (ur == zero).all():
+        assert d.value == sf.one
+    else:
+        common = ur != zero
+        uc, vc = ur[common], vr[common]
+        assert d.value == np.max(np.maximum(mul(uc, inv(vc)),
+                                            mul(inv(uc), vc)))
