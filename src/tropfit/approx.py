@@ -71,9 +71,11 @@ class DegreeVector:
     Degrees are stored as exact fractions and sorted ascending on
     construction; duplicates are rejected rather than dropped, so a
     caller mistake cannot silently change the model class. Floats are
-    accepted and convert exactly to their binary fraction. exponents
-    holds the degrees as a read-only float array; a degree beyond the
-    float range raises ValueError.
+    accepted and convert exactly to their binary fraction, and strings
+    such as "-1/3" are parsed here (_degree), the one parser of degree
+    text: a zero denominator raises ValueError naming the degree.
+    exponents holds the degrees as a read-only float array; a degree
+    beyond the float range raises ValueError.
     """
 
     __slots__ = ("degrees", "exponents")
@@ -85,7 +87,7 @@ class DegreeVector:
         # Fraction(inf) and float() of a degree beyond the float range
         # raise OverflowError.
         try:
-            values = sorted(values if ints else map(Fraction, values))
+            values = sorted(values if ints else map(_degree, values))
             if not values:
                 raise ValueError("at least one degree is required")
             for left, right in zip(values, values[1:]):
@@ -116,6 +118,14 @@ class DegreeVector:
 
     def __repr__(self) -> str:
         return f"DegreeVector({', '.join(str(d) for d in self.degrees)})"
+
+
+def _degree(degree: Union[Rational, float, str]) -> Fraction:
+    """Fraction(degree), with a ValueError for a zero denominator."""
+    try:
+        return Fraction(degree)
+    except ZeroDivisionError:
+        raise ValueError(f"degree {degree} has a zero denominator") from None
 
 
 class MalformedRow(TropicalError):
@@ -399,32 +409,38 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> tuple[
     """fit_polynomial(samples, row) for every row of degrees, in one pass.
 
     rows is an int array with one degree class per row, in any order
-    within the row. Returns the delta_star of every row, and the
-    FitReport of the first row with the smallest one (None without rows),
-    equal to fit_polynomial's for that row. When a row repeats a degree or
-    the range check of _score_terms fails, the rows are fitted in order,
-    and the first row whose fit raises raises its own error.
+    within the row. Returns the delta_star of every row, math.inf where
+    the row's fit would raise (a repeated degree, no degree, or a value
+    out of the float range), and the FitReport of the first row with the
+    smallest finite one (None without rows), equal to fit_polynomial's
+    for that row. When every row fails, the first row's fit raises its
+    own error; fit_polynomial is not called otherwise.
     """
-    if (np.diff(np.sort(rows, axis=1), axis=1) == 0).any():
-        for row in rows.tolist():
-            fit_polynomial(samples, DegreeVector(row))
-    return _score_terms(samples, rows.T)
+    # Rows without a degree fail, all of them, so the first one's
+    # DegreeVector raises its error before any table is built.
+    if len(rows) and not rows.shape[1]:
+        DegreeVector([])
+    repeats = (np.diff(np.sort(rows, axis=1), axis=1) == 0).any(axis=1)
+    return _score_terms(samples, rows.T, 0, repeats)
 
 
-def _score_terms(samples: SampleSet, terms: np.ndarray,
-                 low: int = 0) -> tuple[np.ndarray, Optional[FitReport]]:
-    """score_polynomials of the classes low + terms[:, j], which must not
-    repeat a degree (search draws do not); terms x draws.
+def _score_terms(samples: SampleSet, terms: np.ndarray, low: int = 0,
+                 failed=False) -> tuple[np.ndarray, Optional[FitReport]]:
+    """score_polynomials of the classes low + terms[:, j]; terms x draws.
 
-    The residual r_p = min_i (y_i - p x_i) of a degree p does not depend
-    on its class, so it is computed once per degree, with the slack
+    failed marks classes known to fail, score_polynomials' rows that
+    repeat a degree (search draws do not). The residual
+    r_p = min_i (y_i - p x_i) of a degree p does not depend on its class,
+    so it is computed once per degree, with the slack
     s_pi = y_i - (p x_i + r_p). A class's delta is max_i min_{p in class}
     s_pi: the same float as the residuation of its design, since y - v
     rounds monotonically in v, for any order of its terms. The tables
     share one degrees x samples buffer, gathered SCORE_ELEMENTS floats
     at a time. The range rule is checked once, on the extremes of all
     terms, which enclose every class's bounds, and of all coefficients
-    and deltas; only when that fails are the classes refitted in order.
+    and deltas. Only when that fails is each class judged on its own,
+    from its terms' extremes and its coefficients and delta, which is
+    fit_polynomial's verdict; a failing class scores math.inf.
     """
     sf = samples.semifield
     x, y = samples.xs, samples.ys
@@ -459,13 +475,21 @@ def _score_terms(samples: SampleSet, terms: np.ndarray,
         fits = (residuation_in_range(t_lo, t_hi, y.min(), y.max())
                 and not out_of_range(theta, sf).any()
                 and not out_of_range(delta, sf).any())
-    if not fits:
-        for row in (terms.T + low).tolist():
-            fit_polynomial(samples, DegreeVector(row))
+        if not fits or failed is not False:
+            # fl(p x) is monotone in x, so the terms of degree p lie
+            # between p min x and p max x: terms x classes x 2 ends.
+            ends = np.multiply.outer(degrees, (x.min(), x.max()))[index]
+            failed = failed | out_of_range(np.c_[theta, delta], sf).any(1)
+            failed |= ~residuation_in_range(ends.min((0, 2)), ends.max((0, 2)),
+                                            y.min(), y.max())
+            scores[failed] = math.inf
     # argmin takes the first smallest delta_star, as the strict < of a
-    # row-by-row search does.
+    # row-by-row search does; it is inf only when every class fails, and
+    # then the first class's fit raises its error.
     best = int(np.argmin(scores))
     row = terms[:, best] + low
+    if scores[best] == math.inf:
+        fit_polynomial(samples, DegreeVector(row.tolist()))
     # DegreeVector sorts the degrees; the coefficients follow them.
     order = np.argsort(row, kind="stable")
     return scores, _polynomial_report(

@@ -14,7 +14,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -27,6 +26,7 @@ from .approx import (  # noqa: F401
     PolynomialModel,
     RationalModel,
     SampleSet,
+    _degree,
     check_reals,
     eval_polynomial,
     eval_rational,
@@ -181,14 +181,11 @@ def _parse_polynomial(data, semifield: Semifield) -> PolynomialModel:
         raise MalformedModel("degrees must be strings or numbers")
     coefficients = [_number(c, "a coefficient")
                     for c in _array(data, "coefficients")]
-    try:
-        degrees = [Fraction(str(d)) for d in degrees]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedModel(f"bad polynomial part: {exc}") from None
     if len(degrees) != len(coefficients):
         raise MalformedModel("degrees and coefficients differ in length")
-    terms = sorted(zip(degrees, coefficients), key=lambda term: term[0])
+    # A degree is parsed as DegreeVector parses it, with its error text.
     try:
+        terms = sorted(zip(map(_degree, map(str, degrees)), coefficients))
         return PolynomialModel(
             DegreeVector(d for d, _ in terms),
             TropicalVector(tuple(c for _, c in terms), semifield))
@@ -259,9 +256,8 @@ def _merge_flag_values(argv: Sequence[str]) -> list[str]:
 
 def _parse_degree_list(text: str, flag: str) -> DegreeVector:
     try:
-        return DegreeVector(Fraction(part.strip())
-                            for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+        return DegreeVector(part.strip() for part in text.split(","))
+    except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
 
 

@@ -102,8 +102,10 @@ class SearchReport:
     """Winner of a search plus the per-draw error trace.
 
     error_trace holds one (draw index, delta_star) pair per draw. A
-    rational draw whose fit raises a TropicalError is skipped as
-    math.inf; any other failed draw ends the search with its error.
+    draw of either kind whose fit would raise ValueError or TropicalError
+    (a value out of the float range, a failed post-fit check) scores
+    math.inf, and the search goes on; when every draw fails, the search
+    raises the first draw's error.
     """
 
     best: FitReport
@@ -204,9 +206,10 @@ def random_search(samples: SampleSet, config: SearchConfig,
     seed and the samples. Every class is drawn up front in one block.
     Polynomial draws are scored from per-degree residuals, as drawn
     (approx._score_terms), whose tables also give the winner's FitReport;
-    rational draws are fitted one at a time. Everything runs on the
-    calling thread; threads is accepted for compatibility and has no
-    effect.
+    rational draws are fitted one at a time. A draw that cannot be fitted
+    scores math.inf (see SearchReport); only when every draw fails does
+    the first one's error end the search. Everything runs on the calling
+    thread; threads is accepted for compatibility and has no effect.
     """
     rng = np.random.default_rng(config.rng_seed)
     low = config.degree_min
@@ -221,20 +224,21 @@ def random_search(samples: SampleSet, config: SearchConfig,
         scores, best = _score_terms(samples, blocks[0], low)
         trace = scores.tolist()
     else:
-        trace, best = [], None
+        trace, best, first = [], None, None
         for num, den in zip(*((block.T + low).tolist() for block in blocks)):
             try:
                 report = fit_rational(samples, DegreeVector(num),
                                       DegreeVector(den),
                                       max_iter=config.max_iter_two_sided)
-            except TropicalError:
+            except (TropicalError, ValueError) as exc:
+                first = first or exc
                 trace.append(math.inf)
                 continue
             trace.append(report.delta_star)
             if best is None or report.delta_star < best.delta_star:
                 best = report
         if best is None:
-            raise TropicalError("every sampled degree class failed to fit")
+            raise first
     num, den = ((best.model.numerator, best.model.denominator)
                 if config.is_rational else (best.model, None))
     return SearchReport(

@@ -106,6 +106,14 @@ def test_degree_vector_outside_the_floats_raises_value_error(degree):
             DegreeVector(degrees)
 
 
+@pytest.mark.parametrize("degrees", [["1/0", 2], [1, "-3/0"], ["0/0"]])
+def test_degree_vector_with_a_zero_denominator_raises_value_error(degrees):
+    text = next(d for d in degrees if isinstance(d, str))
+    with pytest.raises(ValueError) as raised:
+        DegreeVector(degrees)
+    assert str(raised.value) == f"degree {text} has a zero denominator"
+
+
 def test_degree_vector_of_bools_and_mixed_ints_takes_the_fraction_path():
     assert DegreeVector([True, 0, -2]) == DegreeVector([1, 0, -2])
     assert DegreeVector([np.int64(3), -1]) == DegreeVector([3, -1])

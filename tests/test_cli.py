@@ -806,6 +806,38 @@ def test_eval_model_with_an_overflowing_degree_exits_2(tmp_path, capsys):
         "error: a degree overflows the float range\n"
 
 
+def test_a_zero_denominator_degree_exits_2(f_csv, tmp_path, capsys):
+    assert main(["fit", "--degrees", "1/0,2", "--input", f_csv]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --degrees: degree 1/0 has a zero denominator\n")
+    text = serialize_model(sample_document()).replace('"-3"', '"1/0"')
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedModel):
+        parse_model(text)
+    assert main(["eval", "--model", str(path), "--grid", "0:1:1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: degree 1/0 has a zero denominator\n")
+
+
+def test_a_search_skips_draws_that_cannot_be_fitted(tmp_path, capsys):
+    # The f samples mapped to max-times (x = e^(t + 1), y = e^y): 46 of
+    # the 200 draws have coefficients outside the float range.
+    rows = [line.split(",") for line in dataset_csv("f").splitlines()[1:]]
+    path = tmp_path / "fexp.csv"
+    path.write_text("x,y\n" + "".join(
+        f"{math.exp(float(t) + 1)!r},{math.exp(float(y))!r}\n"
+        for t, y in rows), encoding="utf-8")
+    search = ["fit", "--semifield", "max-times", "--terms", "3", "--seed",
+              "1", "--input", str(path), "--output", str(tmp_path / "m.json")]
+    assert main(search + ["--range", "-300:300", "--samples", "200"]) == 0
+    assert capsys.readouterr() == ("", "delta_star = 8.7909\nerror = 2.9649\n")
+    # A search whose only draw fails raises that draw's error.
+    assert main(search + ["--range", "-600:600", "--samples", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: coefficient 2 leaves the float "
+                                   "range: exp(-906.7) underflows to 0\n")
+
+
 def test_degree_flags_accept_fractions(f_csv, capsys):
     assert main(["fit", "--degrees", "-1/2,1/3,2", "--input", f_csv]) == 0
     doc = parse_model(capsys.readouterr().out)

@@ -187,6 +187,71 @@ def test_search_records_a_failed_self_check_as_inf(monkeypatch):
     assert report.best.delta_star == min(errors) < math.inf
 
 
+def test_rational_search_skips_a_value_error(monkeypatch):
+    samples = nonconvex_samples()
+    real_fit = tropfit.search.fit_rational
+    calls = []
+
+    def overflowing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("synthetic overflow")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(tropfit.search, "fit_rational", overflowing)
+    report = random_search(samples, SearchConfig(
+        n_terms_numerator=3, degree_min=-6, degree_max=6, n_samples=4,
+        rng_seed=3, n_terms_denominator=2, max_iter_two_sided=100))
+    assert [delta == math.inf for _, delta in report.error_trace] == [
+        False, True, False, False]
+    assert math.isfinite(report.best.delta_star)
+
+
+@pytest.mark.parametrize("error", [ValueError, RangeTooNarrow])
+def test_a_rational_search_whose_draws_all_fail_raises_the_first_error(
+        monkeypatch, error):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        raise error(f"draw {len(calls) - 1} failed")
+
+    monkeypatch.setattr(tropfit.search, "fit_rational", failing)
+    with pytest.raises(error, match="^draw 0 failed$"):
+        random_search(nonconvex_samples(), SearchConfig(
+            n_terms_numerator=3, degree_min=-6, degree_max=6, n_samples=4,
+            rng_seed=3, n_terms_denominator=2))
+    assert len(calls) == 4
+
+
+def _probe_samples():
+    """The f samples mapped to max-times: x = e^(t + 1), y = e^y."""
+    return SampleSet(tuple((math.exp(t + 1), math.exp(y))
+                           for t, y in convex_samples().points), MAX_TIMES)
+
+
+@pytest.mark.parametrize("n_den, bound, failed, delta_star, num, den", [
+    (None, 300, 46, 8.790855251739556, [0, 44, 199], None),
+    (1, 300, 42, 61.982032661270544, [-204, -32], [-35]),
+    (None, 600, 145, 4.560915404207631, [-594, -125, 1], None),
+    (1, 600, 121, 17984.876685750074, [-408, -64], [-70]),
+])
+def test_searches_score_draws_that_cannot_be_fitted_as_inf(
+        n_den, bound, failed, delta_star, num, den):
+    # Wide ranges give many draws whose coefficients leave the float
+    # range in max-times; each scores inf and the search goes on.
+    report = random_search(_probe_samples(), SearchConfig(
+        n_terms_numerator=3 if n_den is None else 2, degree_min=-bound,
+        degree_max=bound, n_samples=200, rng_seed=1,
+        n_terms_denominator=n_den))
+    trace = [delta for _, delta in report.error_trace]
+    assert trace.count(math.inf) == failed
+    assert report.best.delta_star == min(trace) == delta_star
+    assert report.best_degrees == DegreeVector(num)
+    assert report.best_denominator_degrees == (
+        None if den is None else DegreeVector(den))
+
+
 # --- batched polynomial scoring against draw-by-draw fits -------------------
 
 def _choice_draw(rng, low, high, count):
@@ -223,7 +288,7 @@ def _gathers_of(rows, n_terms, n_samples):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tropfit.approx, "SCORE_ELEMENTS",
                       rows * n_terms * n_samples)
-        yield
+        yield patch
 
 
 @pytest.mark.parametrize("n_samples", [1, BLOCK - 1, BLOCK, BLOCK + 1, 500])
@@ -275,23 +340,32 @@ def test_batched_search_overflow_raises_value_error():
         _draw_by_draw(samples, config)
 
 
-def test_batched_search_unrepresentable_coefficients_raise_value_error():
+def test_batched_search_scores_unrepresentable_coefficients_as_inf():
     # In max-times, draws whose coefficients underflow to 0 cannot be
-    # built as models; the search ends with the error of the first one.
+    # built as models; they score inf and the search goes on.
     samples = SampleSet(((1e-300, 1.0), (1e-200, 2.0), (0.5, 3.0)),
                         MAX_TIMES)
     config = SearchConfig(n_terms_numerator=3, degree_min=-4, degree_max=4,
                           n_samples=BLOCK + 1, rng_seed=0)
-    with pytest.raises(ValueError) as batched:
-        random_search(samples, config)
-    with pytest.raises(ValueError) as direct:
-        _draw_by_draw(samples, config)
-    assert str(batched.value) == str(direct.value)
-    assert str(batched.value) == ("coefficient 0 leaves the float range: "
-                                  "exp(-2302.2) underflows to 0")
+    report = random_search(samples, config)
+    rng = np.random.default_rng(config.rng_seed)
+    trace, errors = [], []
+    for _ in range(config.n_samples):
+        try:
+            trace.append(fit_polynomial(samples, _choice_draw(
+                rng, -4, 4, 3)).delta_star)
+        except ValueError as exc:
+            trace.append(math.inf)
+            errors.append(str(exc))
+    assert [delta for _, delta in report.error_trace] == trace
+    assert trace.count(math.inf) == 44
+    assert errors[0] == ("coefficient 0 leaves the float range: "
+                         "exp(-2302.2) underflows to 0")
+    assert report.best.delta_star == min(trace) == 2.0
+    assert report.best_degrees == DegreeVector([0, 1, 3])
 
 
-def test_first_failing_row_past_the_first_block_raises_its_error(
+def test_failing_rows_past_the_first_block_score_inf_without_a_refit(
         monkeypatch):
     samples = SampleSet(((1e-300, 1.0), (1e-200, 2.0), (0.5, 3.0)),
                         MAX_TIMES)
@@ -304,14 +378,23 @@ def test_first_failing_row_past_the_first_block_raises_its_error(
     with pytest.raises(ValueError) as later:
         fit_polynomial(samples, DegreeVector([3, 4]))
     assert str(first.value) != str(later.value)
-    # The failing whole-array check refits rows 0 to BLOCK + 6, no more.
+    # The failing whole-array check judges each row without a fit.
     calls = []
     monkeypatch.setattr(tropfit.approx, "fit_polynomial",
                         lambda *a: calls.append(a) or fit_polynomial(*a))
+    with _gathers_of(BLOCK, 2, 3):
+        scores, best = score_polynomials(samples, rows)
+    assert np.isinf(scores).tolist() == [False] * (BLOCK + 6) + [True] * 2
+    assert not calls
+    deltas = [fit_polynomial(samples, DegreeVector(row)).delta_star
+              for row in fitting]
+    assert best == fit_polynomial(
+        samples, DegreeVector(fitting[deltas.index(min(deltas))]))
+    # When every row fails, one fit raises the first row's error.
     with pytest.raises(ValueError) as scored, _gathers_of(BLOCK, 2, 3):
-        score_polynomials(samples, rows)
+        score_polynomials(samples, rows[BLOCK + 6:])
     assert str(scored.value) == str(first.value)
-    assert len(calls) == BLOCK + 7
+    assert len(calls) == 1
 
 
 def test_scoring_holds_one_degrees_by_samples_table():
@@ -332,6 +415,15 @@ def test_scoring_holds_one_degrees_by_samples_table():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * table
+
+
+def test_scoring_rows_without_degrees_raises_as_fits_do():
+    # Every row fails as DegreeVector([]) does, so the first one raises.
+    with pytest.raises(ValueError, match="^at least one degree is required$"):
+        score_polynomials(convex_samples(), np.empty((3, 0), np.int64))
+    scores, best = score_polynomials(convex_samples(),
+                                     np.empty((0, 0), np.int64))
+    assert scores.shape == (0,) and best is None
 
 
 def test_scoring_no_rows_gives_an_empty_array():
@@ -385,8 +477,9 @@ def _hex_report(report):
 def _check_scores_equal_per_row_fits(samples, rows, gather):
     """score_polynomials equals fit_polynomial row by row, in float.hex.
 
-    Where some row's fit raises ValueError, scoring raises the first
-    such row's error text.
+    A row whose fit raises ValueError scores inf. When every row's fit
+    raises, scoring raises the first row's error text. Scoring calls
+    fit_polynomial only then, once, to raise it.
     """
     rows_array = np.array(rows, dtype=np.int64)
     expected = []
@@ -394,17 +487,27 @@ def _check_scores_equal_per_row_fits(samples, rows, gather):
         try:
             expected.append(fit_polynomial(samples, DegreeVector(row)))
         except ValueError as exc:
-            with (pytest.raises(ValueError) as scored,
-                  _gathers_of(gather, len(rows[0]), len(samples))):
+            expected.append(exc)
+    fits = [report for report in expected
+            if not isinstance(report, ValueError)]
+    calls = []
+    with _gathers_of(gather, len(rows[0]), len(samples)) as patch:
+        patch.setattr(tropfit.approx, "fit_polynomial",
+                      lambda *a: calls.append(a) or fit_polynomial(*a))
+        if not fits:
+            with pytest.raises(ValueError) as scored:
                 score_polynomials(samples, rows_array)
-            assert str(scored.value) == str(exc)
+            assert str(scored.value) == str(expected[0])
+            # None when the first row's DegreeVector raises.
+            assert len(calls) == (len(set(rows[0])) == len(rows[0]))
             return
-    with _gathers_of(gather, len(rows[0]), len(samples)):
         scores, best = score_polynomials(samples, rows_array)
-    assert ([float(d).hex() for d in scores]
-            == [report.delta_star.hex() for report in expected])
-    deltas = [report.delta_star for report in expected]
-    assert _hex_report(best) == _hex_report(expected[deltas.index(min(deltas))])
+    assert not calls
+    assert [float(d).hex() for d in scores] == [
+        math.inf.hex() if isinstance(report, ValueError)
+        else report.delta_star.hex() for report in expected]
+    deltas = [report.delta_star for report in fits]
+    assert _hex_report(best) == _hex_report(fits[deltas.index(min(deltas))])
 
 
 @settings(max_examples=100, deadline=None)
@@ -516,15 +619,22 @@ def test_degree_index_covers_a_narrow_span_with_a_gap():
 
 
 def test_scoring_rows_that_repeat_a_degree_raises_as_fits_do():
+    # A row that repeats a degree fails as its fit does: it scores inf,
+    # and when every row fails, the first row's error is raised.
     samples = convex_samples()
     with pytest.raises(ValueError, match="^duplicate degree 1$"):
         fit_polynomial(samples, DegreeVector([1, 1]))
-    with pytest.raises(ValueError, match="^duplicate degree 1$"):
-        score_polynomials(samples, np.array([[1, 1], [0, 2]]))
+    delta = fit_polynomial(samples, DegreeVector([0, 2])).delta_star
+    scores, best = score_polynomials(samples, np.array([[1, 1], [0, 2]]))
+    assert scores.tolist() == [math.inf, delta]
+    assert best == fit_polynomial(samples, DegreeVector([0, 2]))
+    scores, _ = score_polynomials(samples, np.array([[0, 2], [-4, -4]]))
+    assert scores.tolist() == [delta, math.inf]
     with pytest.raises(ValueError, match="^duplicate degree -4$"):
-        score_polynomials(samples, np.array([[0, 2], [-4, -4]]))
+        score_polynomials(samples, np.array([[-4, -4], [1, 1]]))
     _check_scores_equal_per_row_fits(samples, [[0, 2], [3, 3], [1, 2]],
                                      BLOCK)
+    _check_scores_equal_per_row_fits(samples, [[3, 3], [1, 1]], BLOCK)
 
 
 def test_an_earlier_failing_row_raises_before_a_later_duplicate():
@@ -535,10 +645,14 @@ def test_an_earlier_failing_row_raises_before_a_later_duplicate():
     with pytest.raises(ValueError) as first:
         fit_polynomial(samples, DegreeVector(rows[1]))
     assert "duplicate" not in str(first.value)
+    scores, _ = score_polynomials(samples, np.array(rows))
+    assert np.isinf(scores).tolist() == [False, True, True]
+    # Without row 0 every row fails, and row 1 raises first.
     with pytest.raises(ValueError) as scored:
-        score_polynomials(samples, np.array(rows))
+        score_polynomials(samples, np.array(rows[1:]))
     assert str(scored.value) == str(first.value)
     _check_scores_equal_per_row_fits(samples, rows, BLOCK)
+    _check_scores_equal_per_row_fits(samples, rows[1:], BLOCK)
 
 
 def _scoring_outcome(samples, rows):
@@ -577,7 +691,8 @@ def test_scores_do_not_depend_on_the_order_of_a_rows_terms(semifield, bound,
     span = rows.max() - rows.min() + 1
     assert (span > rows.size) == (bound == 150)
     expected = _scoring_outcome(samples, rows)
-    assert isinstance(expected, str) == failing
+    # With failing rows, they score inf, or every row fails and raises.
+    assert (isinstance(expected, str) or "inf" in expected[0]) == failing
     for permuted in (drawn, rows[:, ::-1], rng.permuted(rows, axis=1)):
         assert (permuted != rows).any(axis=1).mean() > 0.9
         assert _scoring_outcome(samples, permuted) == expected

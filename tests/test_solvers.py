@@ -510,12 +510,17 @@ def test_alternate_raises_when_a_later_half_step_overflows():
 
 
 def test_scoring_raises_the_rule_error_of_the_first_failing_row():
-    # Degree 1 puts p x at -1e308 and 1e308; degree 0 fits.
+    # Degree 1 puts p x at -1e308 and 1e308; degree 0 fits. A row outside
+    # the rule scores inf; when every row is, the first one's error is
+    # raised.
     samples = SampleSet.from_reals([(-1e308, 0.0), (1e308, 0.0)], MAX_PLUS)
     with pytest.raises(ValueError) as direct:
         fit_polynomial(samples, DegreeVector([1]))
+    scores, best = score_polynomials(samples, np.array([[0], [1]]))
+    assert scores.tolist() == [0.0, math.inf]
+    assert best == fit_polynomial(samples, DegreeVector([0]))
     with pytest.raises(ValueError) as scored:
-        score_polynomials(samples, np.array([[0], [1]]))
+        score_polynomials(samples, np.array([[1], [-1]]))
     assert str(scored.value) == str(direct.value)
     scores, best = score_polynomials(samples, np.array([[0]]))
     assert scores.tolist() == [0.0]
