@@ -32,6 +32,7 @@ from .solvers import (  # noqa: F401
     DEFAULT_MAX_ITER,
     NonRegularInput,
     Termination,
+    _map_out,
     alternate,
     balance,
     delta_and_error,
@@ -471,15 +472,15 @@ def _score_terms(samples: SampleSet, terms: np.ndarray, low: int = 0,
         # The clamp of solvers._residuate_into: no delta below the unit.
         np.maximum(delta, 0.0, out=delta)
         theta, exact = balance(r[index.T], delta)
-        scores = from_max_plus(delta, sf)
+        scores, delta_out = _map_out(delta, sf)
         fits = (residuation_in_range(t_lo, t_hi, y.min(), y.max())
                 and not out_of_range(theta, sf).any()
-                and not out_of_range(delta, sf).any())
+                and not delta_out.any())
         if not fits or failed is not False:
             # fl(p x) is monotone in x, so the terms of degree p lie
             # between p min x and p max x: terms x classes x 2 ends.
             ends = np.multiply.outer(degrees, (x.min(), x.max()))[index]
-            failed = failed | out_of_range(np.c_[theta, delta], sf).any(1)
+            failed = failed | out_of_range(theta, sf).any(1) | delta_out
             failed |= ~residuation_in_range(ends.min((0, 2)), ends.max((0, 2)),
                                             y.min(), y.max())
             scores[failed] = math.inf

@@ -366,6 +366,8 @@ def _strs(degrees) -> list[str]:
 def cmd_fit(args) -> int:
     samples = parse_samples(args.input, by_name(args.semifield))
     searched = _fit_mode(args)
+    if args.max_iter < 1:
+        raise ValueError("--max-iter must be at least 1")
     config = {"kind": args.kind, "semifield": args.semifield}
     if searched:
         low, high = _parse_range(args.range)

@@ -15,9 +15,9 @@ _bounded call makes the bounded draws of every call, in the order and
 with the routine Generator.choice uses, and Floyd's algorithm then
 runs step by step on a terms x draws block, each step on one row of it
 for every draw at once. The generator ends where the per-draw calls
-would leave it, for any bit generator and width. Only where numpy
-shuffles a tail of arange(width) instead (widths above 10000 with more
-than width // 50 values) is each draw an rng.choice call. The tests
+would leave it, for any bit generator and width. A round with a class
+of more than BLOCK_COUNT terms, where Floyd's steps (count**2 per draw)
+lose to rng.choice, is drawn one rng.choice call per class. The tests
 compare the block with rng.choice itself.
 
 A block's classes are not sorted: a polynomial class's delta is a max
@@ -47,6 +47,10 @@ from .solvers import DEFAULT_MAX_ITER
 
 
 _INT64 = np.iinfo(np.int64)
+
+#: Largest class _choice_block draws in its block, below numpy's tail
+#: shuffle (count > width // 50 >= 200); rng.choice draws larger ones.
+BLOCK_COUNT = 128
 
 
 class RangeTooNarrow(TropicalError):
@@ -81,14 +85,12 @@ class SearchConfig:
     max_iter_two_sided: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
-        if self.n_terms_numerator < 1:
-            raise ValueError("n_terms_numerator must be at least 1")
-        if self.n_terms_denominator is not None and self.n_terms_denominator < 1:
-            raise ValueError("n_terms_denominator must be at least 1")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
-        if self.max_iter_two_sided < 1:
-            raise ValueError("max_iter_two_sided must be at least 1")
+        for name, least in (
+                ("n_terms_numerator", 1), ("n_terms_denominator", 1),
+                ("n_samples", 1), ("rng_seed", 0), ("max_iter_two_sided", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}")
         _check_width(self.degree_min, self.degree_max,
                      max(self.n_terms_numerator, self.n_terms_denominator or 1))
 
@@ -125,12 +127,12 @@ def _choice_block(rng: np.random.Generator, width: int,
     draws Floyd's values, then shuffles them, with numpy's bounded
     integers (Lemire's method), the same routine that rng.integers uses
     for an int64 array of bounds. So all rounds take one _bounded call,
-    and Floyd's steps then run one block row at a time over every draw;
-    only a tail shuffle is drawn one rng.choice call at a time.
+    and Floyd's steps then run one block row at a time over every draw.
+    Rounds with a class of over BLOCK_COUNT terms call rng.choice instead.
     """
-    # Above width 10000, a count over width // 50 makes rng.choice
-    # shuffle a tail of arange(width) instead of running Floyd's algorithm.
-    if width > 10000 and max(counts, default=0) > width // 50:
+    # Step t compares its draws with the t earlier rows, so a large
+    # class costs count**2 per draw where rng.choice costs about count.
+    if max(counts, default=0) > BLOCK_COUNT:
         blocks = [np.empty((c, n), np.int64) for c in counts]
         for draw in range(n):
             for block, c in zip(blocks, counts):
@@ -186,16 +188,16 @@ def sample_degree_vector(low: int, high: int, count: int,
                          rng: np.random.Generator) -> DegreeVector:
     """Draw count distinct integers uniformly from [low, high], sorted.
 
-    The draw is that of rng.choice(high - low + 1, size=count,
-    replace=False), so n calls consume the stream of a search's n-class
-    block (_choice_block). A negative count, or bounds or a width outside
-    the int64 range, raise ValueError before anything is drawn.
+    One rng.choice(high - low + 1, size=count, replace=False) call, so n
+    calls consume the stream of an n-class _choice_block, which makes the
+    same call for classes over BLOCK_COUNT terms. A negative count, or
+    bounds or a width outside int64, raise ValueError before any draw.
     """
     if count < 0:
         raise ValueError("count must not be negative")
     _check_width(low, high, count)
-    column, = _choice_block(rng, high - low + 1, (count,), 1)
-    return DegreeVector((column[:, 0] + low).tolist())
+    drawn = rng.choice(high - low + 1, size=count, replace=False)
+    return DegreeVector((drawn + low).tolist())
 
 
 def random_search(samples: SampleSet, config: SearchConfig,

@@ -172,24 +172,20 @@ def _map_out(readings, semifield: Semifield) -> tuple[np.ndarray, np.ndarray]:
     return values, ~((values >= sys.float_info.min) & (values < math.inf))
 
 
-def from_max_plus(values, semifield: Semifield,
-                  what: Optional[str] = None) -> np.ndarray:
+def from_max_plus(values, semifield: Semifield, what: str) -> np.ndarray:
     """Inverse of to_max_plus: identity for max-plus, exp for max-times.
 
-    Given what, the map-out is checked, without a numpy warning: the
-    first reading out of range raises ValueError("<what> leaves the
-    float range: exp(<reading>) underflows to 0", "underflows to a
-    subnormal" or "overflows to inf"; "<reading> is not finite" in
-    max-plus), what formatted with the reading's flat index.
+    The map-out is checked, without a numpy warning: the first reading
+    out of range raises ValueError("<what> leaves the float range:
+    exp(<reading>) underflows to 0", "underflows to a subnormal" or
+    "overflows to inf"; "<reading> is not finite" in max-plus), what
+    formatted with the reading's flat index.
     """
-    array = np.asarray(values, dtype=float)
     max_times = isinstance(semifield, MaxTimes)
-    if what is None:
-        return np.exp(array) if max_times else array
-    mapped, outside = _map_out(array, semifield)
+    mapped, outside = _map_out(values, semifield)
     if outside.any():
         i = int(np.argmax(outside))
-        reading = float(array.flat[i])
+        reading = float(np.asarray(values, dtype=float).flat[i])
         cause = (f"{reading:.1f} is not finite" if not max_times
                  else f"exp({reading:.1f}) " + (
                      "overflows to inf" if reading > 0 else
@@ -518,7 +514,6 @@ def two_sided_solve(a: TropicalMatrix,
         _transposed(a), _transposed(b), start, max_iter)
     x_star, y_star = tropical_vector(x_star, sf), tropical_vector(y_star, sf)
     delta_star, _ = delta_and_error(min(deltas), sf)
-    with np.errstate(over="ignore"):
-        trace = tuple(from_max_plus(deltas, sf).tolist())
-    return TwoSidedSolution(delta_star, x_star, y_star, len(deltas),
-                            termination, trace)
+    return TwoSidedSolution(
+        delta_star, x_star, y_star, len(deltas), termination,
+        tuple(_map_out(deltas, sf)[0].tolist()))

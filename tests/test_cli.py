@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import tropfit
 import tropfit.approx
@@ -30,7 +35,7 @@ from tropfit.approx import (
 from tropfit.datasets import GRID, convex_curve, dataset_csv, nonconvex_curve
 from tropfit.linalg import TropicalVector
 from tropfit.semifield import MAX_TIMES, by_name
-from tropfit.solvers import NonRegularInput
+from tropfit.solvers import NonRegularInput, scaled_tolerance, to_max_plus
 
 
 def document(semifield, numerator, denominator=None, delta_star=0.0,
@@ -569,6 +574,26 @@ def test_fit_flag_combinations(flags, code, named, f_csv, capsys):
         assert text in captured.err
 
 
+@pytest.mark.parametrize("max_iter", ["0", "-5"])
+@pytest.mark.parametrize("kind, flags", FIT_MODES,
+                         ids=["polynomial", "rational", "polynomial search",
+                              "rational search"])
+def test_every_fit_mode_rejects_max_iter_below_1(kind, flags, max_iter,
+                                                 f_csv, capsys):
+    assert main(["fit", "--input", f_csv, "--kind", kind,
+                 *[f"{f}={FIT_FLAG_VALUES[f]}" for f in flags],
+                 f"--max-iter={max_iter}"]) == 2
+    assert capsys.readouterr() == ("",
+                                   "error: --max-iter must be at least 1\n")
+
+
+def test_a_negative_seed_exits_2_naming_the_field(f_csv, capsys):
+    assert main(["fit", "--input", f_csv, "--terms", "3", "--range", "-5:5",
+                 "--samples", "5", "--seed=-1"]) == 2
+    assert capsys.readouterr() == ("",
+                                   "error: rng_seed must be at least 0\n")
+
+
 def test_fit_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("0,abc\n", encoding="utf-8")
@@ -1056,3 +1081,115 @@ def test_eval_underflow_prints_only_the_error_line(tmp_path):
     assert done.stdout == ""
     assert done.stderr == ("error: a model value leaves the float range: "
                            "exp(-828.9) underflows to 0\n")
+
+
+# --- the fit contract as a property -----------------------------------------
+
+# Sample cells: any float (extreme, subnormal, zero, negative, nan, inf)
+# as its repr, a few hand-picked texts, and text that is no number.
+_cells = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["0", "-0.0", "5e-324", "2.2e-308", "1e308",
+                     "-1.7976931348623157e308", "1e400", " 2 "]),
+    st.sampled_from(["", "x", "1/2", "0x10"]))
+_any_rows = st.one_of(st.tuples(_cells, _cells).map(",".join),
+                      st.lists(_cells, max_size=3).map(",".join))
+# Rows every semifield reads, so that a fair share of runs fit, and
+# rows with a zero ordinate, which max-times rejects as non-regular.
+_plain = st.floats(0.05, 20.0).map(repr)
+_plain_rows = st.tuples(_plain, _plain).map(",".join)
+_mixed_rows = st.one_of(_plain_rows, _plain_rows, _any_rows,
+                        _plain.map(lambda x: x + ",0"))
+
+_degree_lists = st.lists(
+    st.one_of(st.integers(-6, 6).map(str), st.sampled_from(["1/2", "-1/3"])),
+    min_size=1, max_size=4).map(",".join)
+_counts = st.sampled_from(["1", "2", "3", "4"] * 2 + ["0", "x"])
+
+
+@st.composite
+def _ranges(draw):
+    low = draw(st.integers(-12, 3))
+    return f"{low}:{low + draw(st.integers(-1, 14))}"
+
+
+_FLAG_VALUES = {
+    "--degrees": _degree_lists, "--num-degrees": _degree_lists,
+    "--den-degrees": _degree_lists, "--terms": _counts,
+    "--num-terms": _counts, "--den-terms": _counts, "--range": _ranges(),
+    "--samples": st.integers(1, 50).map(str),
+    "--seed": st.integers(-1, 2**32).map(str),
+}
+
+
+@st.composite
+def fit_runs(draw):
+    """(samples text, fit argv) for any of the four fit modes."""
+    rows = draw(st.lists(_mixed_rows if draw(st.booleans()) else _plain_rows,
+                         min_size=1, max_size=30))
+    kind, flags = draw(st.sampled_from(FIT_MODES))
+    argv = ["--semifield=" + draw(st.sampled_from(["max-plus", "max-times"])),
+            "--kind=" + kind]
+    argv += [f"{flag}={draw(_FLAG_VALUES[flag])}" for flag in flags]
+    if draw(st.booleans()):
+        argv.append(f"--max-iter={draw(st.integers(-1, 200))}")
+    return "\n".join(rows) + "\n", argv
+
+
+def _run_main(argv):
+    """Exit code, stdout and stderr of main(argv), in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _recomputed_error(doc, samples):
+    """numpy's max-plus error of a model on samples, and the arrays whose
+    magnitudes scale its tolerance."""
+    x, y = samples.xs, samples.ys
+    parts = ([doc.model] if doc.kind == "polynomial"
+             else [doc.model.numerator, doc.model.denominator])
+    arrays, values = [y], []
+    for part in parts:
+        theta = to_max_plus(part.coefficients.elements, part.semifield)
+        terms = part.degrees.exponents[:, None] * x
+        values.append(np.max(theta[:, None] + terms, axis=0))
+        arrays += [theta, terms, values[-1]]
+    residual = values[0] - y if len(values) == 1 else values[0] - values[1] - y
+    return float(np.max(np.abs(residual))), arrays
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fit_runs())
+# A zero ordinate in max-times is non-regular input; a count that is no
+# integer stops argparse.
+@example(("1,0\n2,1\n", ["--semifield=max-times", "--degrees=0,1"]))
+@example(("1,2\n", ["--terms=x", "--range=0:5", "--samples=5", "--seed=1"]))
+def test_fit_exits_0_2_or_3_and_writes_a_model_numpy_checks(tmp_path, run):
+    text, flags = run
+    path = tmp_path / "samples.csv"
+    path.write_text(text, encoding="utf-8")
+    model = tmp_path / "model.json"
+    argv = ["fit", "--input", str(path), "--output", str(model), *flags]
+    code, out, err = _run_main(argv + ["--threads=1"])
+    assert code in (0, 2, 3) and out == ""
+    if code:
+        assert (re.fullmatch(r"error: [^\n]*\n", err)
+                or err.startswith("usage: ") and "\ntropfit fit: error: " in err)
+        return
+    written = model.read_bytes()
+    assert _run_main(argv + ["--threads=4"]) == (0, "", err)
+    assert model.read_bytes() == written
+    doc = parse_model(written.decode("utf-8"))
+    assert serialize_model(doc).encode("utf-8") == written
+    worst, arrays = _recomputed_error(
+        doc, parse_samples(str(path), doc.model.semifield))
+    error = (math.log(doc.error) if doc.model.semifield is MAX_TIMES
+             else doc.error)
+    assert abs(worst - error) <= scaled_tolerance(1e-9, np.array([error]),
+                                                  *arrays)

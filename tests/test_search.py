@@ -23,6 +23,7 @@ from tropfit import (
 )
 from tropfit.approx import score_polynomials
 from tropfit.datasets import convex_samples, nonconvex_samples
+from tropfit.search import BLOCK_COUNT
 
 
 def test_sample_degree_vector_forced_draw():
@@ -70,6 +71,15 @@ def test_config_validation():
     config = SearchConfig(n_terms_numerator=2, degree_min=0, degree_max=5,
                           n_samples=3, rng_seed=1, n_terms_denominator=2)
     assert config.is_rational
+
+
+def test_config_rejects_a_negative_seed():
+    # numpy's default_rng would reject it later, naming no field.
+    with pytest.raises(ValueError, match="^rng_seed must be at least 0$"):
+        SearchConfig(n_terms_numerator=2, degree_min=0, degree_max=5,
+                     n_samples=3, rng_seed=-1)
+    assert SearchConfig(n_terms_numerator=2, degree_min=0, degree_max=5,
+                        n_samples=3, rng_seed=0).rng_seed == 0
 
 
 def test_search_is_deterministic():
@@ -764,6 +774,8 @@ def _following(rng):
     (21, 5, 500),
     (21, 21, 30),
     (300, 150, 20),
+    (300, BLOCK_COUNT, 20),          # largest block class
+    (300, BLOCK_COUNT + 1, 20),      # smallest class drawn by rng.choice
     (10000, 10000, 2),
     (2**31 + 1, 6, 300),            # from here on, most rounds redraw a word
     (3_000_000_000, 4, 300),
@@ -772,8 +784,9 @@ def _following(rng):
     (2**32 + 1, 3, 20),             # from here on, 64-bit bounds
     (10**12, 6, 300),
     (2**62, 3, 300),
-    (10001, 200, 4),                # last Floyd case above width 10000
-    (10001, 201, 4),                # tail shuffle: per-draw fallback
+    (10001, BLOCK_COUNT, 20),       # largest block class above 10000
+    (10001, 200, 4),                # last Floyd case of rng.choice
+    (10001, 201, 4),                # rng.choice shuffles a tail
 ])
 @pytest.mark.parametrize("buffered", [False, True])
 def test_block_draw_equals_rng_choice(width, count, n, buffered):
@@ -801,25 +814,25 @@ def test_block_draw_with_another_bit_generator_equals_rng_choice():
             _assert_same_stream(width, counts, 60, 3, bit_generator)
 
 
-def test_block_draw_calls_rng_choice_only_for_a_tail_shuffle(monkeypatch):
-    # Generator's own type is immutable, so a subclass takes the patch.
-    class Refusing(np.random.Generator):
-        pass
+def test_block_draw_calls_rng_choice_only_above_block_count():
+    # A round with a class of more than BLOCK_COUNT terms draws every
+    # class of it with one rng.choice call; no other round calls it.
+    class Counting(np.random.Generator):
+        def choice(self, *args, **kwargs):
+            calls.append(kwargs["size"])
+            return super().choice(*args, **kwargs)
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("rng.choice was called")
-
-    monkeypatch.setattr(Refusing, "choice", refuse)
     choice_block = tropfit.search._choice_block
     for width, counts in ((1, (1,)), (21, (5,)), (21, (4, 2)), (9, (0, 3)),
-                          (10000, (10000,)), (10001, (200,)),
-                          (2**32 + 1, (3,)), (2**62, (4, 2))):
+                          (300, (BLOCK_COUNT,)), (10001, (BLOCK_COUNT, 3)),
+                          (2**32 + 1, (3,)), (2**62, (4, 2)),
+                          (300, (BLOCK_COUNT + 1,)), (10000, (10000,)),
+                          (10001, (201,)), (10**6, (4, BLOCK_COUNT + 1))):
+        expected = list(counts) * 20 if max(counts) > BLOCK_COUNT else []
         for bit_generator in BIT_GENERATORS:
-            choice_block(Refusing(bit_generator(0)), width, counts, 20)
-    with pytest.raises(AssertionError, match="rng.choice was called"):
-        choice_block(Refusing(np.random.PCG64(0)), 10001, (201,), 1)
-    with pytest.raises(AssertionError, match="rng.choice was called"):
-        choice_block(Refusing(np.random.PCG64(0)), 10**6, (4, 20001), 1)
+            calls = []
+            choice_block(Counting(bit_generator(0)), width, counts, 20)
+            assert calls == expected, (width, counts)
 
 
 def test_block_draw_takes_the_broadcast_call_only_where_it_must():

@@ -425,9 +425,6 @@ def test_checked_map_out_names_the_first_reading_out_of_range(
     with pytest.raises(ValueError) as raised:
         from_max_plus(readings, semifield, "value {}")
     assert str(raised.value) == message
-    # Unnamed, the map-out is unchecked.
-    with np.errstate(over="ignore"):
-        from_max_plus(readings, semifield)
 
 
 def test_max_times_tuple_solvers_out_of_range_raise_like_the_fits():
