@@ -14,7 +14,7 @@ exponential on the way out, where solvers applies its range rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
@@ -66,6 +66,7 @@ class ErrorCheckFailed(TropicalError, ArithmeticError):
 RATIONAL_ERROR_CHECK_TOL = 1e-9
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class DegreeVector:
     """Strictly increasing rational exponents of a polynomial.
 
@@ -76,10 +77,11 @@ class DegreeVector:
     such as "-1/3" are parsed here (_degree), the one parser of degree
     text: a zero denominator raises ValueError naming the degree.
     exponents holds the degrees as a read-only float array; a degree
-    beyond the float range raises ValueError.
+    beyond the float range raises ValueError. The vector is immutable.
     """
 
-    __slots__ = ("degrees", "exponents")
+    degrees: tuple[Fraction, ...]
+    exponents: np.ndarray = field(compare=False)
 
     def __init__(self, degrees: Iterable[Union[Rational, float, str]]):
         values = list(degrees)
@@ -97,8 +99,9 @@ class DegreeVector:
             exponents = np.array([float(d) for d in values])
         except OverflowError:
             raise ValueError("a degree overflows the float range") from None
-        self.degrees = tuple(map(Fraction, values)) if ints else tuple(values)
-        self.exponents = _read_only(exponents)
+        object.__setattr__(self, "degrees", tuple(map(Fraction, values))
+                           if ints else tuple(values))
+        object.__setattr__(self, "exponents", _read_only(exponents))
 
     def __len__(self) -> int:
         return len(self.degrees)
@@ -108,14 +111,6 @@ class DegreeVector:
 
     def __getitem__(self, index: int) -> Fraction:
         return self.degrees[index]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DegreeVector):
-            return NotImplemented
-        return self.degrees == other.degrees
-
-    def __hash__(self) -> int:
-        return hash(self.degrees)
 
     def __repr__(self) -> str:
         return f"DegreeVector({', '.join(str(d) for d in self.degrees)})"
@@ -173,15 +168,21 @@ def check_reals(x, y, semifield: Semifield, lines=None) -> np.ndarray:
     return np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class SampleSet:
     """Ordered samples (x_i, y_i) of an unknown function, all nonzero.
 
-    The samples are stored once, as two read-only float arrays x and y
-    of conventional values; xs and ys are their max-plus readings, and
-    points, inputs and outputs their tuple forms. The set is immutable.
+    The samples are stored once, as four read-only float arrays: x and y
+    hold the conventional values, xs and ys their max-plus readings
+    (logarithms in max-times), mapped in once on construction. points,
+    inputs and outputs are their tuple forms. The set is immutable.
     """
 
-    __slots__ = ("x", "y", "semifield")
+    x: np.ndarray
+    y: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    semifield: Semifield
 
     def __init__(self, points: Iterable[tuple[Scalar, Scalar]],
                  semifield: Semifield):
@@ -193,12 +194,11 @@ class SampleSet:
                      dtype=float)
         y = np.array([math.nan if b is ZERO else b for _, b in pairs],
                      dtype=float)
+        self._store(x, y, semifield)
         # A finite max-plus reading is exactly what contains accepts.
-        irregular = ~(np.isfinite(to_max_plus(x, semifield))
-                      & np.isfinite(to_max_plus(y, semifield)))
+        irregular = ~(np.isfinite(self.xs) & np.isfinite(self.ys))
         for i in np.flatnonzero(irregular).tolist():
             _check_pair(*pairs[i], semifield)
-        self._store(x, y, semifield)
 
     @classmethod
     def from_columns(cls, x, y, semifield: Semifield,
@@ -238,23 +238,12 @@ class SampleSet:
                semifield: Semifield) -> None:
         object.__setattr__(self, "x", _read_only(x))
         object.__setattr__(self, "y", _read_only(y))
+        object.__setattr__(self, "xs", _read_only(to_max_plus(x, semifield)))
+        object.__setattr__(self, "ys", _read_only(to_max_plus(y, semifield)))
         object.__setattr__(self, "semifield", semifield)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("sample sets are immutable")
 
     def __len__(self) -> int:
         return len(self.x)
-
-    @property
-    def xs(self) -> np.ndarray:
-        """Max-plus readings of the abscissas (logarithms in max-times)."""
-        return _read_only(to_max_plus(self.x, self.semifield))
-
-    @property
-    def ys(self) -> np.ndarray:
-        """Max-plus readings of the ordinates (logarithms in max-times)."""
-        return _read_only(to_max_plus(self.y, self.semifield))
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:

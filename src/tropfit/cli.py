@@ -324,6 +324,10 @@ _FIT_FLAGS = {
 }
 _SEARCH_FLAGS = set(_FIT_FLAGS["polynomial", True]
                     + _FIT_FLAGS["rational", True])
+# The least value of each count flag of `tropfit fit`. SearchConfig checks
+# the same bounds under its field names; this names the flag.
+_LEAST = {"terms": 1, "num_terms": 1, "den_terms": 1, "samples": 1,
+          "max_iter": 1, "seed": 0}
 
 
 def _flag_names(flags) -> str:
@@ -366,8 +370,9 @@ def _strs(degrees) -> list[str]:
 def cmd_fit(args) -> int:
     samples = parse_samples(args.input, by_name(args.semifield))
     searched = _fit_mode(args)
-    if args.max_iter < 1:
-        raise ValueError("--max-iter must be at least 1")
+    for flag, least in _LEAST.items():
+        if getattr(args, flag) is not None and getattr(args, flag) < least:
+            raise ValueError(f"{_flag_names([flag])} must be at least {least}")
     config = {"kind": args.kind, "semifield": args.semifield}
     if searched:
         low, high = _parse_range(args.range)

@@ -68,6 +68,14 @@ def test_degree_vector_accepts_fraction_strings():
     assert list(dv) == [Fraction(-14), Fraction(1, 3)]
 
 
+def test_degree_vector_is_immutable():
+    dv = DegreeVector([0, 1])
+    for name in ("degrees", "exponents"):
+        with pytest.raises(AttributeError):
+            setattr(dv, name, (5,))
+    assert dv.degrees == (0, 1) and dv.exponents.tolist() == [0.0, 1.0]
+
+
 def _degree_vector_outcome(degrees):
     """Degrees, exponents and hash of DegreeVector(degrees), or its error."""
     try:
@@ -176,6 +184,15 @@ def test_sample_arrays_are_read_only(sf):
             array[0] = 5.0
     with pytest.raises(AttributeError):
         ss.x = np.ones(2)
+
+
+@pytest.mark.parametrize("sf", [MAX_PLUS, MAX_TIMES])
+def test_sample_readings_are_mapped_in_once(sf):
+    ss = SampleSet([(1.0, 2.0), (3.0, 4.0)], sf)
+    assert ss.xs is ss.xs and ss.ys is ss.ys
+    readings = np.log if sf is MAX_TIMES else np.asarray
+    assert np.array_equal(ss.xs, readings([1.0, 3.0]))
+    assert np.array_equal(ss.ys, readings([2.0, 4.0]))
 
 
 # --- design matrix ----------------------------------------------------------

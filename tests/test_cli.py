@@ -587,11 +587,23 @@ def test_every_fit_mode_rejects_max_iter_below_1(kind, flags, max_iter,
                                    "error: --max-iter must be at least 1\n")
 
 
-def test_a_negative_seed_exits_2_naming_the_field(f_csv, capsys):
+def test_a_negative_seed_exits_2_naming_the_flag(f_csv, capsys):
     assert main(["fit", "--input", f_csv, "--terms", "3", "--range", "-5:5",
                  "--samples", "5", "--seed=-1"]) == 2
-    assert capsys.readouterr() == ("",
-                                   "error: rng_seed must be at least 0\n")
+    assert capsys.readouterr() == ("", "error: --seed must be at least 0\n")
+
+
+@pytest.mark.parametrize("flag, value, least", [
+    ("--terms", "0", 1), ("--num-terms", "0", 1), ("--den-terms", "-3", 1),
+    ("--samples", "0", 1), ("--seed", "-1", 0)])
+def test_a_search_flag_below_its_least_value_is_named_before_the_range(
+        flag, value, least, f_csv, capsys):
+    kind, flags = FIT_MODES[2 if flag == "--terms" else 3]
+    values = {**FIT_FLAG_VALUES, "--range": "x", flag: value}
+    assert main(["fit", "--input", f_csv, "--kind", kind,
+                 *[f"{f}={values[f]}" for f in flags]]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {flag} must be at least {least}\n")
 
 
 def test_fit_exit_codes(tmp_path, capsys):
@@ -805,6 +817,29 @@ def test_search_too_large_to_allocate_exits_2(f_csv, capsys):
     assert captured.err == (
         "error: Unable to allocate 63.9 PiB for an array with shape "
         "(1000000000000000, 9) and data type int64\n")
+
+
+# A count of 10^15 asks for more than any address space: the draws
+# are refused before a block is allocated, the terms by the range.
+@pytest.mark.parametrize("flags", [
+    ["--terms=5", "--samples=1000000000000000"],
+    ["--kind=rational", "--num-terms=3", "--den-terms=2",
+     "--samples=1000000000000000"],
+    ["--terms=1000000000000000", "--samples=5"],
+    ["--kind=rational", "--num-terms=1000000000000000", "--den-terms=2",
+     "--samples=5"],
+    ["--kind=rational", "--num-terms=3", "--den-terms=1000000000000000",
+     "--samples=5"],
+], ids=["polynomial samples", "rational samples", "terms", "num-terms",
+        "den-terms"])
+def test_absurd_search_sizes_exit_2_and_write_no_model(flags, f_csv, tmp_path):
+    model = tmp_path / "model.json"
+    code, out, err = _run_main(["fit", "--input", f_csv, "--output",
+                                str(model), "--range=-15:5", "--seed=7",
+                                *flags])
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"error: [^\n]*\n", err)
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -1163,18 +1198,20 @@ def _recomputed_error(doc, samples):
     return float(np.max(np.abs(residual))), arrays
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(fit_runs())
-# A zero ordinate in max-times is non-regular input; a count that is no
-# integer stops argparse.
-@example(("1,0\n2,1\n", ["--semifield=max-times", "--degrees=0,1"]))
-@example(("1,2\n", ["--terms=x", "--range=0:5", "--samples=5", "--seed=1"]))
-def test_fit_exits_0_2_or_3_and_writes_a_model_numpy_checks(tmp_path, run):
+def check_fit_run(directory, run):
+    """The fit contract on one (samples text, fit argv) run in directory.
+
+    fit exits 0, 2 or 3 with no output, and on 2 or 3 with one error
+    line or argparse's usage message. A model it writes is the same
+    with --threads=4, reads back to the same bytes, and its error is
+    the max-plus error numpy computes on the samples. `eval --input` on
+    the samples then exits 0 or 2 with one error line, and on 0 its
+    largest max-plus residual is that error too.
+    """
     text, flags = run
-    path = tmp_path / "samples.csv"
+    path = directory / "samples.csv"
     path.write_text(text, encoding="utf-8")
-    model = tmp_path / "model.json"
+    model = directory / "model.json"
     argv = ["fit", "--input", str(path), "--output", str(model), *flags]
     code, out, err = _run_main(argv + ["--threads=1"])
     assert code in (0, 2, 3) and out == ""
@@ -1187,9 +1224,31 @@ def test_fit_exits_0_2_or_3_and_writes_a_model_numpy_checks(tmp_path, run):
     assert model.read_bytes() == written
     doc = parse_model(written.decode("utf-8"))
     assert serialize_model(doc).encode("utf-8") == written
-    worst, arrays = _recomputed_error(
-        doc, parse_samples(str(path), doc.model.semifield))
-    error = (math.log(doc.error) if doc.model.semifield is MAX_TIMES
-             else doc.error)
-    assert abs(worst - error) <= scaled_tolerance(1e-9, np.array([error]),
-                                                  *arrays)
+    semifield = doc.model.semifield
+    worst, arrays = _recomputed_error(doc, parse_samples(str(path), semifield))
+    error = math.log(doc.error) if semifield is MAX_TIMES else doc.error
+    tolerance = scaled_tolerance(1e-9, np.array([error]), *arrays)
+    assert abs(worst - error) <= tolerance
+    code, out, err = _run_main(["eval", "--model", str(model),
+                                "--input", str(path)])
+    assert code in (0, 2)
+    if code:
+        assert out == "" and re.fullmatch(r"error: [^\n]*\n", err)
+        return
+    # Columns: x, value, y and value - y in conventional units.
+    table = np.array([line.split("\t") for line in out.splitlines()],
+                     dtype=float)
+    residual = np.abs(to_max_plus(table[:, 1], semifield)
+                      - to_max_plus(table[:, 2], semifield))
+    assert abs(float(np.max(residual)) - error) <= tolerance
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fit_runs())
+# A zero ordinate in max-times is non-regular input; a count that is no
+# integer stops argparse.
+@example(("1,0\n2,1\n", ["--semifield=max-times", "--degrees=0,1"]))
+@example(("1,2\n", ["--terms=x", "--range=0:5", "--samples=5", "--seed=1"]))
+def test_fit_exits_0_2_or_3_and_writes_a_model_numpy_checks(tmp_path, run):
+    check_fit_run(tmp_path, run)
