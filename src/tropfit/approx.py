@@ -144,15 +144,17 @@ def _check_pair(x, y, semifield: Semifield) -> None:
             f"({x!r}, {y!r}) is not a pair of {semifield.name} scalars")
 
 
-def check_reals(x, y, semifield: Semifield, lines=None) -> np.ndarray:
+def check_reals(x, y, semifield: Semifield,
+                lines=None) -> tuple[np.ndarray, np.ndarray]:
     """Raise from_real's error for the first row with a value it rejects.
 
     x and y hold conventional reals. The rows are located with array
     checks: from_real rejects non-finite values and values whose
     max-plus reading is nan (negative in max-times). Only those rows go
     through from_real, in row order. With lines given, the error is a
-    MalformedRow on the row's line. Returns the indices of the rows that
-    hold a semifield zero, which from_real accepts.
+    MalformedRow on the row's line. Returns the max-plus readings
+    (xs, ys), where a semifield zero, which from_real accepts, reads
+    -inf.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     xs, ys = to_max_plus(x, semifield), to_max_plus(y, semifield)
@@ -165,7 +167,7 @@ def check_reals(x, y, semifield: Semifield, lines=None) -> np.ndarray:
             if lines is None:
                 raise
             raise MalformedRow(lines[i], str(exc)) from None
-    return np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))
+    return xs, ys
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
@@ -174,8 +176,8 @@ class SampleSet:
 
     The samples are stored once, as four read-only float arrays: x and y
     hold the conventional values, xs and ys their max-plus readings
-    (logarithms in max-times), mapped in once on construction. points,
-    inputs and outputs are their tuple forms. The set is immutable.
+    (logarithms in max-times), mapped in once on construction. points
+    and outputs are their tuple forms. The set is immutable.
     """
 
     x: np.ndarray
@@ -190,15 +192,12 @@ class SampleSet:
         pairs = tuple(points)
         if not pairs:
             raise ValueError("at least one sample is required")
-        x = np.array([math.nan if a is ZERO else a for a, _ in pairs],
-                     dtype=float)
-        y = np.array([math.nan if b is ZERO else b for _, b in pairs],
-                     dtype=float)
-        self._store(x, y, semifield)
-        # A finite max-plus reading is exactly what contains accepts.
-        irregular = ~(np.isfinite(self.xs) & np.isfinite(self.ys))
-        for i in np.flatnonzero(irregular).tolist():
-            _check_pair(*pairs[i], semifield)
+        for a, b in pairs:
+            _check_pair(a, b, semifield)
+        x = np.array([a for a, _ in pairs], dtype=float)
+        y = np.array([b for _, b in pairs], dtype=float)
+        self._store(x, y, to_max_plus(x, semifield),
+                    to_max_plus(y, semifield), semifield)
 
     @classmethod
     def from_columns(cls, x, y, semifield: Semifield,
@@ -215,13 +214,14 @@ class SampleSet:
             raise ValueError("x and y must be flat arrays of one length")
         if not len(x):
             raise ValueError("at least one sample is required")
-        zeros = check_reals(x, y, semifield, lines)
+        xs, ys = check_reals(x, y, semifield, lines)
+        zeros = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))
         if len(zeros):
             i = zeros[0]
             _check_pair(semifield.from_real(float(x[i])),
                         semifield.from_real(float(y[i])), semifield)
         samples = cls.__new__(cls)
-        samples._store(x, y, semifield)
+        samples._store(x, y, xs, ys, semifield)
         return samples
 
     @classmethod
@@ -234,12 +234,10 @@ class SampleSet:
         xy = xy.reshape(-1, 2)
         return cls.from_columns(xy[:, 0], xy[:, 1], semifield)
 
-    def _store(self, x: np.ndarray, y: np.ndarray,
-               semifield: Semifield) -> None:
-        object.__setattr__(self, "x", _read_only(x))
-        object.__setattr__(self, "y", _read_only(y))
-        object.__setattr__(self, "xs", _read_only(to_max_plus(x, semifield)))
-        object.__setattr__(self, "ys", _read_only(to_max_plus(y, semifield)))
+    def _store(self, x: np.ndarray, y: np.ndarray, xs: np.ndarray,
+               ys: np.ndarray, semifield: Semifield) -> None:
+        for name, array in zip(("x", "y", "xs", "ys"), (x, y, xs, ys)):
+            object.__setattr__(self, name, _read_only(array))
         object.__setattr__(self, "semifield", semifield)
 
     def __len__(self) -> int:
@@ -248,10 +246,6 @@ class SampleSet:
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.x.tolist(), self.y.tolist()))
-
-    @property
-    def inputs(self) -> tuple[float, ...]:
-        return tuple(self.x.tolist())
 
     @property
     def outputs(self) -> TropicalVector:
@@ -320,7 +314,7 @@ def build_poly_matrix(samples: SampleSet,
     """
     sf = samples.semifield
     return TropicalMatrix(tuple(tuple(sf.pow(x, p) for p in degrees)
-                                for x in samples.inputs), sf)
+                                for x in samples.x.tolist()), sf)
 
 
 def _finite(matrix: np.ndarray) -> np.ndarray:
@@ -511,9 +505,8 @@ def fit_rational(samples: SampleSet,
     den_design = _design(x, den_degrees)
     with np.errstate(over="ignore"):
         right = _finite(y + den_design)
-    deltas, theta, sigma, termination = alternate(
+    deltas, delta, theta, sigma, termination = alternate(
         num_design, right, np.zeros(len(num_degrees)), max_iter)
-    delta = min(deltas)
     _check_rational_error(theta, num_design, sigma, den_design, y,
                           0.5 * delta)
     model = RationalModel(

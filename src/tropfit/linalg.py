@@ -108,9 +108,6 @@ class TropicalMatrix:
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        return self.entries[i]
-
     @property
     def is_regular(self) -> bool:
         """True when no entry is the semifield zero."""
@@ -218,10 +215,6 @@ class Distance:
 
     value: Optional[float]
 
-    @staticmethod
-    def infinite() -> "Distance":
-        return Distance(None)
-
     @property
     def is_infinite(self) -> bool:
         return self.value is None
@@ -241,7 +234,7 @@ def distance(a: TropicalVector, b: TropicalVector) -> Distance:
             f"vectors have lengths {len(a)} and {len(b)}")
     supp = support(a)
     if supp != support(b):
-        return Distance.infinite()
+        return Distance(None)
     if not supp:
         return Distance(sf.one)
     # The supports are equal, so off them every product is ZERO.

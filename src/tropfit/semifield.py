@@ -43,10 +43,6 @@ Rational = Union[Fraction, int]
 _HALF = Fraction(1, 2)
 
 
-def is_zero(a: Scalar) -> bool:
-    return a is ZERO
-
-
 class Semifield:
     """Arithmetic of one idempotent semifield.
 
@@ -102,10 +98,6 @@ class Semifield:
         """Embed a conventional real number, mapping in-band zeros to ZERO."""
         raise NotImplementedError
 
-    def to_real(self, a: Scalar) -> float:
-        """Conventional reading of a scalar, ZERO included."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return f"<semifield {self.name}>"
 
@@ -146,9 +138,6 @@ class MaxPlus(Semifield):
             raise ValueError(f"max-plus scalars must be finite, got {value!r}")
         return v
 
-    def to_real(self, a: Scalar) -> float:
-        return -math.inf if a is ZERO else a
-
 
 class MaxTimes(Semifield):
     """Positive reals with max as addition and * as multiplication; unit 1."""
@@ -187,9 +176,6 @@ class MaxTimes(Semifield):
             raise ValueError(
                 f"max-times scalars must be finite and >= 0, got {value!r}")
         return ZERO if v == 0.0 else v
-
-    def to_real(self, a: Scalar) -> float:
-        return 0.0 if a is ZERO else a
 
 
 MAX_PLUS = MaxPlus()

@@ -345,19 +345,19 @@ def _repeats(v: np.ndarray, rows: np.ndarray, count: int,
 
 
 def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
-              max_iter: int) -> tuple[list[float], np.ndarray, np.ndarray,
-                                      Termination]:
+              max_iter: int) -> tuple[list[float], float, np.ndarray,
+                                      np.ndarray, Termination]:
     """Alternating projections for a x = b y on max-plus float arrays.
 
     at and bt are a and b transposed, terms by samples, so the image of
     an iterate is an elementwise max of its term rows and the projection
     back (_residuate_into) reduces along contiguous sample rows. Returns
-    the delta of every half step, the pair (x, y) that first reached the
-    smallest delta, and the reason for stopping. The rules are those of
-    two_sided_solve. The entry check (check_residuation) bounds the spans,
-    not the iterates, which can drift out of the float range: a half step
-    whose delta is not finite raises the same ValueError, and numpy's
-    overflow warnings are muted in the loop.
+    the delta of every half step, the smallest delta, the pair (x, y)
+    that first reached it, and the reason for stopping. The rules are
+    those of two_sided_solve. The entry check (check_residuation) bounds
+    the spans, not the iterates, which can drift out of the float range:
+    a half step whose delta is not finite raises the same ValueError,
+    and numpy's overflow warnings are muted in the loop.
 
     Every buffer is allocated once per call: per side an (n, m) scratch
     and the iterates as the rows of a (capacity, n, 1) array that
@@ -421,7 +421,7 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
                 break
             add(under, half, image)
     best = deltas.index(min(deltas))
-    return (deltas, rows[0][(best + 1) // 2, :, 0].copy(),
+    return (deltas, deltas[best], rows[0][(best + 1) // 2, :, 0].copy(),
             rows[1][best // 2, :, 0].copy(), termination)
 
 
@@ -510,10 +510,10 @@ def two_sided_solve(a: TropicalMatrix,
         with np.errstate(over="ignore"):
             start = start - start.max()
 
-    deltas, x_star, y_star, termination = alternate(
+    deltas, delta, x_star, y_star, termination = alternate(
         _transposed(a), _transposed(b), start, max_iter)
     x_star, y_star = tropical_vector(x_star, sf), tropical_vector(y_star, sf)
-    delta_star, _ = delta_and_error(min(deltas), sf)
+    delta_star, _ = delta_and_error(delta, sf)
     return TwoSidedSolution(
         delta_star, x_star, y_star, len(deltas), termination,
         tuple(_map_out(deltas, sf)[0].tolist()))

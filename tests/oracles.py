@@ -238,7 +238,8 @@ def _residuate_reference(at: np.ndarray, b: np.ndarray):
 def alternate_reference(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
                         max_iter: int):
     """solvers.alternate with fresh arrays per half step and a full
-    repeat test over every stored iterate: (deltas, x, y, termination)."""
+    repeat test over every stored iterate: (deltas, delta, x, y,
+    termination)."""
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     match_tol = scaled_tolerance(ITERATE_MATCH_TOL, at, bt)
@@ -278,7 +279,7 @@ def alternate_reference(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
             termination = Termination.ITERATION_CAP
             break
         side = other
-    return deltas, best[1], best[2], termination
+    return deltas, best[0], best[1], best[2], termination
 
 
 # --- exact rational optimum as a mixed-integer program ----------------------

@@ -2,10 +2,11 @@
 
 alternate reuses its buffers and prefilters its repeat test by the
 first coordinate; neither may move a result. Every case compares the
-delta list, the returned pair and the termination exactly with
-oracles.alternate_reference. That reference takes each image from the
-last projection, as alternate does, so a last group of cases checks
-the returned pair against images recomputed from the designs.
+delta list, the chosen delta, the returned pair and the termination
+exactly with oracles.alternate_reference. That reference takes each
+image from the last projection, as alternate does, so a last group of
+cases checks the returned pair against images recomputed from the
+designs.
 """
 
 import math
@@ -57,10 +58,10 @@ def rational_arrays(samples, num, den):
 def assert_same_run(at, bt, x0, max_iter):
     got = alternate(at, bt, x0, max_iter)
     want = alternate_reference(at, bt, x0, max_iter)
-    assert got[0] == want[0]
-    assert np.array_equal(got[1], want[1])
+    assert got[:2] == want[:2]
     assert np.array_equal(got[2], want[2])
-    assert got[3] is want[3]
+    assert np.array_equal(got[3], want[3])
+    assert got[4] is want[4]
     return got
 
 
@@ -78,7 +79,7 @@ RATIONAL_FIT_CASES = [rational_arrays(SampleSet.from_reals(
     (100000, {Termination.CYCLE_DETECTED}),
 ])
 def test_rational_fit_instances_match_the_reference(max_iter, stops):
-    terminations = {assert_same_run(at, bt, np.zeros(6), max_iter)[3]
+    terminations = {assert_same_run(at, bt, np.zeros(6), max_iter)[4]
                     for at, bt in RATIONAL_FIT_CASES}
     assert terminations == stops
 
@@ -109,7 +110,7 @@ def test_two_sided_solve_from_a_large_start_matches_the_reference():
     solution = two_sided_solve(a, b, x0=x0)
     # two_sided_solve runs from the scaling of x0 whose largest entry is 0.
     start = to_max_plus(x0.elements, MAX_PLUS)
-    deltas, x_star, y_star, termination = alternate_reference(
+    deltas, _, x_star, y_star, termination = alternate_reference(
         np.ascontiguousarray(np.array(a.entries).T),
         np.ascontiguousarray(np.array(b.entries).T), start - start.max(), 1000)
     assert list(solution.deltas) == deltas
@@ -280,11 +281,11 @@ def assert_pair_achieves_its_delta(at, bt, x0, max_iter):
     The images are recomputed here from the designs, so this check does
     not share alternate's reuse of the projection as the next image.
     """
-    deltas, x, y, _ = alternate(at, bt, x0, max_iter)
+    _, delta, x, y, _ = alternate(at, bt, x0, max_iter)
     gap = np.max(np.abs(np.maximum.reduce(at + x[:, None], axis=0)
                         - np.maximum.reduce(bt + y[:, None], axis=0)))
     tol = scaled_tolerance(ITERATE_MATCH_TOL, at, bt, x, y)
-    assert abs(gap - 0.5 * min(deltas)) <= tol
+    assert abs(gap - 0.5 * delta) <= tol
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tropfit import (
     MAX_PLUS,
@@ -25,9 +25,10 @@ from tropfit import (
     fit_polynomial,
     fit_rational,
 )
+from tropfit import approx
 from tropfit.approx import evaluate, score_polynomials
 from tropfit.datasets import convex_samples, nonconvex_samples
-from tropfit.solvers import DELTA_UNIT_TOL, scaled_tolerance
+from tropfit.solvers import DELTA_UNIT_TOL, scaled_tolerance, to_max_plus
 from oracles import eval_reference, rational_system, two_sided_reference
 
 # Reference values for the bundled demo fits (printed to four decimals
@@ -171,7 +172,7 @@ def test_max_times_samples_keep_the_input_floats():
     y = [0.3, 7.0, 1e300, math.pi]
     ss = SampleSet.from_reals(zip(x, y), MAX_TIMES)
     assert ss.points == tuple(zip(x, y))
-    assert ss.inputs == tuple(x) and ss.outputs.elements == tuple(y)
+    assert ss.outputs.elements == tuple(y)
     assert np.array_equal(ss.xs, np.log(x))
     assert SampleSet(list(zip(x, y)), MAX_TIMES).points == ss.points
 
@@ -193,6 +194,44 @@ def test_sample_readings_are_mapped_in_once(sf):
     readings = np.log if sf is MAX_TIMES else np.asarray
     assert np.array_equal(ss.xs, readings([1.0, 3.0]))
     assert np.array_equal(ss.ys, readings([2.0, 4.0]))
+
+
+# Any float, or a positive one often enough that max-times sets form.
+_sample_values = st.floats() | st.floats(min_value=0.0, exclude_min=True)
+
+
+@pytest.mark.parametrize("sf", [MAX_PLUS, MAX_TIMES])
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_sample_values, _sample_values), min_size=1,
+                max_size=6))
+def test_both_sample_paths_agree(sf, pairs):
+    values = [v for pair in pairs for v in pair]
+    # A max-times 0.0 is the semifield zero to from_reals, which raises
+    # ZeroAbscissa or NonRegularInput, and no scalar to SampleSet.
+    assume(sf is MAX_PLUS or 0.0 not in values)
+    if not all(sf.contains(v) for v in values):
+        with pytest.raises(ValueError):
+            SampleSet(pairs, sf)
+        with pytest.raises(ValueError):
+            SampleSet.from_reals(pairs, sf)
+        return
+    by_pairs, by_reals = SampleSet(pairs, sf), SampleSet.from_reals(pairs, sf)
+    for name in ("x", "y", "xs", "ys"):
+        got, want = getattr(by_pairs, name), getattr(by_reals, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sf", [MAX_PLUS, MAX_TIMES])
+def test_from_columns_reads_each_column_into_max_plus_once(sf, monkeypatch):
+    calls = []
+
+    def counted(values, semifield):
+        calls.append(semifield)
+        return to_max_plus(values, semifield)
+
+    monkeypatch.setattr(approx, "to_max_plus", counted)
+    SampleSet.from_columns([1.0, 2.0, 3.0], [2.0, 1.0, 4.0], sf)
+    assert calls == [sf, sf]
 
 
 # --- design matrix ----------------------------------------------------------
