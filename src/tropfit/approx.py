@@ -327,10 +327,10 @@ def _design(x: np.ndarray, degrees: DegreeVector) -> np.ndarray:
     """Transposed max-plus design matrix: entry (j, i) = degrees[j] * x_i.
 
     Terms by samples, the layout of the solvers' array core. An entry
-    that overflows is reported by _finite, so numpy's warning is muted.
+    that overflows is reported by _finite, so the caller mutes numpy's
+    warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(degrees.exponents[:, None] * x)
+    return _finite(degrees.exponents[:, None] * x)
 
 
 def fit_polynomial(samples: SampleSet, degrees: DegreeVector) -> FitReport:
@@ -340,7 +340,9 @@ def fit_polynomial(samples: SampleSet, degrees: DegreeVector) -> FitReport:
     the best approximate sense, so the reported error is the smallest
     achievable pointwise distance for this degree class.
     """
-    theta, delta, exact = one_sided(_design(samples.xs, degrees), samples.ys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        design = _design(samples.xs, degrees)
+    theta, delta, exact = one_sided(design, samples.ys)
     return _polynomial_report(samples.semifield, degrees, theta, delta, exact)
 
 
@@ -501,14 +503,18 @@ def fit_rational(samples: SampleSet,
     """
     sf = samples.semifield
     x, y = samples.xs, samples.ys
-    num_design = _design(x, num_degrees)
-    den_design = _design(x, den_degrees)
-    with np.errstate(over="ignore"):
+    # Every value out of the float range is reported below, so numpy's
+    # warnings are muted, once per fit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        num_design = _design(x, num_degrees)
+        # x is finite, so an entry of den_design that overflows is one of
+        # right that does, and _finite reports it there.
+        den_design = den_degrees.exponents[:, None] * x
         right = _finite(y + den_design)
-    deltas, delta, theta, sigma, termination = alternate(
-        num_design, right, np.zeros(len(num_degrees)), max_iter)
-    _check_rational_error(theta, num_design, sigma, den_design, y,
-                          0.5 * delta)
+        deltas, delta, theta, sigma, termination = alternate(
+            num_design, right, np.zeros(len(num_degrees)), max_iter)
+        _check_rational_error(theta, num_design, sigma, den_design, y,
+                              0.5 * delta)
     model = RationalModel(
         PolynomialModel(num_degrees, tropical_vector(theta, sf)),
         PolynomialModel(den_degrees, tropical_vector(sigma, sf)))
@@ -526,11 +532,11 @@ def _check_rational_error(theta: np.ndarray, num_design: np.ndarray,
     overflow; a residual that does raises ValueError. The sums forming
     the model values can cancel, so the tolerance grows with the largest
     magnitude among the coefficients, design entries, values and y.
+    The caller mutes numpy's overflow warnings.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        numerator = np.maximum.reduce(theta[:, None] + num_design, axis=0)
-        denominator = np.maximum.reduce(sigma[:, None] + den_design, axis=0)
-        worst = float(np.max(np.abs(numerator - denominator - y)))
+    numerator = np.maximum.reduce(theta[:, None] + num_design, 0)
+    denominator = np.maximum.reduce(sigma[:, None] + den_design, 0)
+    worst = float(np.maximum.reduce(np.abs(numerator - denominator - y)))
     if not math.isfinite(worst):
         raise ValueError("the data leave the float range: "
                          "the model's residuals overflow")

@@ -32,13 +32,13 @@ class SemifieldMismatch(TropicalError):
 
 def _checked_elements(elements: Iterable[Scalar],
                       semifield: Semifield) -> tuple[Scalar, ...]:
-    out = []
+    contains, out = semifield.contains, []
     for e in elements:
         if e is ZERO:
             out.append(ZERO)
             continue
         v = float(e)
-        if not semifield.contains(v):
+        if not contains(v):
             raise ValueError(f"{e!r} is not a {semifield.name} scalar")
         out.append(v)
     return tuple(out)
@@ -76,7 +76,8 @@ class TropicalVector:
     @property
     def is_regular(self) -> bool:
         """True when no element is the semifield zero."""
-        return all(e is not ZERO for e in self.elements)
+        # The elements are floats and ZERO, which equals only itself.
+        return ZERO not in self.elements
 
 
 @dataclass(frozen=True)

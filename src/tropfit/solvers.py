@@ -25,13 +25,15 @@ leading axis a reduction over terms is an elementwise max of a few
 contiguous sample rows, and a reduction over samples runs along one
 contiguous row, instead of either one reducing many short inner rows of
 4 to 6 terms. alternate spends nearly all of a rational fit in its half
-steps, so each one makes its eight numpy calls into buffers allocated
-once per call and little else. It takes the next image from the
-projection that measured delta, scaled by sqrt(delta) as the iterate
-is, instead of multiplying by the new iterate: the two are equal in
-exact arithmetic and differ by rounding in the last bits. Its repeat
-test looks only near the new iterate's first coordinate, which changes
-no floating-point operation.
+steps, so each one makes seven numpy calls into buffers allocated once
+per call and little else. Its store holds the residuation r of each
+iterate with delta / 2 beside it, and the iterate r + delta / 2 is
+formed only where it is read: the same IEEE add, so the same floats. It
+takes the next image from the projection that measured delta, scaled by
+sqrt(delta) as the iterate is, instead of multiplying by the new
+iterate: the two are equal in exact arithmetic and differ by rounding
+in the last bits. Its repeat test looks only near the new iterate's
+first coordinate, which changes no floating-point operation.
 
 The tuple API (one_sided_solve, two_sided_solve) keeps the usual
 samples x terms orientation and transposes once at its boundary.
@@ -205,19 +207,20 @@ def residuation_in_range(a_lo, a_hi, b_lo, b_hi) -> bool | np.ndarray:
     computed from the extremes in the same rounded operations, which are
     monotone. Finite bounds so mean a finite residuation and balance.
     Broadcasts over arrays of extremes, which overflow with numpy's
-    warning unless the caller mutes it; Python floats never warn.
+    warning unless the caller mutes it; Python floats never warn, and
+    the check on them runs in Python.
     """
     r_lo, r_hi = b_lo - a_hi, b_hi - a_lo
     # Every other bound, and every extreme, lies on the path of one of
     # these two, and + and - carry inf and nan through.
     low = r_lo + 0.5 * (b_lo - (a_hi + r_hi))
     high = r_hi + 0.5 * (b_hi - (a_lo + r_lo))
-    return np.isfinite(low) & np.isfinite(high)
+    return (abs(low) < math.inf) & (abs(high) < math.inf)
 
 
 def _extremes(array: np.ndarray) -> tuple[float, float]:
     """The smallest and the largest entry of array, as floats."""
-    return float(array.min()), float(array.max())
+    return float(_min_reduce(array, None)), float(_max_reduce(array, None))
 
 
 def check_residuation(a: tuple[float, float], b: tuple[float, float]) -> None:
@@ -245,13 +248,15 @@ def tropical_vector(values: np.ndarray,
         semifield)
 
 
-def scaled_tolerance(base: float, *arrays: np.ndarray) -> float:
+def scaled_tolerance(base: float, *arrays: np.ndarray | float) -> float:
     """base, or TOL_ULPS ulps of the largest magnitude in arrays if larger.
 
     Rounding in data of large magnitude moves results by a few ulps of
-    that magnitude, which can exceed a fixed absolute tolerance.
+    that magnitude, which can exceed a fixed absolute tolerance. A float
+    counts as an array of one value and is read in Python.
     """
-    largest = max(float(np.max(np.abs(a))) for a in arrays)
+    largest = max(abs(a) if isinstance(a, float) else float(np.max(np.abs(a)))
+                  for a in arrays)
     return max(base, TOL_ULPS * math.ulp(largest))
 
 
@@ -260,9 +265,9 @@ def scaled_tolerance(base: float, *arrays: np.ndarray) -> float:
 
 
 def _residuate_into(at: np.ndarray, b: np.ndarray, scratch: np.ndarray,
-                    r: np.ndarray, under: np.ndarray,
-                    slack: np.ndarray) -> float:
-    """Greatest r with a r <= b, into r; returns the squared distance delta.
+                    under: np.ndarray, slack: np.ndarray) -> tuple[
+                        np.ndarray, float]:
+    """Greatest r with a r <= b and the squared distance delta: (r, delta).
 
     at is the transposed matrix a, terms by samples:
     r_j = min_i (b_i - at_ji) and delta = max_i (b_i - max_j (at_ji + r_j)),
@@ -271,20 +276,21 @@ def _residuate_into(at: np.ndarray, b: np.ndarray, scratch: np.ndarray,
     by the square root delta / 2 balances the one-sided slack into the
     metric-best solution (balance).
 
-    scratch has the shape of at, r is an (n_terms, 1) column, and under
-    and slack have the shape of b. under ends up holding the projection
-    a r and slack the slack b - a r; slack may be under or b itself. The
-    out buffers go positionally, which numpy parses faster than keywords.
+    scratch has the shape of at, and under and slack have the shape of
+    b. r is a new (n_terms, 1) column, allocated by its reduction. under
+    ends up holding the projection a r and slack the slack b - a r; slack
+    may be under or b itself. The out buffers go positionally, which
+    numpy parses faster than keywords.
 
     delta is never below the unit 0: rounding can leave a consistent
     system's slack a few ulps negative, and such a delta (or -0.0) is
     read as 0.0. A nan is kept, for alternate's range check to see.
     """
     _subtract(b, at, scratch)
-    _min_reduce(scratch, 1, None, r, True)
+    r = _min_reduce(scratch, 1, None, None, True)
     _max_reduce(_add(at, r, scratch), 0, None, under)
     delta = float(_max_reduce(_subtract(b, under, slack)))
-    return 0.0 if delta <= 0.0 else delta
+    return r, 0.0 if delta <= 0.0 else delta
 
 
 def one_sided(at: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -294,8 +300,8 @@ def one_sided(at: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
     _residuate_into. Data outside residuation_in_range raise ValueError.
     """
     check_residuation(_extremes(at), _extremes(b))
-    r, slack = np.empty((len(at), 1)), np.empty(b.shape)
-    delta = _residuate_into(at, b, np.empty(at.shape), r, slack, slack)
+    slack = np.empty(b.shape)
+    r, delta = _residuate_into(at, b, np.empty(at.shape), slack, slack)
     x_star, exact = balance(r[:, 0], delta)
     return x_star, delta, bool(exact)
 
@@ -314,33 +320,40 @@ def balance(r: np.ndarray, delta: float | np.ndarray) -> tuple[
     return r + 0.5 * np.asarray(delta)[..., None], exact
 
 
-def _repeats(v: np.ndarray, rows: np.ndarray, count: int,
-             firsts: list[float], order: list[int], tol: float) -> bool:
-    """Whether v = rows[count] repeats an earlier row; if not, index it.
+def _repeats(rows: list[tuple[np.ndarray, float]], firsts: list[float],
+             order: list[int], tol: float) -> bool:
+    """Whether the iterate of the last row repeats an earlier one; if not,
+    index it.
 
-    rows holds one side's iterates, each an (n, 1) column; firsts is the
-    sorted list of the finite first coordinates among rows[:count], and
-    order the row of each. A repeat is a row h among them with
-    max_j |h_j - v_j| <= tol. Only the rows whose first coordinate lies
-    in the window [v_0 - 2 tol, v_0 + 2 tol] are tested, and the verdict
-    is that of testing them all: a match needs fl(|h_0 - v_0|) <= tol,
-    so |h_0 - v_0| is at most tol plus half an ulp of tol, and since
-    rounding is monotone, h_0 lies inside the rounded window. The same
-    window holds the insertion point of v_0. A gap of nan or inf never
-    passes (inf - inf elsewhere in a row is a nan gap), so a non-finite
-    v_0 matches nothing and is not indexed.
+    rows holds one side's iterates as alternate stores them: pairs of an
+    (n, 1) residuation r and its delta / 2, the iterate being
+    r + delta / 2, formed by the add that forms it everywhere. firsts is
+    the sorted list of the finite first coordinates of the iterates
+    before the last, and order the row of each. A repeat is a row h
+    among them with max_j |h_j - v_j| <= tol. Only the rows whose first
+    coordinate lies in the window [v_0 - 2 tol, v_0 + 2 tol] are tested,
+    and the verdict is that of testing them all: a match needs
+    fl(|h_0 - v_0|) <= tol, so |h_0 - v_0| is at most tol plus half an
+    ulp of tol, and since rounding is monotone, h_0 lies inside the
+    rounded window. The same window holds the insertion point of v_0. A
+    gap of nan or inf never passes (inf - inf elsewhere in a row is a nan
+    gap), so a non-finite v_0 matches nothing and is not indexed.
     """
-    first = v.item(0)
+    r, half = rows[-1]
+    first = r.item(0) + half
     if not math.isfinite(first):
         return False
     low = bisect_left(firsts, first - 2 * tol)
     high = bisect_right(firsts, first + 2 * tol, low)
-    if low < high and (_max_reduce(
-            np.abs(rows[order[low:high]] - v), 1) <= tol).any():
-        return True
-    at = bisect_right(firsts, first, low, high)
-    firsts.insert(at, first)
-    order.insert(at, count)
+    if low < high:
+        hits = order[low:high]
+        stored = np.array([rows[h][0] for h in hits])
+        stored += np.array([rows[h][1] for h in hits])[:, None, None]
+        if (_max_reduce(np.abs(stored - (r + half)), 1) <= tol).any():
+            return True
+        low = bisect_right(firsts, first, low, high)
+    firsts.insert(low, first)
+    order.insert(low, len(rows) - 1)
     return False
 
 
@@ -354,25 +367,25 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     back (_residuate_into) reduces along contiguous sample rows. Returns
     the delta of every half step, the smallest delta, the pair (x, y)
     that first reached it, and the reason for stopping. The rules are
-    those of two_sided_solve. The entry check (check_residuation) bounds
-    the spans, not the iterates, which can drift out of the float range:
-    a half step whose delta is not finite raises the same ValueError,
-    and numpy's overflow warnings are muted in the loop.
+    those of two_sided_solve. The entry check (check_residuation, on
+    Python floats) bounds the spans, not the iterates, which can drift
+    out of the float range: a half step whose delta is not finite raises
+    the same ValueError, and numpy's overflow warnings are muted in the
+    loop.
 
-    Every buffer is allocated once per call: per side an (n, m) scratch
-    and the iterates as the rows of a (capacity, n, 1) array that
-    doubles when full, plus the image and the projection (m). Half step
-    k (from 0) writes row (k + 1) // 2 of side (k + 1) % 2, side 0 being
-    x with x0 in its row 0. After the image a x0, a half step makes eight
-    numpy calls, out buffers positional, six of them in _residuate_into.
-    That writes r straight into the half step's row, and delta / 2 is
-    added to r there in place and to the projection of r over the
-    consumed image: the image of the new iterate r + delta / 2 is the
-    projection plus delta / 2. The repeat test (_repeats) looks only at
-    the stored iterates whose first coordinate is within 2 match_tol of
-    the new one's, which gives the verdict of testing them all. The
-    returned pair is that of the first half step k* at the smallest
-    delta: row (k* + 1) // 2 of side 0 and row k* // 2 of side 1.
+    Half step k (from 0) writes side (k + 1) % 2, side 0 being x with x0
+    as its first row. After the image a x0, a half step makes seven
+    numpy calls, out buffers positional, into buffers allocated once per
+    call: six in _residuate_into, whose reduction allocates r, and the
+    next image, the projection of r over the consumed image plus
+    delta / 2, which is the image of the new iterate r + delta / 2. The
+    store keeps each iterate as r with delta / 2 beside it (-0.0 beside
+    x0, as x0 + -0.0 is x0 bit for bit), and r + delta / 2 is formed only
+    where an iterate is read: in the repeat test (_repeats), which looks
+    only at the stored iterates whose first coordinate is within
+    2 match_tol of the new one's, and in the returned pair. That pair is
+    the one of the first half step k* at the smallest delta: row
+    (k* + 1) // 2 of side 0 and row k* // 2 of side 1.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -380,49 +393,43 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     a, b = _extremes(at), _extremes(bt)
     check_residuation(a, b)
     check_residuation(b, a)
-    match_tol = scaled_tolerance(ITERATE_MATCH_TOL, np.array(a + b))
-    spans = (at, bt)
-    scratch = (np.empty(at.shape), np.empty(bt.shape))
-    rows = [np.empty((32, len(at), 1)), np.empty((32, len(bt), 1))]
-    firsts, order = ([], []), ([], [])
+    match_tol = scaled_tolerance(ITERATE_MATCH_TOL, *a, *b)
     image, under = np.empty(at.shape[1]), np.empty(at.shape[1])
-    x = rows[0][0]
-    x[:, 0] = x0
-    _repeats(x, rows[0], 0, firsts[0], order[0], match_tol)
+    # Per side: the span, its scratch, its iterates as (r, delta / 2)
+    # and the sorted finite first coordinates with the row of each.
+    x_rows, y_rows = [(x0[:, None], -0.0)], []
+    other = (at, np.empty(at.shape), x_rows, [], [])
+    this = (bt, np.empty(bt.shape), y_rows, [], [])
+    _repeats(x_rows, other[3], other[4], match_tol)
     deltas: list[float] = []
-    add, isfinite = _add, math.isfinite
+    isfinite = math.isfinite
     with np.errstate(over="ignore", invalid="ignore"):
-        _max_reduce(add(at, x, scratch[0]), 0, None, image)
+        _max_reduce(_add(at, x_rows[0][0], other[1]), 0, None, image)
         while True:
-            # Half step k writes row (k + 1) // 2 of side (k + 1) % 2.
-            count, side = divmod(len(deltas) + 1, 2)
-            if count == len(rows[side]):
-                rows[side] = np.concatenate(
-                    (rows[side], np.empty_like(rows[side])))
-            x = rows[side][count]
+            span, scratch, rows, firsts, order = this
             # The slack goes over the image, which is not read again.
-            delta = _residuate_into(spans[side], image, scratch[side], x,
-                                    under, image)
+            r, delta = _residuate_into(span, image, scratch, under, image)
             if not isfinite(delta):
                 raise ValueError("the data leave the float range: "
                                  "their differences overflow")
             half = 0.5 * delta
-            add(x, half, x)
+            rows.append((r, half))
             deltas.append(delta)
             if delta <= DELTA_UNIT_TOL:  # delta is finite and >= 0 here
                 termination = Termination.EXACT_SOLUTION
                 break
-            if _repeats(x, rows[side], count, firsts[side], order[side],
-                        match_tol):
+            if _repeats(rows, firsts, order, match_tol):
                 termination = Termination.CYCLE_DETECTED
                 break
             if len(deltas) >= max_iter:
                 termination = Termination.ITERATION_CAP
                 break
-            add(under, half, image)
+            _add(under, half, image)
+            this, other = other, this
     best = deltas.index(min(deltas))
-    return (deltas, deltas[best], rows[0][(best + 1) // 2, :, 0].copy(),
-            rows[1][best // 2, :, 0].copy(), termination)
+    (x, x_half), (y, y_half) = x_rows[(best + 1) // 2], y_rows[best // 2]
+    return (deltas, deltas[best], x[:, 0] + x_half, y[:, 0] + y_half,
+            termination)
 
 
 # ---------------------------------------------------------------------------

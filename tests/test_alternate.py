@@ -1,11 +1,12 @@
 """solvers.alternate against its plain form, its repeat test and its pair.
 
-alternate reuses its buffers and prefilters its repeat test by the
-first coordinate; neither may move a result. Every case compares the
+alternate reuses its buffers, stores each iterate as its residuation r
+with delta / 2 beside it, and prefilters its repeat test by the first
+coordinate; none of these may move a result. Every case compares the
 delta list, the chosen delta, the returned pair and the termination
-exactly with oracles.alternate_reference. That reference takes each
-image from the last projection, as alternate does, so a last group of
-cases checks the returned pair against images recomputed from the
+with oracles.alternate_reference, byte for byte. That reference takes
+each image from the last projection, as alternate does, so a last group
+of cases checks the returned pair against images recomputed from the
 designs.
 """
 
@@ -56,11 +57,14 @@ def rational_arrays(samples, num, den):
 
 
 def assert_same_run(at, bt, x0, max_iter):
+    """alternate's run equals the reference's, byte for byte: == and
+    np.array_equal would let -0.0 stand for 0.0."""
     got = alternate(at, bt, x0, max_iter)
     want = alternate_reference(at, bt, x0, max_iter)
-    assert got[:2] == want[:2]
-    assert np.array_equal(got[2], want[2])
-    assert np.array_equal(got[3], want[3])
+    assert list(map(float.hex, got[0])) == list(map(float.hex, want[0]))
+    assert float.hex(got[1]) == float.hex(want[1])
+    assert got[2].tobytes() == want[2].tobytes()
+    assert got[3].tobytes() == want[3].tobytes()
     assert got[4] is want[4]
     return got
 
@@ -82,6 +86,16 @@ def test_rational_fit_instances_match_the_reference(max_iter, stops):
     terminations = {assert_same_run(at, bt, np.zeros(6), max_iter)[4]
                     for at, bt in RATIONAL_FIT_CASES}
     assert terminations == stops
+
+
+def test_a_negative_zero_in_x0_survives_in_the_returned_x():
+    # One half step returns x0's own row, which the store keeps with
+    # -0.0 beside it: x0 + 0.0 would turn each -0.0 into 0.0.
+    at, bt = RATIONAL_FIT_CASES[0]
+    x0 = np.array([-0.0, 0.0, -0.0, 1.5, -0.0, -2.0])
+    x = assert_same_run(at, bt, x0, 1)[2]
+    assert x.tobytes() == x0.tobytes()
+    assert math.copysign(1.0, x[0]) == -1.0
 
 
 def test_max_times_instances_match_the_reference():
@@ -136,41 +150,39 @@ def test_a_large_start_does_not_absorb_the_data(start):
         assert solution.termination is Termination.CYCLE_DETECTED
 
 
-# --- the folded history and its prefiltered repeat test ---------------------
+# --- the iterate store and its prefiltered repeat test ----------------------
 
 class History:
-    """One side's history as alternate keeps it, for probing _repeats.
+    """One side's store as alternate keeps it, for probing _repeats.
 
-    The rows grow as alternate grows them; the loop's own growth is
-    checked by the property below, at caps around 64 half steps.
+    rows holds (r, delta / 2) pairs, r an (n, 1) column, whose iterate is
+    r + delta / 2; firsts is the sorted list of the finite first
+    coordinates of the iterates and order the row of each.
     """
 
-    def __init__(self, n, tol):
-        self.rows = np.empty((32, n, 1))
-        self.count = 0
-        self.firsts, self.order = [], []
+    def __init__(self, tol):
+        self.rows, self.firsts, self.order = [], [], []
         self.tol = tol
 
-    def repeats(self, v):
-        """The verdict of _repeats on v, leaving the history unchanged."""
-        return _repeats(v[:, None], self.rows, self.count, list(self.firsts),
+    def repeats(self, r, half):
+        """The verdict of _repeats on r + half, leaving the store unchanged."""
+        return _repeats(self.rows + [(r[:, None], half)], list(self.firsts),
                         list(self.order), self.tol)
 
-    def store(self, v):
-        if self.count == len(self.rows):
-            self.rows = np.concatenate((self.rows, np.empty_like(self.rows)))
-        self.rows[self.count, :, 0] = v
-        assert not _repeats(self.rows[self.count], self.rows, self.count,
-                            self.firsts, self.order, self.tol)
-        self.count += 1
+    def store(self, r, half):
+        self.rows.append((r[:, None].copy(), half))
+        assert not _repeats(self.rows, self.firsts, self.order, self.tol)
         assert self.firsts == sorted(self.firsts)
-        assert self.rows[self.order, 0, 0].tolist() == self.firsts
+        assert [self.rows[h][0].item(0) + self.rows[h][1]
+                for h in self.order] == self.firsts
 
 
-def brute_repeats(history, v):
-    stored = history.rows[:history.count, :, 0]
+def brute_repeats(history, r, half):
+    """The full scan over every stored iterate, formed as r + delta / 2."""
+    stored = np.array([row[:, 0] + h for row, h in history.rows])
     with np.errstate(invalid="ignore"):
-        gaps = np.maximum.reduce(np.abs(stored - v), axis=1)
+        gaps = np.maximum.reduce(
+            np.abs(stored.reshape(-1, len(r)) - (r + half)), axis=1)
     return bool((gaps <= history.tol).any())
 
 
@@ -197,51 +209,89 @@ def probes(v, tol, rng):
 @pytest.mark.parametrize("tol", [1e-9, 6e-8])
 def test_history_repeat_test_equals_the_full_scan(tol):
     rng = np.random.default_rng(5)
-    history = History(4, tol)
-    checked = matched = 0
+    history = History(tol)
+    checked = matched = unmatched_r = 0
+
+    def check(r, half):
+        nonlocal checked, matched
+        verdict = history.repeats(r, half)
+        assert verdict == brute_repeats(history, r, half)
+        checked += 1
+        matched += verdict
+        return verdict
+
     for scale in (1e-3, 1.0, 1e6, 1e20):
         for _ in range(12):
-            v = rng.uniform(-1, 1, 4) * scale
-            if history.count:
-                # Reuse the first coordinate of a stored iterate half the
-                # time, so the prefilter window is not empty.
-                if rng.integers(2):
-                    v[0] = history.rows[rng.integers(history.count), 0, 0]
-            for probe in probes(v, tol, rng):
-                verdict = history.repeats(probe)
-                assert verdict == brute_repeats(history, probe)
-                checked += 1
-                matched += verdict
-            history.store(v)
-            for probe in probes(v, tol, rng):
-                verdict = history.repeats(probe)
-                assert verdict == brute_repeats(history, probe)
-                checked += 1
-                matched += verdict
+            r = rng.uniform(-1, 1, 4) * scale
+            half = rng.uniform(0.5, 1.0) * scale
+            if history.rows and rng.integers(2):
+                # Half the time take the first coordinate of r and the
+                # delta / 2 of a stored row, so the prefilter window is
+                # not empty.
+                stored, half = history.rows[rng.integers(len(history.rows))]
+                r[0] = stored.item(0)
+            for probe in probes(r, tol, rng):
+                check(probe, half)
+            history.store(r, half)
+            for probe in probes(r, tol, rng):
+                check(probe, half)
+            # The stored r itself beside other halves: its first
+            # coordinate stays in the window, but the iterate moves by
+            # 1.5 tol, 0.5 tol or one ulp, so comparing r alone would
+            # match where the iterates do not.
+            for other in (half + 1.5 * tol, half - 1.5 * tol,
+                          half + 0.5 * tol, math.nextafter(half, math.inf)):
+                unmatched_r += not check(r, other)
     # Non-finite iterates are stored too and never match.
     with np.errstate(invalid="ignore"):
         for bad in (math.nan, math.inf, -math.inf):
             v = np.array([bad, 1.0, 2.0, 3.0])
-            history.store(v)
-            assert not history.repeats(v)
+            history.store(v, 0.25)
+            assert not history.repeats(v, 0.25)
             w = np.array([1.0, 2.0, bad, 3.0])
-            history.store(w)
-            assert not history.repeats(w)
-    assert history.count == 54 and history.rows.shape == (64, 4, 1)
+            history.store(w, 0.25)
+            assert not history.repeats(w, 0.25)
+    assert len(history.rows) == 54
     assert 0 < matched < checked
+    assert unmatched_r > 0
+
+
+def test_the_repeat_window_reaches_rounded_gaps_and_inserts_in_order():
+    # The first coordinates -a and b differ by tol plus a quarter ulp of
+    # tol, which rounds to tol and matches, yet -a lies outside
+    # [b - tol, b + tol]: the window must reach 2 tol.
+    tol = 1e-9
+    b = 0.7 * tol
+    a = (tol - b) + math.ulp(tol) / 4
+    assert a + b == tol and -a < b - tol
+    history = History(tol)
+    history.store(np.array([-a, 1.0]), 0.0)
+    assert brute_repeats(history, np.array([b, 1.0]), 0.0)
+    assert history.repeats(np.array([b, 1.0]), 0.0)
+    # First coordinates inside the window of a stored one, above and
+    # below it, that repeat nothing: store checks that firsts stays
+    # sorted and that order follows it.
+    history.store(np.array([-a + 1.5 * tol, 5.0]), 0.0)
+    history.store(np.array([-a - 1.5 * tol, 7.0]), 0.0)
+    history.store(np.array([-a + 0.5 * tol, 9.0]), 0.0)
+    assert len(history.firsts) == 4
 
 
 def test_history_keeps_columns_when_it_grows():
-    history = History(2, 1e-9)
+    # alternate's store grows by one row per half step; these 70 rows
+    # hold the iterates (k, -k).
+    history = History(1e-9)
     for k in range(70):
-        history.store(np.array([float(k), -float(k)]))
-    assert history.count == 70 and history.rows.shape == (128, 2, 1)
-    assert np.array_equal(history.rows[:70, 0, 0], np.arange(70.0))
-    assert history.repeats(np.array([33.0, -33.0]))
-    assert not history.repeats(np.array([33.0, -34.0]))
-    # Row 0 is (0, -0): a gap of exactly tol matches, the next float not.
-    assert history.repeats(np.array([0.0, 1e-9]))
-    assert not history.repeats(np.array([0.0, math.nextafter(1e-9, 1.0)]))
+        history.store(np.array([float(k), -float(k)]) - 0.25, 0.25)
+    assert len(history.rows) == 70
+    assert [r.item(0) + half for r, half in history.rows] == list(
+        np.arange(70.0))
+    assert history.repeats(np.array([33.0, -33.0]), 0.0)
+    assert not history.repeats(np.array([33.0, -34.0]), 0.0)
+    # Row 0 is (0, 0): a gap of exactly tol matches, the next float not.
+    assert history.repeats(np.array([0.0, 1e-9]), 0.0)
+    assert not history.repeats(np.array([0.0, math.nextafter(1e-9, 1.0)]),
+                               0.0)
 
 
 # --- alternate against its plain form on random systems ---------------------
@@ -267,8 +317,7 @@ def systems(draw):
 @settings(max_examples=100, deadline=None)
 @given(systems())
 def test_alternate_equals_the_reference_on_random_systems(system):
-    # Caps 63, 64 and 65 stop before, at and after the first growth of
-    # each side's rows past 32.
+    # Cap 1 returns x0's own row; odd and even caps stop on either side.
     for max_iter in (1, 2, 63, 64, 65, 1000):
         assert_same_run(*system, max_iter)
 
