@@ -5,7 +5,9 @@ closed-form best solution obtained through residuation. The two-sided
 equation a x = b y is solved numerically by alternating projections:
 the image of the current iterate under one matrix is projected onto
 the column span of the other, and the achieved squared distances form
-a non-increasing sequence whose minimum is reported.
+a non-increasing sequence. The pair reported is that of the first
+half step whose distance is within PAIR_DELTA_TOL of the smallest, so
+distances that differ by rounding alone pick the same pair.
 
 All arithmetic runs in max-plus on float arrays. This module owns that
 number format: max-times values are mapped in through the logarithm
@@ -25,15 +27,16 @@ leading axis a reduction over terms is an elementwise max of a few
 contiguous sample rows, and a reduction over samples runs along one
 contiguous row, instead of either one reducing many short inner rows of
 4 to 6 terms. alternate spends nearly all of a rational fit in its half
-steps, so each one makes seven numpy calls into buffers allocated once
-per call and little else. Its store holds the residuation r of each
-iterate with delta / 2 beside it, and the iterate r + delta / 2 is
-formed only where it is read: the same IEEE add, so the same floats. It
-takes the next image from the projection that measured delta, scaled by
-sqrt(delta) as the iterate is, instead of multiplying by the new
-iterate: the two are equal in exact arithmetic and differ by rounding
-in the last bits. Its repeat test looks only near the new iterate's
-first coordinate, which changes no floating-point operation.
+steps, so each one makes six numpy calls into buffers allocated once
+per call and little else. The map it iterates is additively
+homogeneous: residuating b + c gives r + c, and B (r + c) = B r + c. So
+each iterate's scaling by sqrt(delta) rides beside it as a running
+shift, a Python float, and the next image is the projection itself;
+the shift is added to an image only when it passes the data's largest
+magnitude. This and taking the image from the projection rather than
+from the new iterate are equal in exact arithmetic and differ by
+rounding in the last bits. Its repeat test looks only near the new
+iterate's first coordinate, which changes no floating-point operation.
 
 The tuple API (one_sided_solve, two_sided_solve) keeps the usual
 samples x terms orientation and transposes once at its boundary.
@@ -73,6 +76,12 @@ DELTA_UNIT_TOL = 1e-9
 #: Elementwise tolerance, in max-plus units, for recognizing a repeated
 #: iterate; scaled_tolerance raises it for large-magnitude data.
 ITERATE_MATCH_TOL = 1e-9
+
+#: Squared-distance tolerance, in max-plus units, above a run's smallest
+#: delta within which alternate returns the pair of the first half step;
+#: scaled_tolerance raises it for large-magnitude data. Deltas of a run
+#: that differ by rounding alone pick the same pair.
+PAIR_DELTA_TOL = 1e-13
 
 #: Units in the last place of the largest magnitude involved that a
 #: scale-aware tolerance allows. Below magnitudes of about 5e5 the
@@ -120,11 +129,12 @@ class OneSidedSolution:
 class TwoSidedSolution:
     """Result of solving a x = b y.
 
-    delta_star is the smallest squared distance seen across all
-    iterations, with x_star / y_star the pair that achieved it. The
-    full delta sequence is kept for diagnostics; it is non-increasing
-    up to floating point noise, and unchecked, so a delta above the
-    float range reads inf there.
+    delta_star is the squared distance of the first half step within
+    PAIR_DELTA_TOL (scaled to the data) of the smallest one seen, with
+    x_star / y_star the pair that achieved it. The full delta sequence
+    is kept for diagnostics; it is non-increasing up to floating point
+    noise, and unchecked, so a delta above the float range reads inf
+    there.
     """
 
     delta_star: float
@@ -326,8 +336,10 @@ def _repeats(rows: list[tuple[np.ndarray, float]], firsts: list[float],
     index it.
 
     rows holds one side's iterates as alternate stores them: pairs of an
-    (n, 1) residuation r and its delta / 2, the iterate being
-    r + delta / 2, formed by the add that forms it everywhere. firsts is
+    (n, 1) residuation r and the running shift s of its half step, the
+    iterate being r + s, formed by the add that forms it everywhere.
+    Shifts are at most the data's largest magnitude plus one delta / 2,
+    so tol, scaled to the data, keeps its meaning. firsts is
     the sorted list of the finite first coordinates of the iterates
     before the last, and order the row of each. A repeat is a row h
     among them with max_j |h_j - v_j| <= tol. Only the rows whose first
@@ -339,8 +351,8 @@ def _repeats(rows: list[tuple[np.ndarray, float]], firsts: list[float],
     gap of nan or inf never passes (inf - inf elsewhere in a row is a nan
     gap), so a non-finite v_0 matches nothing and is not indexed.
     """
-    r, half = rows[-1]
-    first = r.item(0) + half
+    r, shift = rows[-1]
+    first = r.item(0) + shift
     if not math.isfinite(first):
         return False
     low = bisect_left(firsts, first - 2 * tol)
@@ -349,7 +361,7 @@ def _repeats(rows: list[tuple[np.ndarray, float]], firsts: list[float],
         hits = order[low:high]
         stored = np.array([rows[h][0] for h in hits])
         stored += np.array([rows[h][1] for h in hits])[:, None, None]
-        if (_max_reduce(np.abs(stored - (r + half)), 1) <= tol).any():
+        if (_max_reduce(np.abs(stored - (r + shift)), 1) <= tol).any():
             return True
         low = bisect_right(firsts, first, low, high)
     firsts.insert(low, first)
@@ -365,27 +377,33 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     at and bt are a and b transposed, terms by samples, so the image of
     an iterate is an elementwise max of its term rows and the projection
     back (_residuate_into) reduces along contiguous sample rows. Returns
-    the delta of every half step, the smallest delta, the pair (x, y)
-    that first reached it, and the reason for stopping. The rules are
-    those of two_sided_solve. The entry check (check_residuation, on
+    the delta of every half step, the delta of half step k*, its pair
+    (x, y) and the reason for stopping. The rules are those of
+    two_sided_solve. The entry check (check_residuation, on
     Python floats) bounds the spans, not the iterates, which can drift
     out of the float range: a half step whose delta is not finite raises
     the same ValueError, and numpy's overflow warnings are muted in the
     loop.
 
     Half step k (from 0) writes side (k + 1) % 2, side 0 being x with x0
-    as its first row. After the image a x0, a half step makes seven
-    numpy calls, out buffers positional, into buffers allocated once per
-    call: six in _residuate_into, whose reduction allocates r, and the
-    next image, the projection of r over the consumed image plus
-    delta / 2, which is the image of the new iterate r + delta / 2. The
-    store keeps each iterate as r with delta / 2 beside it (-0.0 beside
-    x0, as x0 + -0.0 is x0 bit for bit), and r + delta / 2 is formed only
-    where an iterate is read: in the repeat test (_repeats), which looks
-    only at the stored iterates whose first coordinate is within
-    2 match_tol of the new one's, and in the returned pair. That pair is
-    the one of the first half step k* at the smallest delta: row
-    (k* + 1) // 2 of side 0 and row k* // 2 of side 1.
+    as its first row. After the image a x0, a half step makes six numpy
+    calls, out buffers positional, in _residuate_into, whose reduction
+    allocates r; the image and projection buffers are allocated once per
+    call. The iterate is r plus a running shift s, a Python float: -0.0
+    beside x0 (x0 + -0.0 is x0 bit for bit), plus delta / 2 at every half
+    step. The next image is the projection of r itself, and the two
+    buffers swap: that projection is the image of the iterate r + s less
+    s. When s passes limit, the largest magnitude among the spans'
+    extremes, the image becomes the projection plus s (one more numpy
+    call) and s is reset to 0.0, so images never drift from the data by
+    more than the data's magnitude. The store keeps each iterate as r
+    with its s beside it, and r + s is formed only where an iterate is
+    read: in the repeat test (_repeats), which looks only at the stored
+    iterates whose first coordinate is within 2 match_tol of the new
+    one's, and in the returned pair. That pair is the one of k*, the
+    first half step whose delta is within PAIR_DELTA_TOL (scaled to the
+    smallest delta and the extremes, as match_tol is) of the smallest:
+    row (k* + 1) // 2 of side 0 and row k* // 2 of side 1.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -393,11 +411,15 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     a, b = _extremes(at), _extremes(bt)
     check_residuation(a, b)
     check_residuation(b, a)
-    match_tol = scaled_tolerance(ITERATE_MATCH_TOL, *a, *b)
+    # The largest magnitude in the spans scales the tolerances and bounds
+    # the running shift.
+    limit = max(map(abs, a + b))
+    match_tol = scaled_tolerance(ITERATE_MATCH_TOL, limit)
     image, under = np.empty(at.shape[1]), np.empty(at.shape[1])
-    # Per side: the span, its scratch, its iterates as (r, delta / 2)
-    # and the sorted finite first coordinates with the row of each.
-    x_rows, y_rows = [(x0[:, None], -0.0)], []
+    # Per side: the span, its scratch, its iterates as (r, shift) and
+    # the sorted finite first coordinates with the row of each.
+    shift = -0.0
+    x_rows, y_rows = [(x0[:, None], shift)], []
     other = (at, np.empty(at.shape), x_rows, [], [])
     this = (bt, np.empty(bt.shape), y_rows, [], [])
     _repeats(x_rows, other[3], other[4], match_tol)
@@ -412,8 +434,8 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
             if not isfinite(delta):
                 raise ValueError("the data leave the float range: "
                                  "their differences overflow")
-            half = 0.5 * delta
-            rows.append((r, half))
+            shift += 0.5 * delta
+            rows.append((r, shift))
             deltas.append(delta)
             if delta <= DELTA_UNIT_TOL:  # delta is finite and >= 0 here
                 termination = Termination.EXACT_SOLUTION
@@ -424,12 +446,19 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
             if len(deltas) >= max_iter:
                 termination = Termination.ITERATION_CAP
                 break
-            _add(under, half, image)
+            if shift > limit:
+                _add(under, shift, image)
+                shift = 0.0
+            else:
+                image, under = under, image
             this, other = other, this
-    best = deltas.index(min(deltas))
-    (x, x_half), (y, y_half) = x_rows[(best + 1) // 2], y_rows[best // 2]
-    return (deltas, deltas[best], x[:, 0] + x_half, y[:, 0] + y_half,
-            termination)
+    low = min(deltas)
+    bound = low + scaled_tolerance(PAIR_DELTA_TOL, low, limit)
+    for best, delta in enumerate(deltas):
+        if delta <= bound:
+            break
+    (x, x_shift), (y, y_shift) = x_rows[(best + 1) // 2], y_rows[best // 2]
+    return deltas, delta, x[:, 0] + x_shift, y[:, 0] + y_shift, termination
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +522,9 @@ def two_sided_solve(a: TropicalMatrix,
     step: the unit delta (exact solution found), a repeat of an earlier
     iterate on the same side (a cycle, so no further progress), or the
     max_iter cap on the number of computed deltas. The reported triple
-    is the best one observed, which for a non-increasing sequence is
-    the last one up to floating point noise.
+    is that of the first half step whose delta is within PAIR_DELTA_TOL
+    of the smallest observed, so a plateau of deltas equal up to
+    rounding returns its first pair whatever the last bits are.
     """
     sf = _same_semifield(a, b)
     if a.rows != b.rows:

@@ -11,7 +11,10 @@ alternate_reference is the plain form of solvers.alternate: fresh
 arrays every half step and a repeat test that scans every stored
 iterate; alternate must match it bit for bit. Both references, like
 alternate, take the next image from the projection that measured
-delta, scaled by sqrt(delta), not from the new iterate. milp_rational
+delta, not from the new iterate, and carry the scaling of the iterates
+as a running shift that is applied to the image only when it passes
+the data's largest magnitude; both return the pair of the first half
+step within pair_tolerance of the smallest delta. milp_rational
 computes the exact Chebyshev optimum of a small rational fit as a
 mixed-integer program (it needs scipy).
 """
@@ -24,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from tropfit import (
+    MaxTimes,
     Termination,
     TropicalMatrix,
     TropicalVector,
@@ -36,7 +40,12 @@ from tropfit import (
     scale,
     vec_mat_mul,
 )
-from tropfit.solvers import DELTA_UNIT_TOL, ITERATE_MATCH_TOL, scaled_tolerance
+from tropfit.solvers import (
+    DELTA_UNIT_TOL,
+    ITERATE_MATCH_TOL,
+    PAIR_DELTA_TOL,
+    scaled_tolerance,
+)
 
 #: Unit and iterate match tolerances of the per-scalar two-sided
 #: reference. The package's match tolerance grows for data above about
@@ -139,61 +148,80 @@ def _matches_previous(vec: TropicalVector,
     return False
 
 
+def _reading(value: float, sf) -> float:
+    """The max-plus reading of a semifield scalar."""
+    return math.log(value) if isinstance(sf, MaxTimes) else value
+
+
 def two_sided_reference(a: TropicalMatrix, b: TropicalMatrix,
                         x0: Optional[TropicalVector] = None,
                         max_iter: int = 1000):
     """Alternating projections for a x = b y, one scalar at a time.
 
-    Same start, half steps and stopping rules as two_sided_solve:
-    project onto the other side's span, then stop on the unit delta, on
-    a repeat of an earlier iterate of the same side, or at max_iter
-    half steps. Returns (deltas, x_star, y_star, termination).
+    Same start, half steps, stopping rules and returned pair as
+    two_sided_solve: project onto the other side's span, then stop on
+    the unit delta, on a repeat of an earlier iterate of the same side,
+    or at max_iter half steps, and return the pair of the first half
+    step whose delta is within pair_tolerance of the smallest. Returns
+    (deltas, x_star, y_star, termination).
     """
     sf = a.semifield
     x0 = full(a.cols, sf.one, sf) if x0 is None else x0
+    entries = [_reading(v, sf) for m in (a, b) for row in m.entries
+               for v in row]
+    limit = max(map(abs, entries))
+    shift = sf.one
 
     def half_step(image: TropicalVector, target: TropicalMatrix):
         """(delta, next iterate, next image): the iterate is the
-        residuation scaled by sqrt(delta), and its image the projection
-        scaled alike, target (s r) = s (target r)."""
+        residuation scaled by the running shift times sqrt(delta), and
+        the image is the projection itself, scaled by the shift only
+        when the shift's reading exceeds limit, which resets it."""
+        nonlocal shift
         reached = conjugate(vec_mat_mul(conjugate(image), target))
         projection = mat_vec_mul(target, reached)
         delta = dot(conjugate(projection), image)
-        root = sf.sqrt(delta)
-        return delta, scale(root, reached), scale(root, projection)
+        shift = sf.mul(shift, sf.sqrt(delta))
+        iterate = scale(shift, reached)
+        if _reading(shift, sf) > limit:
+            projection, shift = scale(shift, projection), sf.one
+        return delta, iterate, projection
 
     seen_x = [x0]
     seen_y: list[TropicalVector] = []
     deltas: list[float] = []
-    best_delta = None
-    best_x = best_y = None
+    pairs = []
     x_current = x0
     image = mat_vec_mul(a, x0)
+
+    def result(termination):
+        readings = [_reading(d, sf) for d in deltas]
+        best = pair_step(readings, pair_tolerance(readings, *entries))
+        return (deltas, *pairs[best], termination)
+
     while True:
         delta, y_next, image = half_step(image, b)
         deltas.append(delta)
-        if best_delta is None or delta < best_delta:
-            best_delta, best_x, best_y = delta, x_current, y_next
+        pairs.append((x_current, y_next))
         if sf.is_one(delta, REFERENCE_UNIT_TOL):
-            return deltas, best_x, best_y, Termination.EXACT_SOLUTION
+            return result(Termination.EXACT_SOLUTION)
         if _matches_previous(y_next, seen_y):
-            return deltas, best_x, best_y, Termination.CYCLE_DETECTED
+            return result(Termination.CYCLE_DETECTED)
         seen_y.append(y_next)
         if len(deltas) >= max_iter:
-            return deltas, best_x, best_y, Termination.ITERATION_CAP
+            return result(Termination.ITERATION_CAP)
 
         delta, x_next, image = half_step(image, a)
         deltas.append(delta)
-        if delta < best_delta:
-            best_delta, best_x, best_y = delta, x_next, y_next
+        pairs.append((x_next, y_next))
         if sf.is_one(delta, REFERENCE_UNIT_TOL):
-            return deltas, best_x, best_y, Termination.EXACT_SOLUTION
+            return result(Termination.EXACT_SOLUTION)
         if _matches_previous(x_next, seen_x):
-            return deltas, best_x, best_y, Termination.CYCLE_DETECTED
+            return result(Termination.CYCLE_DETECTED)
         seen_x.append(x_next)
         x_current = x_next
         if len(deltas) >= max_iter:
-            return deltas, best_x, best_y, Termination.ITERATION_CAP
+            return result(Termination.ITERATION_CAP)
 
 
 def one_sided_reference(a: TropicalMatrix, b: TropicalVector):
@@ -235,32 +263,55 @@ def _residuate_reference(at: np.ndarray, b: np.ndarray):
     return r, projection, float(np.maximum.reduce(b - projection))
 
 
+def pair_step(deltas, tol: float) -> int:
+    """k*, the first half step whose delta is within tol of the smallest."""
+    low = min(deltas)
+    return next(k for k, delta in enumerate(deltas) if delta <= low + tol)
+
+
+def pair_tolerance(deltas, *arrays) -> float:
+    """The tolerance of pair_step for max-plus deltas of a run on arrays."""
+    return scaled_tolerance(PAIR_DELTA_TOL, min(deltas), *arrays)
+
+
 def alternate_reference(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
-                        max_iter: int):
+                        max_iter: int, limit: Optional[float] = None):
     """solvers.alternate with fresh arrays per half step and a full
     repeat test over every stored iterate: (deltas, delta, x, y,
-    termination)."""
+    termination).
+
+    The next image is the projection itself, and the iterate is the
+    residuation plus a running shift, -0.0 beside x0 plus delta / 2 per
+    half step. When the shift exceeds limit (by default the largest
+    magnitude in at and bt), the shift is added to the image and reset
+    to 0.0. A limit of -inf adds delta / 2 on every half step, the
+    arithmetic of a solver that keeps no shift.
+    """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     match_tol = scaled_tolerance(ITERATE_MATCH_TOL, at, bt)
+    if limit is None:
+        limit = float(max(np.abs(at).max(), np.abs(bt).max()))
     spans = (at, bt)
     current = [x0, None]
     seen = [np.empty((len(at), 32)), np.empty((len(bt), 32))]
     seen[0][:, 0] = x0
     count = [1, 0]
     deltas: list[float] = []
-    best = None
+    pairs = []
+    shift = -0.0
     side = 0
     image = np.maximum.reduce(at + x0[:, None], axis=0)
     while True:
         other = 1 - side
-        reached, projection, delta = _residuate_reference(spans[other], image)
-        current[other] = reached + 0.5 * delta
-        # The image of r + delta / 2 is the projection plus delta / 2.
-        image = projection + 0.5 * delta
+        reached, image, delta = _residuate_reference(spans[other], image)
+        shift += 0.5 * delta
+        current[other] = reached + shift
+        if shift > limit:
+            image = image + shift
+            shift = 0.0
         deltas.append(delta)
-        if best is None or delta < best[0]:
-            best = (delta, current[0], current[1])
+        pairs.append((current[0], current[1]))
         if abs(delta) <= DELTA_UNIT_TOL:
             termination = Termination.EXACT_SOLUTION
             break
@@ -279,7 +330,8 @@ def alternate_reference(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
             termination = Termination.ITERATION_CAP
             break
         side = other
-    return deltas, best[0], best[1], best[2], termination
+    best = pair_step(deltas, pair_tolerance(deltas, at, bt))
+    return deltas, deltas[best], *pairs[best], termination
 
 
 # --- exact rational optimum as a mixed-integer program ----------------------

@@ -1,13 +1,16 @@
 """solvers.alternate against its plain form, its repeat test and its pair.
 
 alternate reuses its buffers, stores each iterate as its residuation r
-with delta / 2 beside it, and prefilters its repeat test by the first
-coordinate; none of these may move a result. Every case compares the
-delta list, the chosen delta, the returned pair and the termination
+with a running shift beside it, and prefilters its repeat test by the
+first coordinate; none of these may move a result. Every case compares
+the delta list, the chosen delta, the returned pair and the termination
 with oracles.alternate_reference, byte for byte. That reference takes
-each image from the last projection, as alternate does, so a last group
-of cases checks the returned pair against images recomputed from the
-designs.
+each image from the last projection and carries the same shift, as
+alternate does. With a limit of -inf it adds delta / 2 to every image
+instead, and a group of cases checks that this change of rounding
+moves neither the half-step count, the termination nor the returned
+pair. A last group checks the returned pair against images recomputed
+from the designs.
 """
 
 import math
@@ -34,7 +37,12 @@ from tropfit.solvers import (
     scaled_tolerance,
     to_max_plus,
 )
-from oracles import alternate_reference, rational_system
+from oracles import (
+    alternate_reference,
+    pair_step,
+    pair_tolerance,
+    rational_system,
+)
 
 NUM_6 = DegreeVector([-3, -2, 0, 1, 2, 4])
 DEN_4 = DegreeVector([-5, -3, -2, 0])
@@ -69,12 +77,17 @@ def assert_same_run(at, bt, x0, max_iter):
     return got
 
 
-# Built as the rational-fit benchmark builds its instances: 200 noisy
-# samples of g and the 6/4 class. A run that stops at the cap is cut
-# short; the same run uncapped ends in a cycle.
-RATIONAL_FIT_CASES = [rational_arrays(SampleSet.from_reals(
-    zip(*(v.tolist() for v in noisy_g(1, k, 200))), MAX_PLUS), NUM_6, DEN_4)
-    for k in range(32)]
+def rational_fit_case(seed, index):
+    """Built as the rational-fit benchmark builds its instances: 200 noisy
+    samples of g and the 6/4 class."""
+    samples = SampleSet.from_reals(
+        zip(*(v.tolist() for v in noisy_g(seed, index, 200))), MAX_PLUS)
+    return rational_arrays(samples, NUM_6, DEN_4)
+
+
+# A run that stops at the cap is cut short; the same run uncapped ends in
+# a cycle.
+RATIONAL_FIT_CASES = [rational_fit_case(1, k) for k in range(32)]
 
 
 @pytest.mark.parametrize("max_iter, stops", [
@@ -146,8 +159,89 @@ def test_a_large_start_does_not_absorb_the_data(start):
         # A common scaling of the units is the default start, bit for bit.
         assert solution == default
     else:
-        assert abs(solution.delta_star - default.delta_star) <= 1e-15
+        assert abs(min(solution.deltas) - default.delta_star) <= 1e-15
+        deltas = solution.deltas
+        tol = pair_tolerance(deltas, np.array(a.entries), np.array(b.entries))
+        assert solution.delta_star == deltas[pair_step(deltas, tol)]
+        assert min(deltas) <= solution.delta_star <= min(deltas) + tol
         assert solution.termination is Termination.CYCLE_DETECTED
+
+
+def shift_crossings(deltas, limit):
+    """How often alternate's running shift passed limit in a run with
+    these deltas: it adds delta / 2 per half step, and is reset to 0.0
+    when it passes limit, unless the run stops at that half step."""
+    shift, count = -0.0, 0
+    for delta in deltas[:-1]:
+        shift += 0.5 * delta
+        if shift > limit:
+            shift, count = 0.0, count + 1
+    return count
+
+
+@pytest.mark.parametrize("offset, seed, crossings", [
+    (0.0, 7, 3),  # entries in [0, 1]: the shift passes 1 three times
+    (1e6, 1, 0),  # entries near 1e6: 1000 half steps stay below the bound
+])
+def test_the_running_shift_is_renormalised_past_the_data(offset, seed,
+                                                          crossings):
+    rng = np.random.default_rng(seed)
+    at = offset + rng.uniform(0.0, 1.0, (4, 30))
+    bt = offset + rng.uniform(0.0, 1.0, (3, 30))
+    deltas = assert_same_run(at, bt, np.zeros(4), 1000)[0]
+    limit = max(np.abs(at).max(), np.abs(bt).max())
+    assert shift_crossings(deltas, limit) == crossings
+    assert len(deltas) == (10 if crossings else 1000)
+
+
+# --- the returned pair follows the run, not its rounding --------------------
+
+#: How far the returned delta and pair may move, in max-plus units, when
+#: only the rounding of a run changes; scaled_tolerance raises it.
+PAIR_AGREEMENT_TOL = 1e-11
+
+
+def shift_free_runs(at, bt, max_iter=150):
+    """alternate's run and that of its shift-free form from x0 = 0: the
+    reference with a limit of -inf, which adds delta / 2 to every image."""
+    x0 = np.zeros(len(at))
+    return (alternate(at, bt, x0, max_iter),
+            alternate_reference(at, bt, x0, max_iter, -math.inf))
+
+
+def pair_stability_problem(at, bt, got, want):
+    """None if the runs got and want on at, bt agree, else what differs.
+
+    Their deltas differ by rounding, so they must stop after the same
+    half step for the same reason, pick the same k* and return a delta
+    and a pair within PAIR_AGREEMENT_TOL.
+    """
+    if len(got[0]) != len(want[0]) or got[4] is not want[4]:
+        return (f"{len(got[0])} half steps, {got[4]}, against "
+                f"{len(want[0])}, {want[4]}")
+    steps = [pair_step(run[0], pair_tolerance(run[0], at, bt))
+             for run in (got, want)]
+    if steps[0] != steps[1]:
+        return f"k* {steps[0]} against {steps[1]}"
+    gap = max(abs(got[1] - want[1]), np.abs(got[2] - want[2]).max(),
+              np.abs(got[3] - want[3]).max())
+    tol = scaled_tolerance(PAIR_AGREEMENT_TOL, at, bt, got[2], got[3])
+    if not gap <= tol:
+        return f"the delta and pair move by {gap!r}, above {tol!r}"
+    return None
+
+
+def test_the_pair_does_not_move_with_the_rounding_of_the_run():
+    # tests/pair_stability.py runs the same check on the 768 instances of
+    # rational-fit seeds 1 to 3.
+    moved = 0
+    for at, bt in RATIONAL_FIT_CASES + [rational_fit_case(1, k)
+                                        for k in range(32, 64)]:
+        got, want = shift_free_runs(at, bt)
+        assert pair_stability_problem(at, bt, got, want) is None
+        # The first half step at the smallest delta moves with rounding.
+        moved += got[0].index(min(got[0])) != want[0].index(min(want[0]))
+    assert moved > 0
 
 
 # --- the iterate store and its prefiltered repeat test ----------------------
@@ -155,34 +249,35 @@ def test_a_large_start_does_not_absorb_the_data(start):
 class History:
     """One side's store as alternate keeps it, for probing _repeats.
 
-    rows holds (r, delta / 2) pairs, r an (n, 1) column, whose iterate is
-    r + delta / 2; firsts is the sorted list of the finite first
-    coordinates of the iterates and order the row of each.
+    rows holds (r, shift) pairs, r an (n, 1) column and shift the running
+    shift of its half step, whose iterate is r + shift; firsts is the
+    sorted list of the finite first coordinates of the iterates and order
+    the row of each.
     """
 
     def __init__(self, tol):
         self.rows, self.firsts, self.order = [], [], []
         self.tol = tol
 
-    def repeats(self, r, half):
-        """The verdict of _repeats on r + half, leaving the store unchanged."""
-        return _repeats(self.rows + [(r[:, None], half)], list(self.firsts),
+    def repeats(self, r, shift):
+        """The verdict of _repeats on r + shift; the store is unchanged."""
+        return _repeats(self.rows + [(r[:, None], shift)], list(self.firsts),
                         list(self.order), self.tol)
 
-    def store(self, r, half):
-        self.rows.append((r[:, None].copy(), half))
+    def store(self, r, shift):
+        self.rows.append((r[:, None].copy(), shift))
         assert not _repeats(self.rows, self.firsts, self.order, self.tol)
         assert self.firsts == sorted(self.firsts)
         assert [self.rows[h][0].item(0) + self.rows[h][1]
                 for h in self.order] == self.firsts
 
 
-def brute_repeats(history, r, half):
-    """The full scan over every stored iterate, formed as r + delta / 2."""
+def brute_repeats(history, r, shift):
+    """The full scan over every stored iterate, formed as r + shift."""
     stored = np.array([row[:, 0] + h for row, h in history.rows])
     with np.errstate(invalid="ignore"):
         gaps = np.maximum.reduce(
-            np.abs(stored.reshape(-1, len(r)) - (r + half)), axis=1)
+            np.abs(stored.reshape(-1, len(r)) - (r + shift)), axis=1)
     return bool((gaps <= history.tol).any())
 
 
@@ -212,10 +307,10 @@ def test_history_repeat_test_equals_the_full_scan(tol):
     history = History(tol)
     checked = matched = unmatched_r = 0
 
-    def check(r, half):
+    def check(r, shift):
         nonlocal checked, matched
-        verdict = history.repeats(r, half)
-        assert verdict == brute_repeats(history, r, half)
+        verdict = history.repeats(r, shift)
+        assert verdict == brute_repeats(history, r, shift)
         checked += 1
         matched += verdict
         return verdict
@@ -223,24 +318,24 @@ def test_history_repeat_test_equals_the_full_scan(tol):
     for scale in (1e-3, 1.0, 1e6, 1e20):
         for _ in range(12):
             r = rng.uniform(-1, 1, 4) * scale
-            half = rng.uniform(0.5, 1.0) * scale
+            shift = rng.uniform(0.5, 1.0) * scale
             if history.rows and rng.integers(2):
                 # Half the time take the first coordinate of r and the
-                # delta / 2 of a stored row, so the prefilter window is
+                # shift of a stored row, so the prefilter window is
                 # not empty.
-                stored, half = history.rows[rng.integers(len(history.rows))]
+                stored, shift = history.rows[rng.integers(len(history.rows))]
                 r[0] = stored.item(0)
             for probe in probes(r, tol, rng):
-                check(probe, half)
-            history.store(r, half)
+                check(probe, shift)
+            history.store(r, shift)
             for probe in probes(r, tol, rng):
-                check(probe, half)
-            # The stored r itself beside other halves: its first
+                check(probe, shift)
+            # The stored r itself beside other shifts: its first
             # coordinate stays in the window, but the iterate moves by
             # 1.5 tol, 0.5 tol or one ulp, so comparing r alone would
             # match where the iterates do not.
-            for other in (half + 1.5 * tol, half - 1.5 * tol,
-                          half + 0.5 * tol, math.nextafter(half, math.inf)):
+            for other in (shift + 1.5 * tol, shift - 1.5 * tol,
+                          shift + 0.5 * tol, math.nextafter(shift, math.inf)):
                 unmatched_r += not check(r, other)
     # Non-finite iterates are stored too and never match.
     with np.errstate(invalid="ignore"):
@@ -284,7 +379,7 @@ def test_history_keeps_columns_when_it_grows():
     for k in range(70):
         history.store(np.array([float(k), -float(k)]) - 0.25, 0.25)
     assert len(history.rows) == 70
-    assert [r.item(0) + half for r, half in history.rows] == list(
+    assert [r.item(0) + shift for r, shift in history.rows] == list(
         np.arange(70.0))
     assert history.repeats(np.array([33.0, -33.0]), 0.0)
     assert not history.repeats(np.array([33.0, -34.0]), 0.0)

@@ -29,7 +29,13 @@ from tropfit import approx
 from tropfit.approx import evaluate, score_polynomials
 from tropfit.datasets import convex_samples, nonconvex_samples
 from tropfit.solvers import DELTA_UNIT_TOL, scaled_tolerance, to_max_plus
-from oracles import eval_reference, rational_system, two_sided_reference
+from oracles import (
+    eval_reference,
+    pair_step,
+    pair_tolerance,
+    rational_system,
+    two_sided_reference,
+)
 
 # Reference values for the bundled demo fits (printed to four decimals
 # in the docs); independently re-derivable from the closed-form solve.
@@ -476,9 +482,11 @@ def test_fit_rational_matches_per_scalar_reference():
                      ([-3, -2, 0, 1, 2, 4], [-5, -3, -2, 0])):
         num, den = DegreeVector(num), DegreeVector(den)
         report = fit_rational(samples, num, den)
-        deltas, theta, sigma, termination = two_sided_reference(
-            *rational_system(samples, num, den))
-        assert report.delta_star == min(deltas)
+        a, b = rational_system(samples, num, den)
+        deltas, theta, sigma, termination = two_sided_reference(a, b)
+        tol = pair_tolerance(deltas, np.array(a.entries), np.array(b.entries))
+        assert report.delta_star == deltas[pair_step(deltas, tol)]
+        assert min(deltas) <= report.delta_star <= min(deltas) + tol
         assert report.model.numerator.coefficients == theta
         assert report.model.denominator.coefficients == sigma
         assert report.iterations == len(deltas)

@@ -244,7 +244,7 @@ def _probe_samples():
     (None, 300, 46, 8.790855251739556, [0, 44, 199], None),
     (1, 300, 42, 61.982032661270544, [-204, -32], [-35]),
     (None, 600, 145, 4.560915404207631, [-594, -125, 1], None),
-    (1, 600, 121, 17984.876685750074, [-408, -64], [-70]),
+    (1, 600, 120, 17984.87668574982, [-408, -64], [-70]),
 ])
 def test_searches_score_draws_that_cannot_be_fitted_as_inf(
         n_den, bound, failed, delta_star, num, den):

@@ -45,6 +45,8 @@ from oracles import (
     grid_min_one_sided,
     grid_min_two_sided,
     one_sided_reference,
+    pair_step,
+    pair_tolerance,
     two_sided_reference,
 )
 
@@ -192,6 +194,14 @@ def test_two_sided_identical_spans():
     assert max(abs(p - q) for p, q in zip(sol.y_star, expected)) <= 1e-9
 
 
+def assert_pair_rule(delta_star, deltas, a, b):
+    """delta_star is the delta of the first half step within the pair
+    tolerance of the smallest, in max-plus."""
+    tol = pair_tolerance(deltas, np.array(a.entries), np.array(b.entries))
+    assert delta_star == deltas[pair_step(deltas, tol)]
+    assert min(deltas) <= delta_star <= min(deltas) + tol
+
+
 def test_two_sided_monotone_and_bounded():
     rng = random.Random(8)
     for _ in range(30):
@@ -202,7 +212,7 @@ def test_two_sided_monotone_and_bounded():
         assert sol.delta_star >= -1e-15
         for earlier, later in zip(sol.deltas, sol.deltas[1:]):
             assert later <= earlier + 1e-12
-        assert sol.delta_star == min(sol.deltas)
+        assert_pair_rule(sol.delta_star, sol.deltas, a, b)
         if sol.termination is Termination.EXACT_SOLUTION:
             left = mat_vec_mul(a, sol.x_star)
             right = mat_vec_mul(b, sol.y_star)
@@ -301,7 +311,7 @@ def test_two_sided_matches_per_scalar_reference_in_max_plus():
             deltas, x_star, y_star, termination = two_sided_reference(
                 a, b, x0=start, max_iter=max_iter)
             assert sol.deltas == tuple(deltas)
-            assert sol.delta_star == min(deltas)
+            assert_pair_rule(sol.delta_star, deltas, a, b)
             assert sol.x_star == x_star
             assert sol.y_star == y_star
             assert sol.iterations == len(deltas)
@@ -314,7 +324,12 @@ def test_two_sided_matches_per_scalar_reference_in_max_times():
     for a, b, x0 in reference_cases(MAX_TIMES, 40, 13):
         sol = two_sided_solve(a, b, x0=x0)
         deltas, _, _, termination = two_sided_reference(a, b, x0=x0)
-        assert sol.delta_star == pytest.approx(min(deltas), rel=1e-12)
+        readings = np.log(deltas)
+        tol = pair_tolerance(readings, np.log(a.entries), np.log(b.entries))
+        assert sol.delta_star == pytest.approx(
+            deltas[pair_step(readings, tol)], rel=1e-12)
+        low = min(sol.deltas)
+        assert low <= sol.delta_star <= low * math.exp(tol)
         assert sol.iterations == len(deltas)
         assert sol.termination is termination
 
