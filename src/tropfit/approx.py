@@ -84,13 +84,12 @@ class DegreeVector:
     exponents: np.ndarray = field(compare=False)
 
     def __init__(self, degrees: Iterable[Union[Rational, float, str]]):
-        values = list(degrees)
-        # Python ints sort and compare natively, far faster than Fractions.
-        ints = all(type(d) is int for d in values)
         # Fraction(inf) and float() of a degree beyond the float range
         # raise OverflowError.
         try:
-            values = sorted(values if ints else map(_degree, values))
+            # Python ints sort and compare natively, far faster than Fractions.
+            values = sorted(d if type(d) is int else _degree(d)
+                            for d in degrees)
             if not values:
                 raise ValueError("at least one degree is required")
             for left, right in zip(values, values[1:]):
@@ -99,8 +98,7 @@ class DegreeVector:
             exponents = np.array([float(d) for d in values])
         except OverflowError:
             raise ValueError("a degree overflows the float range") from None
-        object.__setattr__(self, "degrees", tuple(map(Fraction, values))
-                           if ints else tuple(values))
+        object.__setattr__(self, "degrees", tuple(map(Fraction, values)))
         object.__setattr__(self, "exponents", _read_only(exponents))
 
     def __len__(self) -> int:
@@ -407,15 +405,15 @@ def score_polynomials(samples: SampleSet, rows: np.ndarray) -> tuple[
     if len(rows) and not rows.shape[1]:
         DegreeVector([])
     repeats = (np.diff(np.sort(rows, axis=1), axis=1) == 0).any(axis=1)
-    return _score_terms(samples, rows.T, 0, repeats)
+    return _score_terms(samples, rows.T, 0, repeats if repeats.any() else None)
 
 
 def _score_terms(samples: SampleSet, terms: np.ndarray, low: int = 0,
-                 failed=False) -> tuple[np.ndarray, Optional[FitReport]]:
+                 failed=None) -> tuple[np.ndarray, Optional[FitReport]]:
     """score_polynomials of the classes low + terms[:, j]; terms x draws.
 
-    failed marks classes known to fail, score_polynomials' rows that
-    repeat a degree (search draws do not). The residual
+    failed, when given, marks classes known to fail: score_polynomials'
+    rows that repeat a degree (search draws do not). The residual
     r_p = min_i (y_i - p x_i) of a degree p does not depend on its class,
     so it is computed once per degree, with the slack
     s_pi = y_i - (p x_i + r_p). A class's delta is max_i min_{p in class}
@@ -424,9 +422,9 @@ def _score_terms(samples: SampleSet, terms: np.ndarray, low: int = 0,
     share one degrees x samples buffer, gathered SCORE_ELEMENTS floats
     at a time. The range rule is checked once, on the extremes of all
     terms, which enclose every class's bounds, and of all coefficients
-    and deltas. Only when that fails is each class judged on its own,
-    from its terms' extremes and its coefficients and delta, which is
-    fit_polynomial's verdict; a failing class scores math.inf.
+    and deltas. Only when that fails, or failed is given, is each class
+    judged on its own (fit_polynomial's verdict), from its terms'
+    extremes, coefficients and delta; a failing class scores math.inf.
     """
     sf = samples.semifield
     x, y = samples.xs, samples.ys
@@ -458,16 +456,18 @@ def _score_terms(samples: SampleSet, terms: np.ndarray, low: int = 0,
         np.maximum(delta, 0.0, out=delta)
         theta, exact = balance(r[index.T], delta)
         scores, delta_out = _map_out(delta, sf)
+        theta_out = out_of_range(theta, sf)
         fits = (residuation_in_range(t_lo, t_hi, y.min(), y.max())
-                and not out_of_range(theta, sf).any()
-                and not delta_out.any())
-        if not fits or failed is not False:
+                and not theta_out.any() and not delta_out.any())
+        if not fits or failed is not None:
             # fl(p x) is monotone in x, so the terms of degree p lie
-            # between p min x and p max x: terms x classes x 2 ends.
-            ends = np.multiply.outer(degrees, (x.min(), x.max()))[index]
-            failed = failed | out_of_range(theta, sf).any(1) | delta_out
-            failed |= ~residuation_in_range(ends.min((0, 2)), ends.max((0, 2)),
-                                            y.min(), y.max())
+            # between p min x and p max x; a class's ends are the
+            # extremes of its degrees', gathered along the terms axis.
+            ends = np.multiply.outer(degrees, (x.min(), x.max()))
+            lo, hi = ends.min(1)[index].min(0), ends.max(1)[index].max(0)
+            failed = (theta_out.any(1) | delta_out
+                      | ~residuation_in_range(lo, hi, y.min(), y.max())
+                      | (False if failed is None else failed))
             scores[failed] = math.inf
     # argmin takes the first smallest delta_star, as the strict < of a
     # row-by-row search does; it is inf only when every class fails, and

@@ -6,23 +6,9 @@ at once (as approx.score_polynomials scores rows), rational draws are
 fitted one at a time, and the class with the smallest error wins.
 Draws are generated up front from a single stream in step order, so
 run i of a longer search sees exactly the draws of a shorter one
-(prefix stability), and ties are broken by draw index.
-
-The stream is that of one rng.choice(width, size=count, replace=False)
-call per draw (numerator, then denominator, for rational classes), but
-a search computes all of its draws in one block (_choice_block): one
-_bounded call makes the bounded draws of every call, in the order and
-with the routine Generator.choice uses, and Floyd's algorithm then
-runs step by step on a terms x draws block, each step on one row of it
-for every draw at once. The generator ends where the per-draw calls
-would leave it, for any bit generator and width. A round with a class
-of more than BLOCK_COUNT terms, where Floyd's steps (count**2 per draw)
-lose to rng.choice, is drawn one rng.choice call per class. The tests
-compare the block with rng.choice itself.
-
-A block's classes are not sorted: a polynomial class's delta is a max
-of mins over its terms, so the scorer takes its terms in any order, and
-DegreeVector sorts the classes that become models.
+(prefix stability), and ties are broken by draw index. The draws
+equal per-class rng.choice calls (_choice_block), so seeded results do
+not depend on how they are computed.
 """
 
 from __future__ import annotations
@@ -209,8 +195,7 @@ def random_search(samples: SampleSet, config: SearchConfig,
     Polynomial draws are scored from per-degree residuals, as drawn
     (approx._score_terms), whose tables also give the winner's FitReport;
     rational draws are fitted one at a time. A draw that cannot be fitted
-    scores math.inf (see SearchReport); only when every draw fails does
-    the first one's error end the search. Everything runs on the calling
+    scores math.inf, as SearchReport says. Everything runs on the calling
     thread; threads is accepted for compatibility and has no effect.
     """
     rng = np.random.default_rng(config.rng_seed)

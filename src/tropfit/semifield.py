@@ -49,6 +49,7 @@ class Semifield:
     The two usable instances are MAX_PLUS and MAX_TIMES. All scalars in
     one expression must come from the same instance; the containers in
     the linalg module enforce that.
+    Each instance defines mul, inv, pow, contains, is_one and from_real.
     """
 
     name = ""
@@ -73,30 +74,9 @@ class Semifield:
             return False
         return a <= b
 
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def inv(self, a: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def pow(self, a: Scalar, exponent: Rational) -> Scalar:
-        raise NotImplementedError
-
     def sqrt(self, a: Scalar) -> Scalar:
         """Semifield square root, pow(a, 1/2)."""
         return self.pow(a, _HALF)
-
-    def contains(self, value: float) -> bool:
-        """Whether a float is a finite member of the scalar set."""
-        raise NotImplementedError
-
-    def is_one(self, a: Scalar, tol: float) -> bool:
-        """Whether a equals the unit, up to tol in conventional units."""
-        raise NotImplementedError
-
-    def from_real(self, value: float) -> Scalar:
-        """Embed a conventional real number, mapping in-band zeros to ZERO."""
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<semifield {self.name}>"

@@ -5,17 +5,13 @@ closed-form best solution obtained through residuation. The two-sided
 equation a x = b y is solved numerically by alternating projections:
 the image of the current iterate under one matrix is projected onto
 the column span of the other, and the achieved squared distances form
-a non-increasing sequence. The pair reported is that of the first
-half step whose distance is within PAIR_DELTA_TOL of the smallest, so
-distances that differ by rounding alone pick the same pair.
+a non-increasing sequence.
 
 All arithmetic runs in max-plus on float arrays. This module owns that
 number format: max-times values are mapped in through the logarithm
 and out through the exponential (to_max_plus / from_max_plus), which
 turns max-times products into max-plus sums. It also owns the one
-range rule (out_of_range): a reading has a float value when it is
-finite and, in max-times, its exponential is a normal float: not inf,
-0 or subnormal, which keeps too few bits. Every value leaving the core
+range rule (out_of_range). Every value leaving the core
 goes through the checked map-out, from_max_plus with a name, which
 raises ValueError for the first reading out of range.
 
@@ -26,17 +22,7 @@ call it. Designs have many samples and few terms, so with terms on the
 leading axis a reduction over terms is an elementwise max of a few
 contiguous sample rows, and a reduction over samples runs along one
 contiguous row, instead of either one reducing many short inner rows of
-4 to 6 terms. alternate spends nearly all of a rational fit in its half
-steps, so each one makes six numpy calls into buffers allocated once
-per call and little else. The map it iterates is additively
-homogeneous: residuating b + c gives r + c, and B (r + c) = B r + c. So
-each iterate's scaling by sqrt(delta) rides beside it as a running
-shift, a Python float, and the next image is the projection itself;
-the shift is added to an image only when it passes the data's largest
-magnitude. This and taking the image from the projection rather than
-from the new iterate are equal in exact arithmetic and differ by
-rounding in the last bits. Its repeat test looks only near the new
-iterate's first coordinate, which changes no floating-point operation.
+4 to 6 terms.
 
 The tuple API (one_sided_solve, two_sided_solve) keeps the usual
 samples x terms orientation and transposes once at its boundary.
@@ -404,6 +390,9 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     first half step whose delta is within PAIR_DELTA_TOL (scaled to the
     smallest delta and the extremes, as match_tol is) of the smallest:
     row (k* + 1) // 2 of side 0 and row k* // 2 of side 1.
+    Half steps take nearly all of a rational fit's time, hence so few
+    calls. The map is additively homogeneous (b + c residuates to r + c,
+    and B (r + c) = B r + c): the shift equals scaling up to rounding.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

@@ -1,7 +1,7 @@
 """Print a fingerprint of seeded tropfit results, outside tier-1.
 
-Each group of seeded fits, searches and solves is reduced to the first
-16 hex digits of a sha256 over its results: deltas and errors as
+Each group of seeded fits, searches, scores and solves is reduced to the
+first 16 hex digits of a sha256 over its results: deltas and errors as
 float.hex, coefficients, degrees, error traces, iteration counts and
 terminations. A last line covers every group. Two versions of the
 package that print the same lines give the same results bit for bit.
@@ -13,6 +13,7 @@ this file. Run it from the repository root:
 """
 
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from tropfit import (
     random_search,
     two_sided_solve,
 )
+from tropfit.approx import score_polynomials
 from tropfit.datasets import convex_samples, nonconvex_curve, nonconvex_samples
 
 
@@ -79,16 +81,38 @@ def readme_searches():
                                           n_terms_denominator=2)))
 
 
-def max_times_probes():
-    # f mapped to max-times, x = e^(t+1) and y = e^y: draws partly fail.
-    samples = SampleSet.from_reals(
+def f_max_times():
+    """f mapped to max-times, x = e^(t+1) and y = e^y."""
+    return SampleSet.from_reals(
         [(math.exp(t + 1), math.exp(y)) for t, y in convex_samples().points],
         MAX_TIMES)
+
+
+def max_times_probes():
+    # Draws partly fail.
+    samples = f_max_times()
     for width in (300, 600):
         for numerator, denominator in ((3, None), (2, 1)):
             yield search_result(random_search(samples, SearchConfig(
                 numerator, -width, width, 200, 1,
                 n_terms_denominator=denominator)))
+
+
+def scoring_result(samples, rows):
+    scores, best = score_polynomials(samples, rows)
+    return scores.tolist(), fit_result(best)
+
+
+def poly_scoring(count=2000):
+    # Every 5-term class of the README space, rows drawn with replacement
+    # (most repeat a degree) and 3-term rows on f in max-times, some of
+    # which leave the float range.
+    samples = convex_samples()
+    yield scoring_result(samples, np.array(
+        list(itertools.combinations(range(-15, 6), 5))))
+    rng = np.random.default_rng(31)
+    yield scoring_result(samples, rng.integers(-15, 6, (count, 5)))
+    yield scoring_result(f_max_times(), rng.integers(-300, 301, (count, 3)))
 
 
 def two_sided_systems(count=300):
@@ -124,6 +148,7 @@ GROUPS = {
     "readme-fits": readme_fits,
     "readme-searches": readme_searches,
     "max-times-probes": max_times_probes,
+    "poly-scoring": poly_scoring,
     "two-sided-systems": two_sided_systems,
     "noisy-g-fits": noisy_g_fits,
 }
