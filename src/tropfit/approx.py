@@ -420,11 +420,13 @@ def _score_terms(samples: SampleSet, terms: np.ndarray, low: int = 0,
     s_pi: the same float as the residuation of its design, since y - v
     rounds monotonically in v, for any order of its terms. The tables
     share one degrees x samples buffer, gathered SCORE_ELEMENTS floats
-    at a time. The range rule is checked once, on the extremes of all
-    terms, which enclose every class's bounds, and of all coefficients
-    and deltas. Only when that fails, or failed is given, is each class
-    judged on its own (fit_polynomial's verdict), from its terms'
-    extremes, coefficients and delta; a failing class scores math.inf.
+    at a time. fl(p x) is monotone in p and in x, so all terms lie
+    between products of the end degrees (sorted) and abscissas, and the
+    range rule is checked once, on those and on all coefficients and
+    deltas. Only when that fails, or failed is given, is each class
+    judged on its own (fit_polynomial's verdict), from p min x and
+    p max x of its degrees, its coefficients and delta; a failing class
+    scores math.inf.
     """
     sf = samples.semifield
     x, y = samples.xs, samples.ys
@@ -432,6 +434,8 @@ def _score_terms(samples: SampleSet, terms: np.ndarray, low: int = 0,
     if not n_rows:
         return np.empty(0), None
     degrees, index = _degree_index(terms, low)
+    x_ends, (y_lo, y_hi) = ((float(a.min()), float(a.max())) for a in (x, y))
+    corners = [float(p) * e for p in (degrees[0], degrees[-1]) for e in x_ends]
     delta = np.empty(n_rows)
     step = max(1, SCORE_ELEMENTS // (len(terms) * len(x)))
     table = np.empty((len(degrees), len(x)))
@@ -439,7 +443,6 @@ def _score_terms(samples: SampleSet, terms: np.ndarray, low: int = 0,
         # One table holds the terms p x_i, then y - terms (reduced to r),
         # then the terms again and the slack.
         np.multiply(degrees[:, None], x, out=table)
-        t_lo, t_hi = table.min(), table.max()
         r = np.minimum.reduce(np.subtract(y, table, out=table), axis=1)
         np.multiply(degrees[:, None], x, out=table)
         slack = np.subtract(y, np.add(table, r[:, None], out=table),
@@ -457,16 +460,13 @@ def _score_terms(samples: SampleSet, terms: np.ndarray, low: int = 0,
         theta, exact = balance(r[index.T], delta)
         scores, delta_out = _map_out(delta, sf)
         theta_out = out_of_range(theta, sf)
-        fits = (residuation_in_range(t_lo, t_hi, y.min(), y.max())
+        fits = (residuation_in_range(min(corners), max(corners), y_lo, y_hi)
                 and not theta_out.any() and not delta_out.any())
         if not fits or failed is not None:
-            # fl(p x) is monotone in x, so the terms of degree p lie
-            # between p min x and p max x; a class's ends are the
-            # extremes of its degrees', gathered along the terms axis.
-            ends = np.multiply.outer(degrees, (x.min(), x.max()))
+            ends = np.multiply.outer(degrees, x_ends)
             lo, hi = ends.min(1)[index].min(0), ends.max(1)[index].max(0)
             failed = (theta_out.any(1) | delta_out
-                      | ~residuation_in_range(lo, hi, y.min(), y.max())
+                      | ~residuation_in_range(lo, hi, y_lo, y_hi)
                       | (False if failed is None else failed))
             scores[failed] = math.inf
     # argmin takes the first smallest delta_star, as the strict < of a
@@ -474,13 +474,13 @@ def _score_terms(samples: SampleSet, terms: np.ndarray, low: int = 0,
     # then the first class's fit raises its error.
     best = int(np.argmin(scores))
     row = terms[:, best] + low
+    winner = DegreeVector(row.tolist())
     if scores[best] == math.inf:
-        fit_polynomial(samples, DegreeVector(row.tolist()))
+        fit_polynomial(samples, winner)
     # DegreeVector sorts the degrees; the coefficients follow them.
     order = np.argsort(row, kind="stable")
-    return scores, _polynomial_report(
-        sf, DegreeVector(row.tolist()), theta[best][order],
-        float(delta[best]), bool(exact[best]))
+    return scores, _polynomial_report(sf, winner, theta[best][order],
+                                      float(delta[best]), bool(exact[best]))
 
 
 def fit_rational(samples: SampleSet,
@@ -534,8 +534,8 @@ def _check_rational_error(theta: np.ndarray, num_design: np.ndarray,
     magnitude among the coefficients, design entries, values and y.
     The caller mutes numpy's overflow warnings.
     """
-    numerator = np.maximum.reduce(theta[:, None] + num_design, 0)
-    denominator = np.maximum.reduce(sigma[:, None] + den_design, 0)
+    numerator = _values(theta, num_design)
+    denominator = _values(sigma, den_design)
     worst = float(np.maximum.reduce(np.abs(numerator - denominator - y)))
     if not math.isfinite(worst):
         raise ValueError("the data leave the float range: "
@@ -550,10 +550,9 @@ def _check_rational_error(theta: np.ndarray, num_design: np.ndarray,
             f"({worst!r} vs {error!r} in max-plus units)")
 
 
-def _poly_values(model: PolynomialModel, x: np.ndarray) -> np.ndarray:
-    coefficients = to_max_plus(model.coefficients.elements, model.semifield)
-    return np.maximum.reduce(coefficients[:, None] + _design(x, model.degrees),
-                             axis=0)
+def _values(coefficients: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """max_j (coefficients_j + terms_ji) for each i, on max-plus readings."""
+    return np.maximum.reduce(coefficients[:, None] + terms, 0)
 
 
 def evaluate(model: Union[PolynomialModel, RationalModel],
@@ -562,8 +561,8 @@ def evaluate(model: Union[PolynomialModel, RationalModel],
 
     Points and values are conventional reals of the model's semifield.
     A point at the semifield zero raises ZeroArgument, any other value
-    outside the semifield ValueError, and so does a model value out of
-    the float range (solvers.out_of_range), overflow or underflow.
+    outside the semifield ValueError, and so does a model value, not a
+    term p x in it, out of the float range (solvers.out_of_range).
     """
     sf = model.semifield
     x = to_max_plus(points, sf)
@@ -571,13 +570,13 @@ def evaluate(model: Union[PolynomialModel, RationalModel],
         raise ZeroArgument("models are evaluated at nonzero points")
     if not np.isfinite(x).all():
         raise ValueError(f"evaluation points must be {sf.name} scalars")
+    parts = ((model.numerator, model.denominator)
+             if isinstance(model, RationalModel) else (model,))
     # A value out of range is reported below, so numpy's warning is muted.
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(model, RationalModel):
-            values = (_poly_values(model.numerator, x)
-                      - _poly_values(model.denominator, x))
-        else:
-            values = _poly_values(model, x)
+        values = np.subtract.reduce([
+            _values(to_max_plus(part.coefficients.elements, sf),
+                    part.degrees.exponents[:, None] * x) for part in parts])
     return from_max_plus(values, sf, "a model value")
 
 

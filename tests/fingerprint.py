@@ -1,10 +1,11 @@
 """Print a fingerprint of seeded tropfit results, outside tier-1.
 
-Each group of seeded fits, searches, scores and solves is reduced to the
-first 16 hex digits of a sha256 over its results: deltas and errors as
-float.hex, coefficients, degrees, error traces, iteration counts and
-terminations. A last line covers every group. Two versions of the
-package that print the same lines give the same results bit for bit.
+Each group of seeded fits, searches, scores, solves and evaluations is
+reduced to the first 16 hex digits of a sha256 over its results: deltas
+and errors as float.hex, coefficients, degrees, error traces, iteration
+counts, terminations and model values. A last line covers every group.
+Two versions of the package that print the same lines give the same
+results bit for bit.
 np.log and np.exp may round differently on another machine or numpy
 build, so compare two versions on one machine. pytest does not collect
 this file. Run it from the repository root:
@@ -33,7 +34,8 @@ from tropfit import (
     random_search,
     two_sided_solve,
 )
-from tropfit.approx import score_polynomials
+from tropfit.approx import evaluate, score_polynomials
+from tropfit.cli import parse_grid
 from tropfit.datasets import convex_samples, nonconvex_curve, nonconvex_samples
 
 
@@ -144,6 +146,25 @@ def noisy_g_fits(count=64):
         yield fit_result(fit_rational(samples, num, den, max_iter=150))
 
 
+def evaluation():
+    # The README fits' models, f with 5 terms and g with 4/2 and 6/4, in
+    # both semifields, on the 6,001-point grid of the cli-maxtimes
+    # benchmark; g is mapped to max-times by x = e^t and y = e^y.
+    g_max_times = SampleSet.from_reals(
+        [(math.exp(t), math.exp(y)) for t, y in nonconvex_samples().points],
+        MAX_TIMES)
+    grid = parse_grid("1:7:0.001")
+    for f, g in ((convex_samples(), nonconvex_samples()),
+                 (f_max_times(), g_max_times)):
+        models = [fit_polynomial(f, DegreeVector([-14, -1, 1, 2, 3])).model]
+        for num, den in (([-3, -2, 1, 2], [-5, -2]),
+                         ([-3, -2, 0, 1, 2, 4], [-5, -3, -2, 0])):
+            models.append(fit_rational(g, DegreeVector(num),
+                                       DegreeVector(den)).model)
+        for model in models:
+            yield evaluate(model, grid).tolist()
+
+
 GROUPS = {
     "readme-fits": readme_fits,
     "readme-searches": readme_searches,
@@ -151,6 +172,7 @@ GROUPS = {
     "poly-scoring": poly_scoring,
     "two-sided-systems": two_sided_systems,
     "noisy-g-fits": noisy_g_fits,
+    "evaluation": evaluation,
 }
 
 

@@ -703,18 +703,39 @@ def test_max_times_delta_star_out_of_range_raises(fit):
                                  "exp(1379.1) overflows to inf")
 
 
-@pytest.mark.parametrize("point, message", [
-    (1e-9, "a model value leaves the float range: exp(-828.9) underflows to 0"),
-    (1e9, "a model value leaves the float range: exp(828.9) overflows to inf"),
+@pytest.mark.parametrize("point, message, degrees", [
+    (1e-9, "a model value leaves the float range: exp(-828.9) underflows to 0",
+     [40]),
+    (1e9, "a model value leaves the float range: exp(828.9) overflows to inf",
+     [40]),
+    # Every term p x overflows, to -inf or to +inf, and so does the value.
+    (1e-9, "a model value leaves the float range: exp(-inf) underflows to 0",
+     [1e307, 2e307]),
+    (1e9, "a model value leaves the float range: exp(inf) overflows to inf",
+     [1e307, 2e307]),
 ])
-def test_evaluate_rejects_max_times_values_out_of_range(point, message):
+def test_evaluate_rejects_max_times_values_out_of_range(point, message,
+                                                        degrees):
     # 0 is the semifield zero, not a value; inf is no float value at all.
-    model = PolynomialModel(DegreeVector([40]),
-                            TropicalVector((1.0,), MAX_TIMES))
+    model = PolynomialModel(DegreeVector(degrees),
+                            TropicalVector((1.0,) * len(degrees), MAX_TIMES))
     assert evaluate(model, [1.0]).tolist() == [1.0]
     with pytest.raises(ValueError) as raised:
         evaluate(model, [1.0, point])
     assert str(raised.value) == message
+
+
+def test_evaluate_checks_values_not_terms():
+    # At x = 1e306 the term -1000 x overflows to -inf, and the other term,
+    # x itself, is the exact value; only the value is range-checked.
+    poly = PolynomialModel(DegreeVector([-1000, 1]),
+                           TropicalVector((0.0, 0.0), MAX_PLUS))
+    unit = PolynomialModel(DegreeVector([0]), TropicalVector((0.0,), MAX_PLUS))
+    rational = RationalModel(poly, unit)
+    assert evaluate(poly, [1e306]).tolist() == [1e306]
+    assert eval_polynomial(poly, 1e306) == 1e306
+    assert evaluate(rational, [1e306]).tolist() == [1e306]
+    assert eval_rational(rational, 1e306) == 1e306
 
 
 def test_max_plus_zero_coefficient_scores_and_fits():

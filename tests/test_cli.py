@@ -1118,6 +1118,17 @@ def test_eval_underflow_prints_only_the_error_line(tmp_path):
                            "exp(-828.9) underflows to 0\n")
 
 
+def test_eval_checks_values_not_terms(tmp_path):
+    # The term -1000 x overflows to -inf at 1e306, the value x does not.
+    doc = document("max-plus", ([-1000, 1], [0.0, 0.0]))
+    model = tmp_path / "model.json"
+    model.write_text(serialize_model(doc), encoding="utf-8")
+    done = run_fresh(["eval", "--model", str(model),
+                      "--grid", "1e306:1e306:1"], tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "1e+306\t1e+306\n", "")
+
+
 # --- the fit contract as a property -----------------------------------------
 
 # Sample cells: any float (extreme, subnormal, zero, negative, nan, inf)
