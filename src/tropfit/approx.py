@@ -506,20 +506,30 @@ def fit_rational(samples: SampleSet,
     # Every value out of the float range is reported below, so numpy's
     # warnings are muted, once per fit.
     with np.errstate(over="ignore", invalid="ignore"):
-        num_design = _design(x, num_degrees)
-        # x is finite, so an entry of den_design that overflows is one of
-        # right that does, and _finite reports it there.
+        num_design = num_degrees.exponents[:, None] * x
         den_design = den_degrees.exponents[:, None] * x
-        right = _finite(y + den_design)
-        deltas, delta, theta, sigma, termination = alternate(
-            num_design, right, np.zeros(len(num_degrees)), max_iter)
+        right = y + den_design
+        try:
+            deltas, delta, theta, sigma, termination = alternate(
+                num_design, right, np.zeros(len(num_degrees)), max_iter)
+        except ValueError:
+            # Name a design entry that overflows first (in right: x is finite).
+            _finite(num_design), _finite(right)
+            raise
         _check_rational_error(theta, num_design, sigma, den_design, y,
                               0.5 * delta)
+    # One map-out; on a value out of range the checked ones name it.
+    values, outside = _map_out(
+        np.concatenate((theta, sigma, (delta, 0.5 * delta))), sf)
+    if outside.any():
+        tropical_vector(theta, sf), tropical_vector(sigma, sf)
+        delta_and_error(delta, sf)
+    values, n = values.tolist(), len(theta)
     model = RationalModel(
-        PolynomialModel(num_degrees, tropical_vector(theta, sf)),
-        PolynomialModel(den_degrees, tropical_vector(sigma, sf)))
-    return FitReport(*delta_and_error(delta, sf), model=model,
-                     iterations=len(deltas), termination=termination)
+        PolynomialModel(num_degrees, TropicalVector(values[:n], sf)),
+        PolynomialModel(den_degrees, TropicalVector(values[n:-2], sf)))
+    return FitReport(*values[-2:], model=model, iterations=len(deltas),
+                     termination=termination)
 
 
 def _check_rational_error(theta: np.ndarray, num_design: np.ndarray,

@@ -17,12 +17,12 @@ raises ValueError for the first reading out of range.
 
 The array core (_residuate_into, one_sided, alternate) takes every
 matrix transposed, as (n_terms, n_samples) C-contiguous arrays.
-_residuate_into is its one projection, and one_sided and alternate both
-call it. Designs have many samples and few terms, so with terms on the
-leading axis a reduction over terms is an elementwise max of a few
-contiguous sample rows, and a reduction over samples runs along one
-contiguous row, instead of either one reducing many short inner rows of
-4 to 6 terms.
+_residuate_into is its one projection: one_sided calls it, and every
+half step of alternate runs its lines inline, with no Python call in
+nearly all of them. Designs have many samples and few terms, so with
+terms on the leading axis a reduction over terms is an elementwise max
+of a few contiguous sample rows, and a reduction over samples runs
+along one contiguous row, not over many short inner rows of 4 to 6.
 
 The tuple API (one_sided_solve, two_sided_solve) keeps the usual
 samples x terms orientation and transposes once at its boundary.
@@ -177,15 +177,17 @@ def from_max_plus(values, semifield: Semifield, what: str) -> np.ndarray:
     out of range raises ValueError("<what> leaves the float range:
     exp(<reading>) underflows to 0", "underflows to a subnormal" or
     "overflows to inf"; "<reading> is not finite" in max-plus), what
-    formatted with the reading's flat index.
+    formatted with the reading's flat index; readings from 1e6 up read
+    in exponent form (2.0723e+307), not with every digit.
     """
     max_times = isinstance(semifield, MaxTimes)
     mapped, outside = _map_out(values, semifield)
     if outside.any():
         i = int(np.argmax(outside))
         reading = float(np.asarray(values, dtype=float).flat[i])
-        cause = (f"{reading:.1f} is not finite" if not max_times
-                 else f"exp({reading:.1f}) " + (
+        text = f"{reading:.1f}" if abs(reading) < 1e6 else f"{reading:.4e}"
+        cause = (f"{text} is not finite" if not max_times
+                 else f"exp({text}) " + (
                      "overflows to inf" if reading > 0 else
                      "is nan" if math.isnan(reading) else
                      "underflows to 0" if math.exp(reading) == 0 else
@@ -279,8 +281,7 @@ def _residuate_into(at: np.ndarray, b: np.ndarray, scratch: np.ndarray,
     numpy parses faster than keywords.
 
     delta is never below the unit 0: rounding can leave a consistent
-    system's slack a few ulps negative, and such a delta (or -0.0) is
-    read as 0.0. A nan is kept, for alternate's range check to see.
+    system's slack a few ulps negative, and such a delta reads 0.0.
     """
     _subtract(b, at, scratch)
     r = _min_reduce(scratch, 1, None, None, True)
@@ -316,42 +317,32 @@ def balance(r: np.ndarray, delta: float | np.ndarray) -> tuple[
     return r + 0.5 * np.asarray(delta)[..., None], exact
 
 
-def _repeats(rows: list[tuple[np.ndarray, float]], firsts: list[float],
-             order: list[int], tol: float) -> bool:
-    """Whether the iterate of the last row repeats an earlier one; if not,
-    index it.
+def _repeats(firsts: list[float], order: list[tuple[np.ndarray, float]],
+             low: int, row: tuple[np.ndarray, float], first: float,
+             tol: float) -> bool:
+    """Whether the iterate v = r + s of row (r, s) repeats a stored h,
+    max_j |h_j - v_j| <= tol; if not, index it.
 
-    rows holds one side's iterates as alternate stores them: pairs of an
-    (n, 1) residuation r and the running shift s of its half step, the
-    iterate being r + s, formed by the add that forms it everywhere.
-    Shifts are at most the data's largest magnitude plus one delta / 2,
-    so tol, scaled to the data, keeps its meaning. firsts is
-    the sorted list of the finite first coordinates of the iterates
-    before the last, and order the row of each. A repeat is a row h
-    among them with max_j |h_j - v_j| <= tol. Only the rows whose first
-    coordinate lies in the window [v_0 - 2 tol, v_0 + 2 tol] are tested,
-    and the verdict is that of testing them all: a match needs
-    fl(|h_0 - v_0|) <= tol, so |h_0 - v_0| is at most tol plus half an
-    ulp of tol, and since rounding is monotone, h_0 lies inside the
-    rounded window. The same window holds the insertion point of v_0. A
-    gap of nan or inf never passes (inf - inf elsewhere in a row is a nan
-    gap), so a non-finite v_0 matches nothing and is not indexed.
+    s stays within the data's magnitude plus delta / 2, so tol, scaled
+    to the data, keeps its meaning. firsts holds the side's earlier
+    finite first coordinates sorted, order the row of each, and first is
+    v_0. alternate calls this only when [v_0 - 2 tol, v_0 + 2 tol] holds
+    a stored first coordinate, low the first of them, and testing the
+    rows there gives the verdict of testing all: a repeat needs
+    fl(|h_0 - v_0|) <= tol, so |h_0 - v_0| <= tol plus half an ulp of
+    it, and rounding is monotone. A gap of nan or inf never passes. A
+    row that repeats nothing goes to its sorted place.
     """
-    r, shift = rows[-1]
-    first = r.item(0) + shift
-    if not math.isfinite(first):
-        return False
-    low = bisect_left(firsts, first - 2 * tol)
     high = bisect_right(firsts, first + 2 * tol, low)
-    if low < high:
-        hits = order[low:high]
-        stored = np.array([rows[h][0] for h in hits])
-        stored += np.array([rows[h][1] for h in hits])[:, None, None]
-        if (_max_reduce(np.abs(stored - (r + shift)), 1) <= tol).any():
-            return True
-        low = bisect_right(firsts, first, low, high)
+    hits = order[low:high]
+    stored = np.array([h[0] for h in hits])
+    stored += np.array([h[1] for h in hits])[:, None, None]
+    r, shift = row
+    if (_max_reduce(np.abs(stored - (r + shift)), 1) <= tol).any():
+        return True
+    low = bisect_right(firsts, first, low, high)
     firsts.insert(low, first)
-    order.insert(low, len(rows) - 1)
+    order.insert(low, row)
     return False
 
 
@@ -360,39 +351,30 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
                                       np.ndarray, Termination]:
     """Alternating projections for a x = b y on max-plus float arrays.
 
-    at and bt are a and b transposed, terms by samples, so the image of
-    an iterate is an elementwise max of its term rows and the projection
-    back (_residuate_into) reduces along contiguous sample rows. Returns
-    the delta of every half step, the delta of half step k*, its pair
-    (x, y) and the reason for stopping. The rules are those of
-    two_sided_solve. The entry check (check_residuation, on
-    Python floats) bounds the spans, not the iterates, which can drift
-    out of the float range: a half step whose delta is not finite raises
-    the same ValueError, and numpy's overflow warnings are muted in the
-    loop.
+    at and bt are a and b transposed, terms by samples. Returns the delta
+    of every half step, the delta of half step k*, its pair (x, y) and
+    the reason for stopping, by the rules of two_sided_solve. The entry
+    check bounds the spans, not the iterates, which can drift out of the
+    float range: a half step whose delta is not finite raises the same
+    ValueError; numpy's warnings are muted.
 
     Half step k (from 0) writes side (k + 1) % 2, side 0 being x with x0
-    as its first row. After the image a x0, a half step makes six numpy
-    calls, out buffers positional, in _residuate_into, whose reduction
-    allocates r; the image and projection buffers are allocated once per
-    call. The iterate is r plus a running shift s, a Python float: -0.0
-    beside x0 (x0 + -0.0 is x0 bit for bit), plus delta / 2 at every half
-    step. The next image is the projection of r itself, and the two
-    buffers swap: that projection is the image of the iterate r + s less
-    s. When s passes limit, the largest magnitude among the spans'
-    extremes, the image becomes the projection plus s (one more numpy
-    call) and s is reset to 0.0, so images never drift from the data by
-    more than the data's magnitude. The store keeps each iterate as r
-    with its s beside it, and r + s is formed only where an iterate is
-    read: in the repeat test (_repeats), which looks only at the stored
-    iterates whose first coordinate is within 2 match_tol of the new
-    one's, and in the returned pair. That pair is the one of k*, the
-    first half step whose delta is within PAIR_DELTA_TOL (scaled to the
-    smallest delta and the extremes, as match_tol is) of the smallest:
-    row (k* + 1) // 2 of side 0 and row k* // 2 of side 1.
-    Half steps take nearly all of a rational fit's time, hence so few
-    calls. The map is additively homogeneous (b + c residuates to r + c,
-    and B (r + c) = B r + c): the shift equals scaling up to rounding.
+    as its first row: _residuate_into's projection, inline, six numpy
+    calls into buffers allocated once per call. The iterate is r plus a
+    running shift s, a Python float: -0.0 beside x0 (x0 + -0.0 is x0),
+    plus delta / 2 per half step. The map is additively homogeneous
+    (b + c residuates to r + c, and B (r + c) = B r + c), so the next
+    image is the projection of r itself: the buffers swap. When s passes
+    limit, the spans' largest magnitude, the image becomes the
+    projection plus s and s is reset to 0.0. A side stores its iterates
+    v as pairs (r, s) and their finite v_0 sorted; a half step bisects
+    these for the window [v_0 - 2 match_tol, v_0 + 2 match_tol], takes
+    v_0 in place if it is empty and else calls _repeats, which compares
+    whole iterates. So a half step that neither renormalises nor finds
+    its window occupied, nearly every one, calls no Python function. The
+    returned pair is that of k*, the first half step whose delta is
+    within PAIR_DELTA_TOL (scaled as match_tol is) of the smallest: row
+    (k* + 1) // 2 of side 0 and row k* // 2 of side 1.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -404,37 +386,46 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     # the running shift.
     limit = max(map(abs, a + b))
     match_tol = scaled_tolerance(ITERATE_MATCH_TOL, limit)
+    window, inf = 2 * match_tol, math.inf
     image, under = np.empty(at.shape[1]), np.empty(at.shape[1])
-    # Per side: the span, its scratch, its iterates as (r, shift) and
-    # the sorted finite first coordinates with the row of each.
-    shift = -0.0
-    x_rows, y_rows = [(x0[:, None], shift)], []
-    other = (at, np.empty(at.shape), x_rows, [], [])
+    # Per side: span, scratch, rows (r, shift), sorted finite firsts, rows.
+    shift, x_rows, y_rows = -0.0, [(x0[:, None], -0.0)], []
+    first = x0.item(0) + shift
+    known = [first] if -inf < first < inf else []
+    other = (at, np.empty(at.shape), x_rows, known, x_rows[:len(known)])
     this = (bt, np.empty(bt.shape), y_rows, [], [])
-    _repeats(x_rows, other[3], other[4], match_tol)
     deltas: list[float] = []
-    isfinite = math.isfinite
+    termination = Termination.ITERATION_CAP
     with np.errstate(over="ignore", invalid="ignore"):
         _max_reduce(_add(at, x_rows[0][0], other[1]), 0, None, image)
-        while True:
+        for _ in range(max_iter):
             span, scratch, rows, firsts, order = this
             # The slack goes over the image, which is not read again.
-            r, delta = _residuate_into(span, image, scratch, under, image)
-            if not isfinite(delta):
+            _subtract(image, span, scratch)
+            r = _min_reduce(scratch, 1, None, None, True)
+            _max_reduce(_add(span, r, scratch), 0, None, under)
+            delta = float(_max_reduce(_subtract(image, under, image)))
+            if delta <= 0.0:
+                delta = 0.0
+            elif not delta < inf:
                 raise ValueError("the data leave the float range: "
                                  "their differences overflow")
             shift += 0.5 * delta
-            rows.append((r, shift))
+            row = (r, shift)
+            rows.append(row)
             deltas.append(delta)
             if delta <= DELTA_UNIT_TOL:  # delta is finite and >= 0 here
                 termination = Termination.EXACT_SOLUTION
                 break
-            if _repeats(rows, firsts, order, match_tol):
-                termination = Termination.CYCLE_DETECTED
-                break
-            if len(deltas) >= max_iter:
-                termination = Termination.ITERATION_CAP
-                break
+            first = r.item(0) + shift
+            if -inf < first < inf:
+                low = bisect_left(firsts, first - window)
+                if low == len(firsts) or firsts[low] > first + window:
+                    firsts.insert(low, first)
+                    order.insert(low, row)
+                elif _repeats(firsts, order, low, row, first, match_tol):
+                    termination = Termination.CYCLE_DETECTED
+                    break
             if shift > limit:
                 _add(under, shift, image)
                 shift = 0.0

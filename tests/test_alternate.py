@@ -14,6 +14,7 @@ from the designs.
 """
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from tropfit import (
     TropicalVector,
     two_sided_solve,
 )
+from tropfit import solvers
 from tropfit.approx import _design
 from tropfit.datasets import nonconvex_curve, nonconvex_samples
 from tropfit.solvers import (
@@ -249,6 +251,12 @@ def test_the_pair_does_not_move_with_the_rounding_of_the_run():
 class History:
     """One side's store as alternate keeps it, for probing _repeats.
 
+    It drives _repeats, the part of the repeat test that alternate calls
+    only when the window of a first coordinate holds a stored one. The
+    finite check, the window bisect and the empty-window insertion run
+    inline in alternate; History repeats them here, and the window tests
+    further down reach alternate's own through its runs.
+
     rows holds (r, shift) pairs, r an (n, 1) column and shift the running
     shift of its half step, whose iterate is r + shift; firsts is the
     sorted list of the finite first coordinates of the iterates and order
@@ -259,17 +267,30 @@ class History:
         self.rows, self.firsts, self.order = [], [], []
         self.tol = tol
 
+    def verdict(self, row, firsts, order):
+        """alternate's verdict on row: the inline window, then _repeats."""
+        r, shift = row
+        first = r.item(0) + shift
+        if not math.isfinite(first):
+            return False
+        low = bisect_left(firsts, first - 2 * self.tol)
+        if low == len(firsts) or firsts[low] > first + 2 * self.tol:
+            firsts.insert(low, first)
+            order.insert(low, row)
+            return False
+        return _repeats(firsts, order, low, row, first, self.tol)
+
     def repeats(self, r, shift):
-        """The verdict of _repeats on r + shift; the store is unchanged."""
-        return _repeats(self.rows + [(r[:, None], shift)], list(self.firsts),
-                        list(self.order), self.tol)
+        """The verdict on r + shift; the store is unchanged."""
+        return self.verdict((r[:, None], shift), list(self.firsts),
+                            list(self.order))
 
     def store(self, r, shift):
-        self.rows.append((r[:, None].copy(), shift))
-        assert not _repeats(self.rows, self.firsts, self.order, self.tol)
+        row = (r[:, None].copy(), shift)
+        self.rows.append(row)
+        assert not self.verdict(row, self.firsts, self.order)
         assert self.firsts == sorted(self.firsts)
-        assert [self.rows[h][0].item(0) + self.rows[h][1]
-                for h in self.order] == self.firsts
+        assert [h[0].item(0) + h[1] for h in self.order] == self.firsts
 
 
 def brute_repeats(history, r, shift):
@@ -387,6 +408,63 @@ def test_history_keeps_columns_when_it_grows():
     assert history.repeats(np.array([0.0, 1e-9]), 0.0)
     assert not history.repeats(np.array([0.0, math.nextafter(1e-9, 1.0)]),
                                0.0)
+
+
+# --- alternate's own window, reached through its runs ----------------------
+
+@pytest.fixture
+def windows(monkeypatch):
+    """The verdict of every _repeats call of alternate, which makes one
+    only when the window of a first coordinate holds a stored one.
+
+    Each call checks the side's store that alternate's inline part
+    built: firsts sorted, order in step with it, and firsts[low] the
+    first stored coordinate within 2 tol.
+    """
+    verdicts = []
+
+    def spy(firsts, order, low, row, first, tol):
+        assert firsts == sorted(firsts)
+        assert [r.item(0) + shift for r, shift in order] == firsts
+        assert first - 2 * tol <= firsts[low] <= first + 2 * tol
+        assert low == 0 or firsts[low - 1] < first - 2 * tol
+        verdicts.append(_repeats(firsts, order, low, row, first, tol))
+        return verdicts[-1]
+
+    monkeypatch.setattr(solvers, "_repeats", spy)
+    return verdicts
+
+
+def test_a_run_fills_empty_windows_and_indexes_unmatched_iterates(windows):
+    # Uniform [0, 1] entries: of 8 half steps, two pass the running shift
+    # past the data (renormalise), three find an occupied window whose
+    # stored iterates lie beyond tol, and the last one repeats.
+    rng = np.random.default_rng(38)
+    at, bt = rng.uniform(0.0, 1.0, (4, 30)), rng.uniform(0.0, 1.0, (3, 30))
+    deltas = assert_same_run(at, bt, np.zeros(4), 1000)[0]
+    assert len(deltas) == 8
+    assert shift_crossings(deltas, max(at.max(), bt.max())) == 2
+    assert windows == [False] * 3 + [True]
+
+
+def test_a_run_repeats_x0_at_half_step_1(windows):
+    # One term a side: the x iterate of half step 1 is x0 again, found
+    # in the window that x0's first coordinate opened before the loop.
+    at, bt = np.array([[0.0, 1.0, 2.0]]), np.zeros((1, 3))
+    deltas, _, _, _, termination = assert_same_run(at, bt, np.zeros(1), 10)
+    assert deltas == [2.0, 2.0]
+    assert termination is Termination.CYCLE_DETECTED
+    assert windows == [True]
+
+
+def test_rational_fit_runs_open_their_windows_in_place(windows):
+    # Every iterate of these runs but the repeating ones finds its window
+    # empty and is indexed inline; the repeat is found among them.
+    for at, bt in RATIONAL_FIT_CASES[:8]:
+        windows.clear()
+        got = assert_same_run(at, bt, np.zeros(6), 100000)
+        assert got[4] is Termination.CYCLE_DETECTED
+        assert windows[-1] and len(windows) < len(got[0]) / 10
 
 
 # --- alternate against its plain form on random systems ---------------------

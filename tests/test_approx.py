@@ -703,6 +703,25 @@ def test_max_times_delta_star_out_of_range_raises(fit):
                                  "exp(1379.1) overflows to inf")
 
 
+@pytest.mark.parametrize("logs, num, den, message", [
+    # Both parts' coefficients, -2415 and 2415 over 2415, and delta_star
+    # (1400) leave the range: the numerator's first is named.
+    (((-690.0, -700.0), (0.5, 700.0)), [-4, 3], [3],
+     "coefficient 0 leaves the float range: exp(-2415.0) underflows to 0"),
+    # Only the denominator's second coefficient (-800) leaves it, and it
+    # is named by its index in the denominator.
+    (((100.0, 2.0), (400.0, 0.0)), [0], [-3, 2],
+     "coefficient 1 leaves the float range: exp(-800.0) underflows to 0"),
+])
+def test_max_times_rational_fit_names_its_first_value_out_of_range(
+        logs, num, den, message):
+    samples = SampleSet.from_reals(
+        [(math.exp(t), math.exp(u)) for t, u in logs], MAX_TIMES)
+    with pytest.raises(ValueError) as raised:
+        fit_rational(samples, DegreeVector(num), DegreeVector(den))
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("point, message, degrees", [
     (1e-9, "a model value leaves the float range: exp(-828.9) underflows to 0",
      [40]),
@@ -713,6 +732,9 @@ def test_max_times_delta_star_out_of_range_raises(fit):
      [1e307, 2e307]),
     (1e9, "a model value leaves the float range: exp(inf) overflows to inf",
      [1e307, 2e307]),
+    # A huge finite reading is written in exponent form, not in 308 digits.
+    (1e9, "a model value leaves the float range: exp(2.0723e+307) overflows "
+     "to inf", [1e306]),
 ])
 def test_evaluate_rejects_max_times_values_out_of_range(point, message,
                                                         degrees):
