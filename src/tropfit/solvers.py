@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -317,33 +316,16 @@ def balance(r: np.ndarray, delta: float | np.ndarray) -> tuple[
     return r + 0.5 * np.asarray(delta)[..., None], exact
 
 
-def _repeats(firsts: list[float], order: list[tuple[np.ndarray, float]],
-             low: int, row: tuple[np.ndarray, float], first: float,
+def _repeats(h: np.ndarray, h_shift: float, r: np.ndarray, shift: float,
              tol: float) -> bool:
-    """Whether the iterate v = r + s of row (r, s) repeats a stored h,
-    max_j |h_j - v_j| <= tol; if not, index it.
+    """Whether the iterate r + shift repeats the stored h + h_shift:
+    max_j |(h_j + h_shift) - (r_j + shift)| <= tol.
 
-    s stays within the data's magnitude plus delta / 2, so tol, scaled
-    to the data, keeps its meaning. firsts holds the side's earlier
-    finite first coordinates sorted, order the row of each, and first is
-    v_0. alternate calls this only when [v_0 - 2 tol, v_0 + 2 tol] holds
-    a stored first coordinate, low the first of them, and testing the
-    rows there gives the verdict of testing all: a repeat needs
-    fl(|h_0 - v_0|) <= tol, so |h_0 - v_0| <= tol plus half an ulp of
-    it, and rounding is monotone. A gap of nan or inf never passes. A
-    row that repeats nothing goes to its sorted place.
+    Both iterates are formed before the subtraction, so a stored r
+    beside another shift is compared as the iterate it stands for. A
+    gap of nan or inf never passes; the caller mutes numpy's warnings.
     """
-    high = bisect_right(firsts, first + 2 * tol, low)
-    hits = order[low:high]
-    stored = np.array([h[0] for h in hits])
-    stored += np.array([h[1] for h in hits])[:, None, None]
-    r, shift = row
-    if (_max_reduce(np.abs(stored - (r + shift)), 1) <= tol).any():
-        return True
-    low = bisect_right(firsts, first, low, high)
-    firsts.insert(low, first)
-    order.insert(low, row)
-    return False
+    return bool(_max_reduce(np.abs((h + h_shift) - (r + shift)), None) <= tol)
 
 
 def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
@@ -356,7 +338,7 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     the reason for stopping, by the rules of two_sided_solve. The entry
     check bounds the spans, not the iterates, which can drift out of the
     float range: a half step whose delta is not finite raises the same
-    ValueError; numpy's warnings are muted.
+    ValueError. The caller mutes numpy's overflow and invalid warnings.
 
     Half step k (from 0) writes side (k + 1) % 2, side 0 being x with x0
     as its first row: _residuate_into's projection, inline, six numpy
@@ -367,12 +349,21 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     image is the projection of r itself: the buffers swap. When s passes
     limit, the spans' largest magnitude, the image becomes the
     projection plus s and s is reset to 0.0. A side stores its iterates
-    v as pairs (r, s) and their finite v_0 sorted; a half step bisects
-    these for the window [v_0 - 2 match_tol, v_0 + 2 match_tol], takes
-    v_0 in place if it is empty and else calls _repeats, which compares
-    whole iterates. So a half step that neither renormalises nor finds
-    its window occupied, nearly every one, calls no Python function. The
-    returned pair is that of k*, the first half step whose delta is
+    v as pairs (r, s), which the pair rule reads.
+
+    The repeat test compares v with the side's previous iterate h only:
+    first v_0 with h_0 as Python floats, the same rounded gap that the
+    array compare forms at coordinate 0, and only when that gap is
+    within match_tol the whole iterates (_repeats). So a half step that
+    does not renormalise calls no Python function. One previous iterate
+    suffices because the deltas never increase: the two half steps from
+    a side's iterate v_k, with deltas d and d', give v_{k+1} >= v_k -
+    (d - d') / 2. On a cycle the deltas are equal, so v_k <= v_{k+1} <=
+    ... <= v_{k+p} = v_k: every cycle is a fixed point, and a run's
+    first repeat is of the previous iterate on its side. The tests'
+    reference, which scans every stored iterate, checks this.
+
+    The returned pair is that of k*, the first half step whose delta is
     within PAIR_DELTA_TOL (scaled as match_tol is) of the smallest: row
     (k* + 1) // 2 of side 0 and row k* // 2 of side 1.
     """
@@ -386,52 +377,44 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     # the running shift.
     limit = max(map(abs, a + b))
     match_tol = scaled_tolerance(ITERATE_MATCH_TOL, limit)
-    window, inf = 2 * match_tol, math.inf
     image, under = np.empty(at.shape[1]), np.empty(at.shape[1])
-    # Per side: span, scratch, rows (r, shift), sorted finite firsts, rows.
+    # Per side: span, scratch and rows (r, shift).
     shift, x_rows, y_rows = -0.0, [(x0[:, None], -0.0)], []
-    first = x0.item(0) + shift
-    known = [first] if -inf < first < inf else []
-    other = (at, np.empty(at.shape), x_rows, known, x_rows[:len(known)])
-    this = (bt, np.empty(bt.shape), y_rows, [], [])
+    other = (at, np.empty(at.shape), x_rows)
+    this = (bt, np.empty(bt.shape), y_rows)
     deltas: list[float] = []
     termination = Termination.ITERATION_CAP
-    with np.errstate(over="ignore", invalid="ignore"):
-        _max_reduce(_add(at, x_rows[0][0], other[1]), 0, None, image)
-        for _ in range(max_iter):
-            span, scratch, rows, firsts, order = this
-            # The slack goes over the image, which is not read again.
-            _subtract(image, span, scratch)
-            r = _min_reduce(scratch, 1, None, None, True)
-            _max_reduce(_add(span, r, scratch), 0, None, under)
-            delta = float(_max_reduce(_subtract(image, under, image)))
-            if delta <= 0.0:
-                delta = 0.0
-            elif not delta < inf:
-                raise ValueError("the data leave the float range: "
-                                 "their differences overflow")
-            shift += 0.5 * delta
-            row = (r, shift)
-            rows.append(row)
-            deltas.append(delta)
-            if delta <= DELTA_UNIT_TOL:  # delta is finite and >= 0 here
-                termination = Termination.EXACT_SOLUTION
+    _max_reduce(_add(at, x_rows[0][0], other[1]), 0, None, image)
+    for _ in range(max_iter):
+        span, scratch, rows = this
+        # The slack goes over the image, which is not read again.
+        _subtract(image, span, scratch)
+        r = _min_reduce(scratch, 1, None, None, True)
+        _max_reduce(_add(span, r, scratch), 0, None, under)
+        delta = float(_max_reduce(_subtract(image, under, image)))
+        if delta <= 0.0:
+            delta = 0.0
+        elif not delta < math.inf:
+            raise ValueError("the data leave the float range: "
+                             "their differences overflow")
+        shift += 0.5 * delta
+        rows.append((r, shift))
+        deltas.append(delta)
+        if delta <= DELTA_UNIT_TOL:  # delta is finite and >= 0 here
+            termination = Termination.EXACT_SOLUTION
+            break
+        if len(rows) > 1:
+            h, h_shift = rows[-2]
+            if (abs(h.item(0) + h_shift - (r.item(0) + shift)) <= match_tol
+                    and _repeats(h, h_shift, r, shift, match_tol)):
+                termination = Termination.CYCLE_DETECTED
                 break
-            first = r.item(0) + shift
-            if -inf < first < inf:
-                low = bisect_left(firsts, first - window)
-                if low == len(firsts) or firsts[low] > first + window:
-                    firsts.insert(low, first)
-                    order.insert(low, row)
-                elif _repeats(firsts, order, low, row, first, match_tol):
-                    termination = Termination.CYCLE_DETECTED
-                    break
-            if shift > limit:
-                _add(under, shift, image)
-                shift = 0.0
-            else:
-                image, under = under, image
-            this, other = other, this
+        if shift > limit:
+            _add(under, shift, image)
+            shift = 0.0
+        else:
+            image, under = under, image
+        this, other = other, this
     low = min(deltas)
     bound = low + scaled_tolerance(PAIR_DELTA_TOL, low, limit)
     for best, delta in enumerate(deltas):
@@ -499,12 +482,14 @@ def two_sided_solve(a: TropicalMatrix,
     start's run bit for bit.
 
     Stopping follows three rules, checked in order after every half
-    step: the unit delta (exact solution found), a repeat of an earlier
-    iterate on the same side (a cycle, so no further progress), or the
-    max_iter cap on the number of computed deltas. The reported triple
-    is that of the first half step whose delta is within PAIR_DELTA_TOL
-    of the smallest observed, so a plateau of deltas equal up to
-    rounding returns its first pair whatever the last bits are.
+    step: the unit delta (exact solution found), a repeat of the previous
+    iterate on the same side (a fixed point, so no further progress; as
+    the deltas never increase, every cycle is one, so no earlier iterate
+    needs a check), or the max_iter cap on the number of computed
+    deltas. The reported triple is that of the first half step whose
+    delta is within PAIR_DELTA_TOL of the smallest observed, so a
+    plateau of deltas equal up to rounding returns its first pair
+    whatever the last bits are.
     """
     sf = _same_semifield(a, b)
     if a.rows != b.rows:
@@ -527,8 +512,11 @@ def two_sided_solve(a: TropicalMatrix,
         with np.errstate(over="ignore"):
             start = start - start.max()
 
-    deltas, delta, x_star, y_star, termination = alternate(
-        _transposed(a), _transposed(b), start, max_iter)
+    # Every value out of the float range is reported below, so numpy's
+    # warnings are muted.
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas, delta, x_star, y_star, termination = alternate(
+            _transposed(a), _transposed(b), start, max_iter)
     x_star, y_star = tropical_vector(x_star, sf), tropical_vector(y_star, sf)
     delta_star, _ = delta_and_error(delta, sf)
     return TwoSidedSolution(

@@ -9,14 +9,17 @@ package's max-plus float-array core is compared against them.
 
 alternate_reference is the plain form of solvers.alternate: fresh
 arrays every half step and a repeat test that scans every stored
-iterate; alternate must match it bit for bit. Both references, like
-alternate, take the next image from the projection that measured
-delta, not from the new iterate, and carry the scaling of the iterates
-as a running shift that is applied to the image only when it passes
-the data's largest magnitude; both return the pair of the first half
-step within pair_tolerance of the smallest delta. milp_rational
-computes the exact Chebyshev optimum of a small rational fit as a
-mixed-integer program (it needs scipy).
+iterate; alternate must match it bit for bit. alternate compares each
+iterate with the previous one on its side only, because the deltas
+never increase and so every cycle is a fixed point; the reference
+keeps its full scan as the independent check of that reason. Both
+references, like alternate, take the next image from the projection
+that measured delta, not from the new iterate, and carry the scaling
+of the iterates as a running shift that is applied to the image only
+when it passes the data's largest magnitude; both return the pair of
+the first half step within pair_tolerance of the smallest delta.
+milp_rational computes the exact Chebyshev optimum of a small rational
+fit as a mixed-integer program (it needs scipy).
 """
 
 from __future__ import annotations

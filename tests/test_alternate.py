@@ -1,10 +1,11 @@
 """solvers.alternate against its plain form, its repeat test and its pair.
 
 alternate reuses its buffers, stores each iterate as its residuation r
-with a running shift beside it, and prefilters its repeat test by the
-first coordinate; none of these may move a result. Every case compares
-the delta list, the chosen delta, the returned pair and the termination
-with oracles.alternate_reference, byte for byte. That reference takes
+with a running shift beside it, and tests for a repeat against the
+side's previous iterate only, prefiltered by the first coordinate; none
+of these may move a result. Every case compares the delta list, the
+chosen delta, the returned pair and the termination with
+oracles.alternate_reference, byte for byte. That reference takes
 each image from the last projection and carries the same shift, as
 alternate does. With a limit of -inf it adds delta / 2 to every image
 instead, and a group of cases checks that this change of rounding
@@ -14,7 +15,6 @@ from the designs.
 """
 
 import math
-from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -36,9 +36,11 @@ from tropfit.solvers import (
     ITERATE_MATCH_TOL,
     _repeats,
     alternate,
+    one_sided,
     scaled_tolerance,
     to_max_plus,
 )
+import oracles
 from oracles import (
     alternate_reference,
     pair_step,
@@ -181,19 +183,20 @@ def shift_crossings(deltas, limit):
     return count
 
 
-@pytest.mark.parametrize("offset, seed, crossings", [
-    (0.0, 7, 3),  # entries in [0, 1]: the shift passes 1 three times
-    (1e6, 1, 0),  # entries near 1e6: 1000 half steps stay below the bound
+@pytest.mark.parametrize("offset, seed, crossings, steps", [
+    (0.0, 7, 3, 10),  # entries in [0, 1]: the shift passes 1 three times
+    (0.0, 38, 2, 8),  # twice, and the run repeats at half step 7
+    (1e6, 1, 0, 1000),  # entries near 1e6: 1000 half steps stay below it
 ])
 def test_the_running_shift_is_renormalised_past_the_data(offset, seed,
-                                                          crossings):
+                                                          crossings, steps):
     rng = np.random.default_rng(seed)
     at = offset + rng.uniform(0.0, 1.0, (4, 30))
     bt = offset + rng.uniform(0.0, 1.0, (3, 30))
     deltas = assert_same_run(at, bt, np.zeros(4), 1000)[0]
     limit = max(np.abs(at).max(), np.abs(bt).max())
     assert shift_crossings(deltas, limit) == crossings
-    assert len(deltas) == (10 if crossings else 1000)
+    assert len(deltas) == steps
 
 
 # --- the returned pair follows the run, not its rounding --------------------
@@ -246,225 +249,102 @@ def test_the_pair_does_not_move_with_the_rounding_of_the_run():
     assert moved > 0
 
 
-# --- the iterate store and its prefiltered repeat test ----------------------
+# --- the repeat test against the side's previous iterate -------------------
 
-class History:
-    """One side's store as alternate keeps it, for probing _repeats.
-
-    It drives _repeats, the part of the repeat test that alternate calls
-    only when the window of a first coordinate holds a stored one. The
-    finite check, the window bisect and the empty-window insertion run
-    inline in alternate; History repeats them here, and the window tests
-    further down reach alternate's own through its runs.
-
-    rows holds (r, shift) pairs, r an (n, 1) column and shift the running
-    shift of its half step, whose iterate is r + shift; firsts is the
-    sorted list of the finite first coordinates of the iterates and order
-    the row of each.
-    """
-
-    def __init__(self, tol):
-        self.rows, self.firsts, self.order = [], [], []
-        self.tol = tol
-
-    def verdict(self, row, firsts, order):
-        """alternate's verdict on row: the inline window, then _repeats."""
-        r, shift = row
-        first = r.item(0) + shift
-        if not math.isfinite(first):
-            return False
-        low = bisect_left(firsts, first - 2 * self.tol)
-        if low == len(firsts) or firsts[low] > first + 2 * self.tol:
-            firsts.insert(low, first)
-            order.insert(low, row)
-            return False
-        return _repeats(firsts, order, low, row, first, self.tol)
-
-    def repeats(self, r, shift):
-        """The verdict on r + shift; the store is unchanged."""
-        return self.verdict((r[:, None], shift), list(self.firsts),
-                            list(self.order))
-
-    def store(self, r, shift):
-        row = (r[:, None].copy(), shift)
-        self.rows.append(row)
-        assert not self.verdict(row, self.firsts, self.order)
-        assert self.firsts == sorted(self.firsts)
-        assert [h[0].item(0) + h[1] for h in self.order] == self.firsts
+def repeats(h, h_shift, r, shift, tol=1e-9):
+    """_repeats on the iterates h + h_shift and r + shift, as columns."""
+    return _repeats(np.array(h)[:, None], h_shift, np.array(r)[:, None],
+                    shift, tol)
 
 
-def brute_repeats(history, r, shift):
-    """The full scan over every stored iterate, formed as r + shift."""
-    stored = np.array([row[:, 0] + h for row, h in history.rows])
-    with np.errstate(invalid="ignore"):
-        gaps = np.maximum.reduce(
-            np.abs(stored.reshape(-1, len(r)) - (r + shift)), axis=1)
-    return bool((gaps <= history.tol).any())
-
-
-def probes(v, tol, rng):
-    """Vectors at and just past tol from v, in the first or another place."""
-    up = math.nextafter(tol, math.inf)
-    out = [v.copy()]
-    for shift in (tol, -tol, up, -up, 2 * tol, 0.5 * tol):
-        for place in (0, 1 + int(rng.integers(len(v) - 1))):
-            w = v.copy()
-            w[place] += shift
-            out.append(w)
-    w = v.copy()
-    w[1:] += 2 * tol  # equal first coordinate, the rest off by 2 tol
-    out.append(w)
-    for bad in (math.nan, math.inf, -math.inf):
-        for place in (0, len(v) - 1):
-            w = v.copy()
-            w[place] = bad
-            out.append(w)
-    return out
-
-
-@pytest.mark.parametrize("tol", [1e-9, 6e-8])
-def test_history_repeat_test_equals_the_full_scan(tol):
-    rng = np.random.default_rng(5)
-    history = History(tol)
-    checked = matched = unmatched_r = 0
-
-    def check(r, shift):
-        nonlocal checked, matched
-        verdict = history.repeats(r, shift)
-        assert verdict == brute_repeats(history, r, shift)
-        checked += 1
-        matched += verdict
-        return verdict
-
-    for scale in (1e-3, 1.0, 1e6, 1e20):
-        for _ in range(12):
-            r = rng.uniform(-1, 1, 4) * scale
-            shift = rng.uniform(0.5, 1.0) * scale
-            if history.rows and rng.integers(2):
-                # Half the time take the first coordinate of r and the
-                # shift of a stored row, so the prefilter window is
-                # not empty.
-                stored, shift = history.rows[rng.integers(len(history.rows))]
-                r[0] = stored.item(0)
-            for probe in probes(r, tol, rng):
-                check(probe, shift)
-            history.store(r, shift)
-            for probe in probes(r, tol, rng):
-                check(probe, shift)
-            # The stored r itself beside other shifts: its first
-            # coordinate stays in the window, but the iterate moves by
-            # 1.5 tol, 0.5 tol or one ulp, so comparing r alone would
-            # match where the iterates do not.
-            for other in (shift + 1.5 * tol, shift - 1.5 * tol,
-                          shift + 0.5 * tol, math.nextafter(shift, math.inf)):
-                unmatched_r += not check(r, other)
-    # Non-finite iterates are stored too and never match.
-    with np.errstate(invalid="ignore"):
-        for bad in (math.nan, math.inf, -math.inf):
-            v = np.array([bad, 1.0, 2.0, 3.0])
-            history.store(v, 0.25)
-            assert not history.repeats(v, 0.25)
-            w = np.array([1.0, 2.0, bad, 3.0])
-            history.store(w, 0.25)
-            assert not history.repeats(w, 0.25)
-    assert len(history.rows) == 54
-    assert 0 < matched < checked
-    assert unmatched_r > 0
-
-
-def test_the_repeat_window_reaches_rounded_gaps_and_inserts_in_order():
-    # The first coordinates -a and b differ by tol plus a quarter ulp of
-    # tol, which rounds to tol and matches, yet -a lies outside
-    # [b - tol, b + tol]: the window must reach 2 tol.
+def test_a_gap_of_exactly_tol_repeats_and_the_next_float_does_not():
     tol = 1e-9
+    for place in (0, 1):
+        at_tol, past = [0.0, 0.0], [0.0, 0.0]
+        at_tol[place], past[place] = tol, math.nextafter(tol, 1.0)
+        assert repeats([0.0, 0.0], 0.0, at_tol, 0.0, tol)
+        assert not repeats([0.0, 0.0], 0.0, past, 0.0, tol)
+    # Coordinates -a and b that differ by tol plus a quarter ulp of tol:
+    # the gap rounds to tol and repeats.
     b = 0.7 * tol
     a = (tol - b) + math.ulp(tol) / 4
     assert a + b == tol and -a < b - tol
-    history = History(tol)
-    history.store(np.array([-a, 1.0]), 0.0)
-    assert brute_repeats(history, np.array([b, 1.0]), 0.0)
-    assert history.repeats(np.array([b, 1.0]), 0.0)
-    # First coordinates inside the window of a stored one, above and
-    # below it, that repeat nothing: store checks that firsts stays
-    # sorted and that order follows it.
-    history.store(np.array([-a + 1.5 * tol, 5.0]), 0.0)
-    history.store(np.array([-a - 1.5 * tol, 7.0]), 0.0)
-    history.store(np.array([-a + 0.5 * tol, 9.0]), 0.0)
-    assert len(history.firsts) == 4
+    assert repeats([-a, 1.0], 0.0, [b, 1.0], 0.0, tol)
 
 
-def test_history_keeps_columns_when_it_grows():
-    # alternate's store grows by one row per half step; these 70 rows
-    # hold the iterates (k, -k).
-    history = History(1e-9)
-    for k in range(70):
-        history.store(np.array([float(k), -float(k)]) - 0.25, 0.25)
-    assert len(history.rows) == 70
-    assert [r.item(0) + shift for r, shift in history.rows] == list(
-        np.arange(70.0))
-    assert history.repeats(np.array([33.0, -33.0]), 0.0)
-    assert not history.repeats(np.array([33.0, -34.0]), 0.0)
-    # Row 0 is (0, 0): a gap of exactly tol matches, the next float not.
-    assert history.repeats(np.array([0.0, 1e-9]), 0.0)
-    assert not history.repeats(np.array([0.0, math.nextafter(1e-9, 1.0)]),
-                               0.0)
+def test_a_stored_r_beside_another_shift_is_not_a_repeat():
+    # The iterates are formed before they are compared: r itself beside a
+    # shift 1.5 tol or one ulp away stands for another iterate.
+    r = [0.25, -3.0, 7.5]
+    assert repeats(r, 2.0, r, 2.0)
+    for shift in (2.0 + 1.5e-9, 2.0 - 1.5e-9):
+        assert not repeats(r, 2.0, r, shift)
+    assert not repeats(r, 2e9, r, math.nextafter(2e9, math.inf), 1e-7)
 
 
-# --- alternate's own window, reached through its runs ----------------------
-
-@pytest.fixture
-def windows(monkeypatch):
-    """The verdict of every _repeats call of alternate, which makes one
-    only when the window of a first coordinate holds a stored one.
-
-    Each call checks the side's store that alternate's inline part
-    built: firsts sorted, order in step with it, and firsts[low] the
-    first stored coordinate within 2 tol.
-    """
-    verdicts = []
-
-    def spy(firsts, order, low, row, first, tol):
-        assert firsts == sorted(firsts)
-        assert [r.item(0) + shift for r, shift in order] == firsts
-        assert first - 2 * tol <= firsts[low] <= first + 2 * tol
-        assert low == 0 or firsts[low - 1] < first - 2 * tol
-        verdicts.append(_repeats(firsts, order, low, row, first, tol))
-        return verdicts[-1]
-
-    monkeypatch.setattr(solvers, "_repeats", spy)
-    return verdicts
+def test_nan_and_inf_never_repeat():
+    v = [1.0, 2.0, 3.0, 4.0]
+    with np.errstate(invalid="ignore"):
+        for bad in (math.nan, math.inf, -math.inf):
+            for place in (0, 3):
+                w = list(v)
+                w[place] = bad
+                # Neither beside itself nor beside the finite iterate.
+                assert not repeats(w, 0.25, w, 0.25)
+                assert not repeats(v, 0.25, w, 0.25)
+                assert not repeats(w, 0.25, v, 0.25)
 
 
-def test_a_run_fills_empty_windows_and_indexes_unmatched_iterates(windows):
-    # Uniform [0, 1] entries: of 8 half steps, two pass the running shift
-    # past the data (renormalise), three find an occupied window whose
-    # stored iterates lie beyond tol, and the last one repeats.
-    rng = np.random.default_rng(38)
-    at, bt = rng.uniform(0.0, 1.0, (4, 30)), rng.uniform(0.0, 1.0, (3, 30))
-    deltas = assert_same_run(at, bt, np.zeros(4), 1000)[0]
-    assert len(deltas) == 8
-    assert shift_crossings(deltas, max(at.max(), bt.max())) == 2
-    assert windows == [False] * 3 + [True]
+@pytest.mark.parametrize("tol, stop", [
+    # The gap between the side's last two iterates at half step 3 is
+    # largest in a coordinate other than 0, at half step 4 in coordinate 0.
+    (0.006960257726102093, 3),
+    (0.0034801288630511573, 4),
+])
+def test_a_run_stops_at_a_gap_of_exactly_its_match_tolerance(monkeypatch,
+                                                              tol, stop):
+    # No earlier pair of same-side iterates of this run lies within tol.
+    rng = np.random.default_rng(0)
+    rows, n, l = (int(rng.integers(*bounds)) for bounds in ((3, 12), (2, 5),
+                                                            (2, 4)))
+    at, bt = rng.uniform(0.0, 1.0, (n, rows)), rng.uniform(0.0, 1.0, (l, rows))
+    for match_tol in (tol, math.nextafter(tol, 0.0)):
+        monkeypatch.setattr(solvers, "ITERATE_MATCH_TOL", match_tol)
+        monkeypatch.setattr(oracles, "ITERATE_MATCH_TOL", match_tol)
+        deltas, _, _, _, termination = assert_same_run(at, bt, np.zeros(n),
+                                                       1000)
+        assert termination is Termination.CYCLE_DETECTED
+        assert (len(deltas) == stop + 1) == (match_tol == tol)
 
 
-def test_a_run_repeats_x0_at_half_step_1(windows):
-    # One term a side: the x iterate of half step 1 is x0 again, found
-    # in the window that x0's first coordinate opened before the loop.
+def test_a_run_repeats_x0_at_half_step_1():
+    # One term a side: the x iterate of half step 1 is x0 again, the
+    # side's previous row, stored before the loop.
     at, bt = np.array([[0.0, 1.0, 2.0]]), np.zeros((1, 3))
     deltas, _, _, _, termination = assert_same_run(at, bt, np.zeros(1), 10)
     assert deltas == [2.0, 2.0]
     assert termination is Termination.CYCLE_DETECTED
-    assert windows == [True]
 
 
-def test_rational_fit_runs_open_their_windows_in_place(windows):
-    # Every iterate of these runs but the repeating ones finds its window
-    # empty and is indexed inline; the repeat is found among them.
-    for at, bt in RATIONAL_FIT_CASES[:8]:
-        windows.clear()
-        got = assert_same_run(at, bt, np.zeros(6), 100000)
-        assert got[4] is Termination.CYCLE_DETECTED
-        assert windows[-1] and len(windows) < len(got[0]) / 10
+def best_one_term_start(at, bt):
+    """x0 of the best one-term-denominator fit: the balanced one-sided
+    solution theta_d of X theta = row d of Y Z with the least delta (the
+    first on a tie), shifted to a largest entry of 0."""
+    fits = [one_sided(at, row) for row in bt]
+    theta = min(fits, key=lambda fit: fit[1])[0]
+    return theta - theta.max()
+
+
+def test_a_run_whose_first_coordinate_stays_put_matches_the_reference():
+    # From this start, rational-fit seed 2 instance 49 keeps coordinates
+    # 0-3 of x within 2e-14 over its last 100 iterates while 4 and 5
+    # drift, and cycles after 11,389 half steps: a repeat test keyed on
+    # x_0 alone would compare each iterate with every stored one.
+    at, bt = rational_fit_case(2, 49)
+    deltas, _, _, _, termination = assert_same_run(
+        at, bt, best_one_term_start(at, bt), 100000)
+    assert len(deltas) == 11389
+    assert termination is Termination.CYCLE_DETECTED
 
 
 # --- alternate against its plain form on random systems ---------------------
