@@ -190,12 +190,19 @@ class SampleSet:
         pairs = tuple(points)
         if not pairs:
             raise ValueError("at least one sample is required")
-        for a, b in pairs:
-            _check_pair(a, b, semifield)
-        x = np.array([a for a, _ in pairs], dtype=float)
-        y = np.array([b for _, b in pairs], dtype=float)
-        self._store(x, y, to_max_plus(x, semifield),
-                    to_max_plus(y, semifield), semifield)
+        try:
+            x, y = np.array(tuple(zip(*pairs, strict=True)), dtype=float)
+        except (TypeError, ValueError, ArithmeticError):
+            # A ZERO, or a pair that is not two numbers: checked one by one.
+            for a, b in pairs:
+                _check_pair(a, b, semifield)
+            raise
+        xs, ys = to_max_plus(x, semifield), to_max_plus(y, semifield)
+        # Readings are finite exactly where the semifield contains a value.
+        faulty = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))
+        if len(faulty):
+            _check_pair(*pairs[faulty[0]], semifield)
+        self._store(x, y, xs, ys, semifield)
 
     @classmethod
     def from_columns(cls, x, y, semifield: Semifield,

@@ -1,28 +1,23 @@
 """Best approximate solutions of tropical linear vector equations.
 
-Two problems are handled here. The one-sided equation a x = b has a
-closed-form best solution obtained through residuation. The two-sided
-equation a x = b y is solved numerically by alternating projections:
-the image of the current iterate under one matrix is projected onto
-the column span of the other, and the achieved squared distances form
-a non-increasing sequence.
+The one-sided equation a x = b has a closed-form best solution through
+residuation. The two-sided equation a x = b y is solved by alternating
+projections: the image of the iterate under one matrix is projected
+onto the column span of the other, at non-increasing squared distances.
 
 All arithmetic runs in max-plus on float arrays. This module owns that
-number format: max-times values are mapped in through the logarithm
-and out through the exponential (to_max_plus / from_max_plus), which
-turns max-times products into max-plus sums. It also owns the one
-range rule (out_of_range). Every value leaving the core
-goes through the checked map-out, from_max_plus with a name, which
-raises ValueError for the first reading out of range.
+number format: max-times values map in through the logarithm and out
+through the exponential (to_max_plus / from_max_plus), and every value
+leaving the core goes through the checked map-out, from_max_plus with
+a name, which raises ValueError for the first reading out of range by
+the one range rule (out_of_range).
 
 The array core (_residuate_into, one_sided, alternate) takes every
-matrix transposed, as (n_terms, n_samples) C-contiguous arrays.
-_residuate_into is its one projection: one_sided calls it, and every
-half step of alternate runs its lines inline, with no Python call in
-nearly all of them. Designs have many samples and few terms, so with
-terms on the leading axis a reduction over terms is an elementwise max
-of a few contiguous sample rows, and a reduction over samples runs
-along one contiguous row, not over many short inner rows of 4 to 6.
+matrix transposed, as (n_terms, n_samples) C-contiguous arrays: with
+few terms and many samples, a reduction over terms is then a max of a
+few contiguous sample rows, and one over samples runs along a row.
+_residuate_into is the one projection: one_sided calls it, and each
+half step of alternate runs its first three lines inline.
 
 The tuple API (one_sided_solve, two_sided_solve) keeps the usual
 samples x terms orientation and transposes once at its boundary.
@@ -77,8 +72,12 @@ DEFAULT_MAX_ITER = 1000
 
 # The ufuncs of a half step, bound once: every lookup of a reduce method
 # makes a new bound method object.
-_add, _subtract = np.add, np.subtract
+_add, _subtract, _copyto = np.add, np.subtract, np.copyto
 _max_reduce, _min_reduce = np.maximum.reduce, np.minimum.reduce
+
+# alternate's batches: the half steps of the first and of the longest,
+# and the floats that the images and gaps of one batch may hold.
+_BATCH_FIRST, _BATCH_MOST, _BATCH_ELEMENTS = 4, 16, 2**19
 
 
 class NonRegularInput(TropicalError):
@@ -115,11 +114,9 @@ class TwoSidedSolution:
     """Result of solving a x = b y.
 
     delta_star is the squared distance of the first half step within
-    PAIR_DELTA_TOL (scaled to the data) of the smallest one seen, with
-    x_star / y_star the pair that achieved it. The full delta sequence
-    is kept for diagnostics; it is non-increasing up to floating point
-    noise, and unchecked, so a delta above the float range reads inf
-    there.
+    PAIR_DELTA_TOL (scaled to the data) of the smallest, x_star / y_star
+    its pair. deltas, kept for diagnostics, is non-increasing up to
+    floating point noise and unchecked: one above the float range is inf.
     """
 
     delta_star: float
@@ -268,16 +265,13 @@ def _residuate_into(at: np.ndarray, b: np.ndarray, scratch: np.ndarray,
 
     at is the transposed matrix a, terms by samples:
     r_j = min_i (b_i - at_ji) and delta = max_i (b_i - max_j (at_ji + r_j)),
-    all in max-plus. The min runs along the contiguous sample row of each
-    term, the inner max is an elementwise max of the term rows. Scaling r
-    by the square root delta / 2 balances the one-sided slack into the
-    metric-best solution (balance).
+    all in max-plus. Scaling r by the square root delta / 2 balances the
+    one-sided slack into the metric-best solution (balance).
 
     scratch has the shape of at, and under and slack have the shape of
     b. r is a new (n_terms, 1) column, allocated by its reduction. under
     ends up holding the projection a r and slack the slack b - a r; slack
-    may be under or b itself. The out buffers go positionally, which
-    numpy parses faster than keywords.
+    may be under or b itself. Positional out buffers parse faster.
 
     delta is never below the unit 0: rounding can leave a consistent
     system's slack a few ulps negative, and such a delta reads 0.0.
@@ -341,27 +335,26 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     ValueError. The caller mutes numpy's overflow and invalid warnings.
 
     Half step k (from 0) writes side (k + 1) % 2, side 0 being x with x0
-    as its first row: _residuate_into's projection, inline, six numpy
-    calls into buffers allocated once per call. The iterate is r plus a
-    running shift s, a Python float: -0.0 beside x0 (x0 + -0.0 is x0),
-    plus delta / 2 per half step. The map is additively homogeneous
-    (b + c residuates to r + c, and B (r + c) = B r + c), so the next
-    image is the projection of r itself: the buffers swap. When s passes
-    limit, the spans' largest magnitude, the image becomes the
-    projection plus s and s is reset to 0.0. A side stores its iterates
-    v as pairs (r, s), which the pair rule reads.
+    as its first row. Its iterate is the residuation r plus a running
+    shift s, -0.0 beside x0 plus delta / 2 per half step: the map is
+    additively homogeneous, so the next image is r's projection itself.
+    A half step is four numpy calls, _residuate_into's first three lines
+    with the projection written to the next row of images. Half steps
+    run in batches (_BATCH_FIRST doubling to _BATCH_MOST, within
+    _BATCH_ELEMENTS floats, the cap and the half steps before s can pass
+    limit, the spans' largest magnitude), and one subtract of adjacent
+    rows and one max give a batch's deltas. A replay applies each half
+    step's rules in order: clamp and range check, s += delta / 2, the row
+    (r, s), the exact test, the repeat test and, once s passes limit, the
+    renormalisation: the next batch starts from the projection plus s,
+    with s = 0.0. A stop or a renormalisation drops the later half steps.
 
-    The repeat test compares v with the side's previous iterate h only:
-    first v_0 with h_0 as Python floats, the same rounded gap that the
-    array compare forms at coordinate 0, and only when that gap is
-    within match_tol the whole iterates (_repeats). So a half step that
-    does not renormalise calls no Python function. One previous iterate
-    suffices because the deltas never increase: the two half steps from
-    a side's iterate v_k, with deltas d and d', give v_{k+1} >= v_k -
-    (d - d') / 2. On a cycle the deltas are equal, so v_k <= v_{k+1} <=
-    ... <= v_{k+p} = v_k: every cycle is a fixed point, and a run's
-    first repeat is of the previous iterate on its side. The tests'
-    reference, which scans every stored iterate, checks this.
+    The repeat test compares v with the side's previous iterate only:
+    coordinate 0 first, cached per side (the same rounded gap as the
+    array compare's), then whole iterates (_repeats). As the deltas never
+    increase, two half steps give v_{k+1} >= v_k - (d - d') / 2, so on a
+    cycle (equal deltas) v_k <= v_{k+1} <= ... <= v_{k+p} = v_k, a fixed
+    point. The tests' reference scans every stored iterate.
 
     The returned pair is that of k*, the first half step whose delta is
     within PAIR_DELTA_TOL (scaled as match_tol is) of the smallest: row
@@ -377,44 +370,59 @@ def alternate(at: np.ndarray, bt: np.ndarray, x0: np.ndarray,
     # the running shift.
     limit = max(map(abs, a + b))
     match_tol = scaled_tolerance(ITERATE_MATCH_TOL, limit)
-    image, under = np.empty(at.shape[1]), np.empty(at.shape[1])
-    # Per side: span, scratch and rows (r, shift).
+    n = at.shape[1]
+    most = max(1, min(_BATCH_MOST, max_iter, (_BATCH_ELEMENTS // n - 1) // 2))
+    images, gaps = np.empty((most + 1, n)), np.empty((most, n))
+    views = list(images)
+    # Span and scratch per side, in half step order from side 0.
+    spans = ((at, np.empty(at.shape)), (bt, np.empty(bt.shape)))
+    order = list(spans) * (most // 2 + 1)
     shift, x_rows, y_rows = -0.0, [(x0[:, None], -0.0)], []
-    other = (at, np.empty(at.shape), x_rows)
-    this = (bt, np.empty(bt.shape), y_rows)
-    deltas: list[float] = []
-    termination = Termination.ITERATION_CAP
-    _max_reduce(_add(at, x_rows[0][0], other[1]), 0, None, image)
-    for _ in range(max_iter):
-        span, scratch, rows = this
-        # The slack goes over the image, which is not read again.
-        _subtract(image, span, scratch)
-        r = _min_reduce(scratch, 1, None, None, True)
-        _max_reduce(_add(span, r, scratch), 0, None, under)
-        delta = float(_max_reduce(_subtract(image, under, image)))
-        if delta <= 0.0:
-            delta = 0.0
-        elif not delta < math.inf:
-            raise ValueError("the data leave the float range: "
-                             "their differences overflow")
-        shift += 0.5 * delta
-        rows.append((r, shift))
-        deltas.append(delta)
-        if delta <= DELTA_UNIT_TOL:  # delta is finite and >= 0 here
-            termination = Termination.EXACT_SOLUTION
-            break
-        if len(rows) > 1:
-            h, h_shift = rows[-2]
-            if (abs(h.item(0) + h_shift - (r.item(0) + shift)) <= match_tol
-                    and _repeats(h, h_shift, r, shift, match_tol)):
+    # Next side and other side: rows, v_0 of the last iterate (nan: none).
+    rows, others, previous, other = y_rows, x_rows, math.nan, x0.item(0) + -0.0
+    deltas, termination = [], Termination.ITERATION_CAP
+    _max_reduce(_add(at, x0[:, None], spans[0][1]), 0, None, views[0])
+    size, delta = min(_BATCH_FIRST, most), 0.0
+    while len(deltas) < max_iter:
+        # As the deltas never increase, s passes limit no sooner than this.
+        count = min(size, max_iter - len(deltas),
+                    (limit - shift) // (0.5 * delta) + 1 if delta else size)
+        count, size = int(count), min(2 * size, most)
+        batch = []
+        for image, under, (span, scratch) in zip(
+                views, views[1:count + 1], order[(len(deltas) + 1) % 2:]):
+            _subtract(image, span, scratch)
+            r = _min_reduce(scratch, 1, None, None, True)
+            _max_reduce(_add(span, r, scratch), 0, None, under)
+            batch.append(r)
+        gap = _max_reduce(_subtract(images[:count], images[1:count + 1],
+                                    gaps[:count]), 1).tolist()
+        for under, r, delta in zip(views[1:], batch, gap):
+            if delta <= 0.0:
+                delta = 0.0
+            elif not delta < math.inf:
+                raise ValueError("the data leave the float range: "
+                                 "their differences overflow")
+            shift += 0.5 * delta
+            rows.append((r, shift))
+            deltas.append(delta)
+            if delta <= DELTA_UNIT_TOL:  # delta is finite and >= 0 here
+                termination = Termination.EXACT_SOLUTION
+                break
+            first = r.item(0) + shift
+            if (abs(previous - first) <= match_tol
+                    and _repeats(*rows[-2], r, shift, match_tol)):
                 termination = Termination.CYCLE_DETECTED
                 break
-        if shift > limit:
-            _add(under, shift, image)
-            shift = 0.0
+            rows, others, previous, other = others, rows, other, first
+            if shift > limit:
+                _add(under, shift, views[0])
+                shift = 0.0
+                break
         else:
-            image, under = under, image
-        this, other = other, this
+            _copyto(views[0], under)
+        if termination is not Termination.ITERATION_CAP:
+            break
     low = min(deltas)
     bound = low + scaled_tolerance(PAIR_DELTA_TOL, low, limit)
     for best, delta in enumerate(deltas):
@@ -471,25 +479,22 @@ def two_sided_solve(a: TropicalMatrix,
     """Best approximate solution of the two-sided equation a x = b y.
 
     Starting from x0 (all units by default), the solver alternates
-    one-sided projections between the column spans of a and b. Each half
-    step computes the squared distance delta from the current image to
-    the other span and the coefficient vector of the projection, scaled
-    by sqrt(delta). The achieved distances are invariant under common
-    scaling of the iterate, but at a large scale (1e17 in max-plus) a x0
-    absorbs the data and the first half step reads a false exact
-    solution. So the solver runs from x0 scaled to a largest entry of
-    the unit, and any common scaling of the units gives the default
+    one-sided projections between the column spans of a and b, each half
+    step giving a squared distance delta and the projection's
+    coefficients scaled by sqrt(delta). The distances are invariant under
+    common scaling of the iterate, but at a large scale (1e17 in
+    max-plus) a x0 absorbs the data and the first half step reads a false
+    exact solution. So the solver runs from x0 scaled to a largest entry
+    of the unit, and any common scaling of the units gives the default
     start's run bit for bit.
 
     Stopping follows three rules, checked in order after every half
     step: the unit delta (exact solution found), a repeat of the previous
-    iterate on the same side (a fixed point, so no further progress; as
-    the deltas never increase, every cycle is one, so no earlier iterate
-    needs a check), or the max_iter cap on the number of computed
+    iterate on the same side (a fixed point; as the deltas never
+    increase, every cycle is one), or the max_iter cap on the number of
     deltas. The reported triple is that of the first half step whose
-    delta is within PAIR_DELTA_TOL of the smallest observed, so a
-    plateau of deltas equal up to rounding returns its first pair
-    whatever the last bits are.
+    delta is within PAIR_DELTA_TOL of the smallest, so a plateau of
+    deltas equal up to rounding returns its first pair.
     """
     sf = _same_semifield(a, b)
     if a.rows != b.rows:

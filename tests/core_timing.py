@@ -17,11 +17,28 @@ There is no threshold; compare two versions on one machine. pytest does
 not collect this file. Run it from the repository root:
 
     PYTHONPATH=src:tests python tests/core_timing.py
+
+With --base DIR it compares the src/ under DIR with this checkout's, in
+ROUNDS rounds of four fresh interpreters, base, change, base, change, so
+that a drift of the machine reaches both sides alike. It prints one JSON
+line: per side the medians of half_step_us and fit_us_at_max_iter_1 over
+all runs, with the half-step and termination counts, and the median over
+the rounds of each round's change / base ratio of the two timings, from
+each side's faster run in the round, so that one run slowed by the
+machine does not set the ratio of its round:
+
+    PYTHONPATH=src:tests python tests/core_timing.py --base ../parent
 """
 
+import argparse
 import json
+import os
+import statistics
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +51,8 @@ INSTANCES = 64
 MAX_ITER = 150
 REPEATS = 7
 REPEATS_AT_1 = 50
+ROUNDS = 5
+TIMINGS = ("half_step_us", "fit_us_at_max_iter_1")
 
 
 def best_us(call, repeats: int) -> float:
@@ -71,5 +90,49 @@ def main() -> None:
     }))
 
 
+def run(src: Path) -> dict:
+    """This script's JSON line, run on src in a fresh interpreter."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(tests))))
+    done = subprocess.run([sys.executable, __file__], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def interleaved(base: Path) -> None:
+    """Print the comparison of base's src/ with this checkout's."""
+    sides = {"base": base / "src",
+             "change": Path(__file__).resolve().parent.parent / "src"}
+    runs = {side: [] for side in sides}
+    ratios = {timing: [] for timing in TIMINGS}
+    for _ in range(ROUNDS):
+        round_runs = {side: [] for side in sides}
+        for _ in range(2):
+            for side, src in sides.items():
+                round_runs[side].append(run(src))
+        for timing in TIMINGS:
+            ratios[timing].append(
+                min(line[timing] for line in round_runs["change"])
+                / min(line[timing] for line in round_runs["base"]))
+        for side in sides:
+            runs[side] += round_runs[side]
+    summary = {"rounds": ROUNDS}
+    for side, lines in runs.items():
+        summary[side] = {timing: round(statistics.median(
+            line[timing] for line in lines), 3) for timing in TIMINGS}
+        for count in ("half_steps", "terminations"):
+            summary[side][count] = lines[0][count]
+    for timing, values in ratios.items():
+        summary[f"{timing}_ratio"] = round(statistics.median(values), 4)
+    print(json.dumps(summary))
+
+
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path,
+                        help="a directory holding the src/ to compare with")
+    base = parser.parse_args().base
+    if base is None:
+        main()
+    else:
+        interleaved(base.resolve())

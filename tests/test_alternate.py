@@ -1,20 +1,24 @@
 """solvers.alternate against its plain form, its repeat test and its pair.
 
-alternate reuses its buffers, stores each iterate as its residuation r
-with a running shift beside it, and tests for a repeat against the
+alternate runs its half steps in batches whose deltas it takes at once
+and whose rules it then replays, stores each iterate as its residuation
+r with a running shift beside it, and tests for a repeat against the
 side's previous iterate only, prefiltered by the first coordinate; none
 of these may move a result. Every case compares the delta list, the
 chosen delta, the returned pair and the termination with
-oracles.alternate_reference, byte for byte. That reference takes
-each image from the last projection and carries the same shift, as
-alternate does. With a limit of -inf it adds delta / 2 to every image
-instead, and a group of cases checks that this change of rounding
-moves neither the half-step count, the termination nor the returned
-pair. A last group checks the returned pair against images recomputed
-from the designs.
+oracles.alternate_reference, byte for byte. That reference runs one
+half step at a time, takes each image from the last projection and
+carries the same shift, as alternate does. A group of cases stops runs
+by each rule at the edges of batches. With a limit of -inf the
+reference adds delta / 2 to every image instead, and a group of cases
+checks that this change of rounding moves neither the half-step count,
+the termination nor the returned pair. A last group checks the returned
+pair against images recomputed from the designs.
 """
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,16 +175,18 @@ def test_a_large_start_does_not_absorb_the_data(start):
         assert solution.termination is Termination.CYCLE_DETECTED
 
 
-def shift_crossings(deltas, limit):
-    """How often alternate's running shift passed limit in a run with
-    these deltas: it adds delta / 2 per half step, and is reset to 0.0
-    when it passes limit, unless the run stops at that half step."""
-    shift, count = -0.0, 0
-    for delta in deltas[:-1]:
+def renormalisations(deltas, limit):
+    """The half steps after which alternate's running shift passed limit
+    in a run with these deltas: it adds delta / 2 per half step, and is
+    reset to 0.0 when it passes limit. A run's last half step is left
+    out by the caller when the run stopped there."""
+    shift, steps = -0.0, []
+    for k, delta in enumerate(deltas):
         shift += 0.5 * delta
         if shift > limit:
-            shift, count = 0.0, count + 1
-    return count
+            shift = 0.0
+            steps.append(k)
+    return steps
 
 
 @pytest.mark.parametrize("offset, seed, crossings, steps", [
@@ -195,7 +201,7 @@ def test_the_running_shift_is_renormalised_past_the_data(offset, seed,
     bt = offset + rng.uniform(0.0, 1.0, (3, 30))
     deltas = assert_same_run(at, bt, np.zeros(4), 1000)[0]
     limit = max(np.abs(at).max(), np.abs(bt).max())
-    assert shift_crossings(deltas, limit) == crossings
+    assert len(renormalisations(deltas[:-1], limit)) == crossings
     assert len(deltas) == steps
 
 
@@ -345,6 +351,210 @@ def test_a_run_whose_first_coordinate_stays_put_matches_the_reference():
         at, bt, best_one_term_start(at, bt), 100000)
     assert len(deltas) == 11389
     assert termination is Termination.CYCLE_DETECTED
+
+
+# --- batches of half steps ---------------------------------------------------
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The half steps of each batch that alternate computes, recorded from
+    the subtract of adjacent image rows that takes a batch's deltas."""
+    sizes = []
+
+    def subtract(a, b, out):
+        if a.ndim == 2:
+            sizes.append(len(a))
+        return np.subtract(a, b, out)
+
+    monkeypatch.setattr(solvers, "_subtract", subtract)
+    return sizes
+
+
+def uncut_sizes():
+    """The sizes of alternate's first three batches when no stop,
+    renormalisation or cap cuts them short."""
+    sizes = [solvers._BATCH_FIRST]
+    while len(sizes) < 3:
+        sizes.append(min(2 * sizes[-1], solvers._BATCH_MOST))
+    return sizes
+
+
+#: The first, a middle and the last half step of each of those batches.
+PLACES = [(batch, place) for batch in range(3)
+          for place in ("first", "middle", "last")]
+
+
+def boundary(batch, place):
+    """The half step at place in uncut batch batch."""
+    sizes = uncut_sizes()
+    offset = {"first": 0, "middle": sizes[batch] // 2,
+              "last": sizes[batch] - 1}[place]
+    return sum(sizes[:batch]) + offset
+
+
+def batch_starts(sizes, renormalised):
+    """The first half step of each batch of these sizes, a batch ending at
+    the first of the renormalised half steps in it."""
+    starts, start = [], 0
+    for size in sizes:
+        starts.append(start)
+        cut = [k for k in renormalised if start <= k < start + size]
+        start = cut[0] + 1 if cut else start + size
+    return starts
+
+
+def first_case(batches, values_of, step):
+    """(at, bt, values) of the first of the 64 rational-fit cases of seed
+    1 whose first three batches run uncut and whose values, values_of(at,
+    bt, max_iter) per half step, fall below every earlier one at step."""
+    for at, bt in RATIONAL_FIT_CASES + [rational_fit_case(1, k)
+                                        for k in range(32, 64)]:
+        batches.clear()
+        values = values_of(at, bt, sum(uncut_sizes()))
+        if (batches == uncut_sizes()
+                and all(value > values[step] for value in values[:step])):
+            return at, bt, values
+    raise AssertionError(f"no case falls at half step {step}")
+
+
+def deltas_of(at, bt, max_iter):
+    return alternate(at, bt, np.zeros(6), max_iter)[0]
+
+
+def same_side_gaps(monkeypatch, at, bt, max_iter):
+    """Each half step's gap to the side's previous iterate, as _repeats
+    forms it (inf at half step 0, whose side has none):
+    ITERATE_MATCH_TOL at inf sends every one to _repeats."""
+    gaps = [math.inf]
+
+    def gap(h, h_shift, r, shift, tol):
+        gaps.append(float(np.max(np.abs((h + h_shift) - (r + shift)))))
+        return False
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_repeats", gap)
+        patch.setattr(solvers, "ITERATE_MATCH_TOL", math.inf)
+        alternate(at, bt, np.zeros(6), max_iter)
+    return gaps
+
+
+@pytest.mark.parametrize("batch, place", PLACES)
+def test_an_exact_stop_drops_the_rest_of_its_batch(monkeypatch, batches,
+                                                   batch, place):
+    # With DELTA_UNIT_TOL at a delta below every earlier one, the run
+    # stops at that half step as at an exact solution.
+    step = boundary(batch, place)
+    at, bt, deltas = first_case(batches, deltas_of, step)
+    for module in (solvers, oracles):
+        monkeypatch.setattr(module, "DELTA_UNIT_TOL", deltas[step])
+    batches.clear()
+    got = assert_same_run(at, bt, np.zeros(6), 1000)
+    assert len(got[0]) == step + 1
+    assert got[4] is Termination.EXACT_SOLUTION
+    assert batches == uncut_sizes()[:batch + 1]
+
+
+@pytest.mark.parametrize("batch, place", PLACES[1:])
+def test_a_repeat_drops_the_rest_of_its_batch(monkeypatch, batches, batch,
+                                              place):
+    # Half step 0 has no earlier iterate on its side. With
+    # ITERATE_MATCH_TOL at the gap of a half step's iterate to its side's
+    # previous one, below every earlier such gap, the run stops there.
+    step = boundary(batch, place)
+    at, bt, gaps = first_case(
+        batches, lambda *run: same_side_gaps(monkeypatch, *run), step)
+    for module in (solvers, oracles):
+        monkeypatch.setattr(module, "ITERATE_MATCH_TOL", gaps[step])
+    batches.clear()
+    got = assert_same_run(at, bt, np.zeros(6), 1000)
+    assert len(got[0]) == step + 1
+    assert got[4] is Termination.CYCLE_DETECTED
+    assert batches == uncut_sizes()[:batch + 1]
+
+
+@pytest.mark.parametrize("batch, place", PLACES)
+def test_the_cap_cuts_its_batch(batches, batch, place):
+    step = boundary(batch, place)
+    at, bt = RATIONAL_FIT_CASES[0]
+    got = assert_same_run(at, bt, np.zeros(6), step + 1)
+    assert len(got[0]) == step + 1
+    assert got[4] is Termination.ITERATION_CAP
+    sizes = uncut_sizes()[:batch + 1]
+    assert batches == sizes[:-1] + [step + 1 - sum(sizes[:-1])]
+
+
+def shifted_system(seed):
+    """A random system with entries in [c, 1 + c] for a c in [-0.6, 0]:
+    its running shift passes limit every few half steps."""
+    rng = np.random.default_rng(seed)
+    m, n, l = (int(rng.integers(*bounds)) for bounds in ((2, 30), (1, 7),
+                                                          (1, 5)))
+    at, bt = rng.uniform(0.0, 1.0, (n, m)), rng.uniform(0.0, 1.0, (l, m))
+    c = rng.uniform(-0.6, 0.0)
+    return at + c, bt + c
+
+
+@pytest.mark.parametrize("seed, batch, place", [
+    (2, 0, "first"), (0, 0, "middle"), (4, 0, "last"),
+    # After the first batch, a batch ends no later than the half step at
+    # which the shift can first pass limit, as the deltas never increase:
+    # there a renormalisation is at the last half step, which is the
+    # first when the batch has one.
+    (2, 1, "first"), (0, 1, "last"), (20, 2, "first"), (0, 2, "last"),
+])
+def test_a_renormalisation_restarts_the_next_batch(batches, seed, batch,
+                                                   place):
+    at, bt = shifted_system(seed)
+    deltas = assert_same_run(at, bt, np.zeros(len(at)), 60)[0]
+    limit = max(np.abs(at).max(), np.abs(bt).max())
+    renormalised = renormalisations(deltas[:-1], limit)
+    start = batch_starts(batches, renormalised)[batch]
+    end = start + batches[batch] - 1
+    k = min(k for k in renormalised if k >= start)
+    assert k <= end
+    assert place == ("first" if k == start else "last" if k == end
+                     else "middle")
+
+
+@pytest.mark.parametrize("t, step, batch", [
+    (0.875, 0, 0), (0.984375, 3, 1), (1.25, 6, 2)])
+def test_an_overflow_raises_at_the_start_of_a_batch(batches, t, step,
+                                                    batch):
+    # Data near 2**1020 and x0 within t limit of the largest float: the
+    # image of x0 overflows, or the image plus the shift at the first
+    # renormalisation. A non-finite delta needs such an image, as the
+    # deltas never increase, and every image after a batch's first is
+    # the projection of a finite one.
+    at, bt = (2.0**1020 * part for part in shifted_system(1))
+    limit = max(np.abs(at).max(), np.abs(bt).max())
+    x0 = np.full(len(at), sys.float_info.max - t * limit)
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = assert_same_run(at, bt, x0, step)[0] if step else []
+        delta = alternate_reference(at, bt, x0, step + 1)[0][step]
+        assert not math.isfinite(delta)
+        batches.clear()
+        with pytest.raises(ValueError) as error:
+            alternate(at, bt, x0, 1000)
+    assert str(error.value) == ("the data leave the float range: "
+                                "their differences overflow")
+    starts = batch_starts(batches, renormalisations(deltas, limit))
+    assert len(starts) == batch + 1 and starts[batch] == step
+
+
+def test_the_batch_buffers_stay_within_their_budget():
+    # At 100,000 samples _BATCH_ELEMENTS floats hold batches of 2; from
+    # 104,858 samples on a batch has one half step.
+    rng = np.random.default_rng(0)
+    at, bt = rng.uniform(0.0, 1.0, (2, 10**5)), rng.uniform(0.0, 1.0,
+                                                            (2, 10**5))
+    tracemalloc.start()
+    try:
+        alternate(at, bt, np.zeros(2), 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Beside the batch buffers: one scratch array per span, and the rows.
+    assert peak <= 8 * (solvers._BATCH_ELEMENTS + at.size + bt.size) + 2**16
 
 
 # --- alternate against its plain form on random systems ---------------------

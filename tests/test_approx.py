@@ -173,6 +173,46 @@ def test_sample_set_errors_come_from_the_scalar_checks():
         SampleSet.from_reals([(1.0, 0.0), (0.0, 1.0)], MAX_TIMES)
 
 
+def first_scalar_error(pairs, sf):
+    """(class, message) of the first pair that _check_pair rejects, the
+    pairs checked one at a time in order, or None."""
+    try:
+        for a, b in pairs:
+            approx._check_pair(a, b, sf)
+    except Exception as error:
+        return type(error), str(error)
+    return None
+
+
+@pytest.mark.parametrize("sf", [MAX_PLUS, MAX_TIMES])
+@pytest.mark.parametrize("faults", [
+    [(ZERO, 1.0)], [(1.0, ZERO)], [(math.nan, 1.0)], [(1.0, -math.inf)],
+    [(-1.0, 2.0)], [(2.0, 0.0)], [(1.0, 2.0, 3.0)], [(1.0,)], [("a", 1.0)],
+    [(2.0, -1.0), (ZERO, 1.0)], [(ZERO, 1.0), (2.0, -1.0)],
+    [(1.0, 2.0, 3.0), (math.inf, 1.0)], [(2.0, -1.0), (1.0,)],
+    [(2.0, -1.0), (math.inf, 1.0)],
+])
+@pytest.mark.parametrize("place", [0, 3000, 6000])
+def test_sample_pairs_raise_the_first_faulty_pairs_error(sf, faults, place):
+    # 6,001 pairs checked with arrays, the faults from place on, 700 pairs
+    # apart: the error is that of the first pair _check_pair rejects.
+    rng = np.random.default_rng(place)
+    pairs = list(zip(rng.uniform(0.5, 7.0, 6001).tolist(),
+                     rng.uniform(0.5, 3.0, 6001).tolist()))
+    for k, fault in enumerate(faults):
+        pairs[min(place + 700 * k, 6000)] = fault
+    want = first_scalar_error(pairs, sf)
+    if want is None:
+        # Every pair is a max-plus scalar pair: the arrays hold them.
+        samples = SampleSet(pairs, sf)
+        assert samples.x.tolist() == [a for a, _ in pairs]
+        assert samples.y.tolist() == [b for _, b in pairs]
+        return
+    with pytest.raises(want[0]) as error:
+        SampleSet(pairs, sf)
+    assert type(error.value) is want[0] and str(error.value) == want[1]
+
+
 def test_max_times_samples_keep_the_input_floats():
     x = [0.1, 1e-300, 2.5, 7.0 / 3.0]
     y = [0.3, 7.0, 1e300, math.pi]
